@@ -9,11 +9,15 @@ selection Q inside Q*:
 * OLS factor: the same rows weighted by the projected-atom norm ratios
   ``|Pa_i| / |Pa_j|`` (zero when ``Pa_j`` vanishes).
 
-Both factors admit an equivalent "projected" evaluation through the
-pseudo-inverse of the projected (OMP) or normalized-projected (OLS)
-remaining true atoms.  The default mode evaluates both routes and raises
-:class:`FormMismatchError` if they disagree beyond ``TAU_FORM``; fast
-mode evaluates only the projected route.
+The values come from the factor kernel :func:`linalg.factor_chain`: one
+QR of the support with Q first gives the coefficient table and every
+projected norm.  Both factors also admit an equivalent "projected"
+evaluation through the pseudo-inverse of the projected (OMP) or
+normalized-projected (OLS) remaining true atoms, built on a
+:class:`linalg.ProjectionState`; it shares no factorization with the
+kernel and serves as its cross-check.  The default (checked) mode
+evaluates both routes and raises :class:`FormMismatchError` if they
+disagree beyond ``TAU_FORM``; fast mode evaluates only the kernel.
 
 Exactness certificates say that every wrong factor stays below 1
 (selection-wise exact recovery for every reachable Q of the stated
@@ -29,7 +33,7 @@ from math import comb
 import numpy as np
 
 from .exceptions import FormMismatchError, RankDeficientError, TooLargeError
-from .linalg import _as_matrix, least_squares, state_for
+from .linalg import _as_matrix, _tail_sums, factor_chain, least_squares, state_for
 from .tolerances import TAU_FORM, TAU_NUM, TAU_ZERO
 
 __all__ = [
@@ -113,14 +117,36 @@ def erc_factor(a, qstar, j):
     return float(np.abs(c).sum())
 
 
-def _factors(a, qstar, q, js, algorithm, fast):
-    """Factors of the atoms ``js`` given partial selection ``q``.
+def _chain_factors(a, order, probes, depths, algorithms):
+    """Factors of ``probes`` after each prefix ``order[:q]``, q in ``depths``.
 
-    Returns the projected-route values; in checked mode the definitional
-    route is evaluated as well and compared within ``TAU_FORM``.
+    ``order`` lists the whole support in growth order.  Returns
+    ``{algorithm: array of shape (len(depths), len(probes))}``; the OMP
+    row at depth q is the tail row sum of ``|C|``, the OLS row the same
+    tail weighted by the support norms at q and divided by the probe
+    norms.  A probe inside the selected span scores 0 under both rules.
     """
-    if algorithm not in ("omp", "ols"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    coef, probe_norms, support_norms = factor_chain(a, order, probes)
+    c = np.abs(coef)
+    depths = list(depths)
+    den = probe_norms[depths]
+    alive = den > TAU_ZERO
+    out = {}
+    for alg in algorithms:
+        if alg == "omp":
+            vals = _tail_sums(c)[depths]
+        else:
+            # support_norms[q, l] vanishes for l < q, so the product
+            # only weighs the rows still to be selected
+            vals = (support_norms[depths] @ c) / np.where(alive, den, 1.0)
+        out[alg] = np.where(alive, vals, 0.0)
+    return out
+
+
+def _projected_factors(a, qstar, q, js, algorithm):
+    """Factors through the projected system at ``q``: the cross-check
+    route, built on a :class:`ProjectionState` and a QR of the projected
+    remaining true atoms, never of ``A_Qstar``."""
     state = state_for(a, q)
     remaining = [i for i in qstar if i not in q]
     pt = state.projected[:, remaining]
@@ -136,26 +162,31 @@ def _factors(a, qstar, q, js, algorithm, fast):
             raise RankDeficientError("a support atom lies in the selected span")
         lhs = pt / tn
         rhs = np.where(alive, pj / np.where(alive, jn, 1.0), 0.0)
-    coef = least_squares(lhs, rhs)
-    proj = np.abs(coef).sum(axis=0)
+    proj = np.abs(least_squares(lhs, rhs)).sum(axis=0)
     proj[~alive] = 0.0
+    return proj
 
+
+def _factors(a, qstar, q, js, algorithm, fast):
+    """Factors of the atoms ``js`` given partial selection ``q``.
+
+    Returns the kernel values, read at depth ``|q|`` of the growth order
+    ``q + (qstar \\ q)``; in checked mode the projected route is
+    evaluated as well and compared within ``TAU_FORM``.
+    """
+    if algorithm not in ("omp", "ols"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    remaining = [i for i in qstar if i not in q]
+    order = list(q) + remaining
+    vals = _chain_factors(a, order, js, [len(q)], (algorithm,))[algorithm][0]
     if not fast:
-        c = least_squares(a[:, qstar], a[:, js])
-        rows = [qstar.index(i) for i in remaining]
-        if algorithm == "omp":
-            direct = np.abs(c[rows]).sum(axis=0)
-        else:
-            tn = state.norms[remaining]
-            direct = (tn[:, None] * np.abs(c[rows])).sum(axis=0)
-            direct = np.where(alive, direct / np.where(alive, jn, 1.0), 0.0)
-        direct[~alive] = 0.0
-        gap = np.abs(proj - direct).max() if len(js) else 0.0
+        proj = _projected_factors(a, qstar, q, js, algorithm)
+        gap = np.abs(vals - proj).max() if len(js) else 0.0
         if gap > TAU_FORM:
             raise FormMismatchError(
                 f"factor routes disagree by {gap:.3e} (> {TAU_FORM})"
             )
-    return proj
+    return vals
 
 
 def f_omp(a, qstar, q, j, fast=False):
@@ -252,7 +283,7 @@ def brc_omp(a, qstar, fast=False):
     if not fast:
         for pos, i in enumerate(qstar):
             q = tuple(x for x in qstar if x != i)
-            proj = _factors(a, qstar, q, js, "omp", True)
+            proj = _projected_factors(a, qstar, q, js, "omp")
             gap = np.abs(proj - np.abs(c[pos])).max()
             if gap > TAU_FORM:
                 raise FormMismatchError(
@@ -302,14 +333,16 @@ def recursion_chain(a, qstar, j, order, algorithm):
 
     ``order`` lists the true atoms in activation order; the returned
     list holds the factor at depth 0..len(order), each value produced by
-    the one-step recursion and checked against direct evaluation within
-    1e-8 (:class:`FormMismatchError` otherwise).
+    the one-step recursion and checked against the projected route
+    within 1e-8 (:class:`FormMismatchError` otherwise).
     """
     a = _as_matrix(a)
     qstar, order = _check_support(a.shape[1], qstar, order, j)
     j = int(j)
+    if algorithm not in ("omp", "ols"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     direct = [
-        (f_omp if algorithm == "omp" else f_ols)(a, qstar, order[:p], j, fast=True)
+        float(_projected_factors(a, qstar, order[:p], [j], algorithm)[0])
         for p in range(len(order) + 1)
     ]
 
@@ -318,7 +351,7 @@ def recursion_chain(a, qstar, j, order, algorithm):
         values = [direct[0]]
         for p, ell in enumerate(order):
             values.append(f_omp_update(values[-1], c[qstar.index(ell)]))
-    elif algorithm == "ols":
+    else:
         values = [0.0] * (len(order) + 1)
         values[-1] = direct[-1]
         state = state_for(a, order)
@@ -337,8 +370,6 @@ def recursion_chain(a, qstar, j, order, algorithm):
             values[p] = f_ols_recursive(
                 beta, rec.eta[j], rec.chi[j], rec.eta[remaining], rec.chi[remaining]
             )
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
 
     gap = max(abs(v - d) for v, d in zip(values, direct))
     if gap > 1e-8:

@@ -129,8 +129,13 @@ def example1(theta1, theta2):
 
 
 def from_matrix(matrix, kind="custom", params=None, normalize=False):
-    """Wrap an explicit matrix, optionally normalizing its columns."""
+    """Wrap an explicit matrix, optionally normalizing its columns.
+
+    Raises ``ValueError`` when an entry is NaN or infinite.
+    """
     a = np.array(matrix, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     if normalize:
         a = _normalized(a)
     a.setflags(write=False)

@@ -5,20 +5,26 @@ derives its generator from ``base_seed + t`` and nothing else, so runs
 are reproducible bit for bit regardless of how many worker processes
 execute them.  Results serialize to CSV (17 significant digits, config
 echoed as a ``#`` comment on the first line) and to JSON (config first).
+
+Factor values come from the factor kernel alone
+(:func:`linalg.factor_chain`, one QR per trial); the projected route
+that cross-checks it in the certificates' checked mode is not run here.
+Pools start no more worker processes than the CPUs this process may use
+or the number of tasks.
 """
 
 import dataclasses
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
-from .certificates import brc_omp
+from .certificates import _chain_factors, brc_omp
 from .dictionaries import convolutive, gaussian, hybrid
-from .linalg import _as_matrix, extend_state, init_state, least_squares
-from .tolerances import TAU_ZERO
+from .linalg import _as_matrix
 
 __all__ = [
     "ExperimentConfig",
@@ -203,10 +209,10 @@ def _support(placement, n, k, delta, rng):
 def _factor_curves(atoms, qstar, order, q_values, algorithms):
     """Aggregate certificate values along a growth order, one pass.
 
-    The coefficient table lstsq(A_Q*, a_j) is computed once; dropping
-    the rows already grown gives the partial-selection value directly,
-    and the variant with normalized projected atoms reweights each row
-    by the current projected norms, maintained incrementally.  Returns
+    One factor-kernel call (:func:`linalg.factor_chain`) in growth order
+    gives the coefficient table and the projected norms at every depth;
+    the partial-selection values are its tail row sums, plain for OMP
+    and norm-weighted for OLS.  Returns
     ``{algorithm: [aggregate at q for q in q_values]}``.
     """
     a = _as_matrix(atoms)
@@ -218,35 +224,27 @@ def _factor_curves(atoms, qstar, order, q_values, algorithms):
     if not q_values or any(not 0 <= q < len(qstar) for q in q_values):
         raise ValueError("partial supports must be proper subsets of the support")
     member = set(qstar)
-    probes = np.array([j for j in range(a.shape[1]) if j not in member], dtype=int)
-    c_abs = np.abs(least_squares(a[:, list(qstar)], a[:, probes]))
-    row_of = {atom: i for i, atom in enumerate(qstar)}
+    probes = [j for j in range(a.shape[1]) if j not in member]
+    values = _chain_factors(a, order, probes, q_values, algorithms)
+    # factors are non-negative, so the empty probe set aggregates to 0
+    return {alg: [float(v) for v in values[alg].max(axis=1, initial=0.0)]
+            for alg in algorithms}
 
-    remaining = c_abs.sum(axis=0)
-    state = init_state(a) if "ols" in algorithms else None
-    values = {alg: {} for alg in algorithms}
-    for q in range(max(q_values) + 1):
-        if q in q_values:
-            if "omp" in algorithms:
-                values["omp"][q] = float(remaining.max()) if probes.size else 0.0
-            if "ols" in algorithms:
-                rows = [row_of[atom] for atom in order[q:]]
-                weights = state.norms[list(order[q:])]
-                num = (weights[:, None] * c_abs[rows]).sum(axis=0) if rows else 0.0
-                den = state.norms[probes]
-                alive = den > TAU_ZERO
-                vals = np.where(alive, num / np.where(alive, den, 1.0), 0.0)
-                values["ols"][q] = float(vals.max()) if probes.size else 0.0
-        if q < max(q_values):
-            remaining = remaining - c_abs[row_of[order[q]]]
-            if state is not None:
-                state = extend_state(state, order[q])
-    return {alg: [values[alg][q] for q in q_values] for alg in algorithms}
+
+def _worker_count(requested, tasks):
+    """Processes worth starting: no more than the request, the CPUs this
+    process may run on, or the task count, and at least one."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(requested, cpus, tasks))
 
 
 def _map_ordered(fn, tasks, workers):
     # results merge in task order, so the worker count cannot change them
-    if workers > 1 and len(tasks) > 1:
+    workers = _worker_count(workers, len(tasks))
+    if workers > 1:
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=chunk))

@@ -159,6 +159,8 @@ def run_greedy(algorithm, atoms, y, max_iters, oracle=None):
     or adversarially tied selection.  Stops early once the residual norm
     drops below ``TAU_SUCCESS_REL * |y|``.
     """
+    if algorithm not in _SELECT:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     select = _SELECT[algorithm]
     a = _as_matrix(atoms)
     y = np.asarray(y, dtype=np.float64)

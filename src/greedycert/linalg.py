@@ -1,4 +1,4 @@
-"""Incremental orthogonal projections for greedy atom selection.
+"""Least squares, the factor kernel and incremental projections.
 
 Conventions used throughout the package:
 
@@ -8,11 +8,18 @@ Conventions used throughout the package:
   onto the orthogonal complement of ``span(A_Q)``; active atoms project
   to exactly zero.
 
+:func:`factor_chain` is the value route of the certificate factors: one
+LAPACK QR of the support in growth order gives the coefficient table of
+the probe atoms and every projected norm along the chain, without ever
+forming a projected matrix.
+
 A :class:`ProjectionState` caches the projected atoms and their norms and
-is extended one atom at a time.  Each extension also records, for every
-still-inactive atom, the norm-reduction factor ``eta`` and the alignment
-``chi`` of its normalized projected atom with the newly added basis
-direction; ``eta**2 + chi**2 == 1`` up to rounding.
+is extended one atom at a time.  It drives the greedy runs and is the
+independent cross-check of the factor kernel in checked mode.  Each
+extension also records, for every still-inactive atom, the
+norm-reduction factor ``eta`` and the alignment ``chi`` of its
+normalized projected atom with the newly added basis direction;
+``eta**2 + chi**2 == 1`` up to rounding.
 """
 
 from dataclasses import dataclass
@@ -20,7 +27,8 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
+from scipy.linalg.blas import dgemm
 
 from .exceptions import (
     DegenerateAtomError,
@@ -33,8 +41,8 @@ from .tolerances import TAU_NUM, TAU_RANK, TAU_ZERO
 __all__ = [
     "ExtensionRecord",
     "ProjectionState",
-    "mgs_qr",
     "least_squares",
+    "factor_chain",
     "init_state",
     "state_for",
     "extend_state",
@@ -51,33 +59,28 @@ def _as_matrix(a):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("expected a 2-D array of column atoms")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     return a
 
 
-def mgs_qr(a):
-    """Thin QR factorization by modified Gram-Schmidt.
+def _qr(a):
+    """Economic LAPACK QR of a full-column-rank ``a``.
 
-    One reorthogonalization pass per column keeps the basis orthonormal
-    to working precision.  Raises :class:`RankDeficientError` when a
-    column's remaining norm falls below ``TAU_RANK``.
+    Raises :class:`RankDeficientError` when some column lies within
+    ``TAU_RANK`` of the span of its predecessors, i.e. ``|R_jj| <=
+    TAU_RANK``.
     """
-    a = _as_matrix(a)
-    m, n = a.shape
-    q = np.empty((m, n))
-    r = np.zeros((n, n))
-    for j in range(n):
-        v = a[:, j].copy()
-        for _ in range(2):
-            s = q[:, :j].T @ v
-            r[:j, j] += s
-            v -= q[:, :j] @ s
-        d = np.linalg.norm(v)
-        if d <= TAU_RANK:
-            raise RankDeficientError(
-                f"column {j} is dependent on its predecessors (norm {d:.3e})"
-            )
-        r[j, j] = d
-        q[:, j] = v / d
+    m, k = a.shape
+    if k > m:
+        raise RankDeficientError(f"{k} columns in dimension {m} are dependent")
+    q, r = qr(a, mode="economic", check_finite=False)
+    low = np.flatnonzero(np.abs(np.diag(r)) <= TAU_RANK)
+    if low.size:
+        j = int(low[0])
+        raise RankDeficientError(
+            f"column {j} is dependent on its predecessors (norm {abs(r[j, j]):.3e})"
+        )
     return q, r
 
 
@@ -86,8 +89,64 @@ def least_squares(a, b):
 
     ``b`` may be a vector or a matrix of stacked right-hand sides.
     """
-    q, r = mgs_qr(a)
+    q, r = _qr(_as_matrix(a))
     return solve_triangular(r, q.T @ np.asarray(b, dtype=np.float64))
+
+
+def _check_unit(norms, atoms):
+    bad = np.flatnonzero(np.abs(norms - 1.0) > TAU_NUM)
+    if bad.size:
+        i = int(bad[0])
+        raise NotNormalizedError(f"atom {atoms[i]} has norm {norms[i]:.12g}, expected 1")
+
+
+def _tail_sums(x):
+    """Row ``q`` of the result is ``x[q:].sum(axis=0)``, for ``q = 0 ..
+    len(x)``; the last row is the empty sum."""
+    tails = np.cumsum(x[::-1], axis=0)[::-1]
+    return np.concatenate([tails, np.zeros((1,) + x.shape[1:])])
+
+
+def factor_chain(atoms, order, probes):
+    """Coefficient table and projected norms along a growth order.
+
+    One economic QR ``A_order = Q R``, one product ``G = Q.T A_probes``
+    and one triangular solve give, with ``k = len(order)`` and ``p =
+    len(probes)``:
+
+    * ``coef`` (k x p): ``pinv(A_order) A_probes``, rows in growth order;
+    * ``probe_norms`` ((k+1) x p): row ``q`` holds ``|P_q a_j|``, the
+      probe norms projected off ``span(A_order[:q])``, for ``q = 0 .. k``;
+    * ``support_norms`` ((k+1) x k): entry ``[q, i]`` holds
+      ``|P_q a_order[i]|``, which is 0 for ``q > i``.
+
+    Every squared norm is a sum of non-negative terms:
+    ``|P_q a_j|^2 = sum_{l>=q} G[l, j]^2 + |a_j - Q G_j|^2`` and
+    ``|P_q a_order[i]|^2 = sum_{q<=l<=i} R[l, i]^2``, so small norms keep
+    their relative accuracy (``1 - cumsum(G**2)`` would not).
+
+    Atoms must have unit norm within ``TAU_NUM``
+    (:class:`NotNormalizedError`).  :class:`RankDeficientError` is raised
+    when some ``|R_ii| <= TAU_RANK``; otherwise every support atom keeps
+    a projected norm ``|P_q a_order[i]| >= |R_ii| > TAU_RANK > TAU_ZERO``
+    at every depth ``q <= i`` where it is still unselected.
+    """
+    a = _as_matrix(atoms)
+    order = [int(i) for i in order]
+    probes = [int(j) for j in probes]
+    _check_unit(np.linalg.norm(a[:, order], axis=0), order)
+    q, r = _qr(a[:, order])
+    x = a[:, probes]
+    g = q.T @ x
+    coef = solve_triangular(r, g, check_finite=False)
+    # x - Q G, the probes' part outside span(A_order); the update runs
+    # in place on the gathered copy, which numpy lays out in Fortran order
+    if x.size:  # BLAS rejects an empty output
+        x = dgemm(-1.0, q, g, beta=1.0, c=x, overwrite_c=True)
+    probe_norms = np.sqrt(_tail_sums(g * g) + np.einsum("ij,ij->j", x, x))
+    _check_unit(probe_norms[0], probes)
+    support_norms = np.sqrt(_tail_sums(r * r))  # R is upper triangular
+    return coef, probe_norms, support_norms
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,6 @@ TAU_RANK = 1e-8
 # the current span, residual exhausted, null-space component absent).
 TAU_ZERO = 1e-10
 
-# Allowed loss of orthonormality in an incrementally built basis.
-TAU_ORTH = 1e-9
-
 # Two selection scores within this relative distance of the leader are
 # reported as tied.
 TAU_TIE = 1e-9

@@ -10,9 +10,11 @@ The two-pair dictionary gives hand-computable references: with support
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from greedycert import certificates as cert
-from greedycert.dictionaries import example1, gaussian
+from greedycert.dictionaries import convolutive, example1, gaussian, hybrid
 from greedycert.exceptions import TooLargeError
 from greedycert.linalg import state_for
 
@@ -115,6 +117,47 @@ class TestFactorOracles:
             assert cert.f_omp(a, qstar, q, j, fast=True) == pytest.approx(
                 cert.f_omp(a, qstar, q, j), abs=1e-12
             )
+
+
+@st.composite
+def kernel_cases(draw):
+    """A dictionary, support, partial selection and probe set."""
+    family = draw(st.sampled_from(["gaussian", "hybrid", "convolutive"]))
+    if family == "convolutive":
+        sigma = draw(st.floats(0.5, 10.0))
+        d = convolutive(draw(st.integers(8, 60)), sigma)
+    else:
+        m = draw(st.integers(6, 30))
+        n = draw(st.integers(m + 1, 2 * m))
+        seed = draw(st.integers(0, 2**31 - 1))
+        if family == "gaussian":
+            d = gaussian(m, n, seed)
+        else:
+            d = hybrid(m, n, draw(st.floats(0.0, 1000.0)), seed)
+    m, n = d.matrix.shape
+    k = draw(st.integers(1, min(6, m - 1, n - 1)))
+    perm = draw(st.permutations(range(n)))
+    qstar = tuple(perm[:k])
+    q = qstar[: draw(st.integers(0, k - 1))]
+    js = list(perm[k:])
+    return d.matrix, qstar, q, js
+
+
+class TestKernelAgainstProjectedRoute:
+    """The factor kernel (one QR of the support) against the projected
+    route (ProjectionState plus a QR of the projected system)."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(kernel_cases(), st.sampled_from(["omp", "ols"]))
+    def test_values_and_verdicts_agree(self, case, algorithm):
+        a, qstar, q, js = case
+        kernel = cert._factors(a, qstar, q, js, algorithm, fast=True)
+        projected = cert._projected_factors(a, qstar, q, js, algorithm)
+        gap = np.abs(kernel - projected) / np.maximum(1.0, np.abs(projected))
+        assert gap.max() <= 1e-9
+        decided = np.abs(projected - 1.0) > 1e-6
+        assert np.array_equal((kernel < 1.0)[decided], (projected < 1.0)[decided])
 
 
 class TestRestrictionIdentities:

@@ -53,6 +53,12 @@ class TestCert:
     def test_unknown_flag_rejected(self, capsys):
         assert main(["cert", "--dict", "example1", "--qstar", "0", "--bogus"]) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--theta1", "nan"), ("--theta2", "inf")])
+    def test_non_finite_dictionary_rejected(self, capsys, flag, value):
+        # the angles reach the matrix as NaN entries
+        assert main(["cert", "--dict", "example1", flag, value, "--qstar", "0,1"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_q_and_card_exclusive(self, capsys):
         assert main(["cert", "--dict", "example1", "--qstar", "0,1",
                      "--q", "0", "--card", "1"]) == 2

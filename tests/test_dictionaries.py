@@ -106,6 +106,13 @@ class TestSerialization:
         write_matrix_text(a, path)
         assert np.array_equal(read_matrix_text(path), a)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_matrix_rejects_non_finite(self, bad):
+        a = np.eye(3)
+        a[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            from_matrix(a)
+
     def test_from_matrix_normalizes_on_request(self):
         a = np.array([[3.0, 0.0], [4.0, 2.0]])
         d = from_matrix(a, normalize=True)

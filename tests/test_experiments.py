@@ -264,6 +264,23 @@ class TestOutputFormats:
         assert "wall" not in res.to_csv() and "wall" not in res.to_json()
 
 
+class TestWorkerCount:
+    def test_clamped_to_cpus_and_tasks(self, monkeypatch):
+        monkeypatch.setattr(ex.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert ex._worker_count(64, 1000) == 3
+        assert ex._worker_count(64, 2) == 2
+        assert ex._worker_count(2, 1000) == 2
+        assert ex._worker_count(0, 1000) == 1
+        assert ex._worker_count(8, 0) == 1
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(ex.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(ex.os, "cpu_count", lambda: 5)
+        assert ex._worker_count(64, 1000) == 5
+        monkeypatch.setattr(ex.os, "cpu_count", lambda: None)
+        assert ex._worker_count(64, 1000) == 1
+
+
 class TestDeterminism:
     def test_worker_count_invisible_in_output(self):
         cfg = ex.ExperimentConfig(kind="phase-curve", m=25, n=60, k=5, trials=12,

@@ -105,6 +105,10 @@ class TestSelectOls:
 
 
 class TestRunGreedy:
+    def test_unknown_algorithm_named(self):
+        with pytest.raises(ValueError, match="'mp'"):
+            greedy.run_greedy("mp", np.eye(3), np.ones(3), 1)
+
     def test_orthonormal_success(self):
         a = np.eye(6)
         y = a[:, [1, 3]] @ np.array([2.0, -1.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from greedycert import linalg
-from greedycert.dictionaries import example1, from_matrix, gaussian
+from greedycert.dictionaries import example1, from_matrix, gaussian, hybrid
 from greedycert.exceptions import (
     DegenerateAtomError,
     NotNormalizedError,
@@ -61,6 +61,89 @@ class TestLeastSquares:
         a = np.ones((5, 2))
         with pytest.raises(RankDeficientError):
             linalg.least_squares(a, np.ones(5))
+
+    def test_more_columns_than_rows_raises(self):
+        with pytest.raises(RankDeficientError):
+            linalg.least_squares(np.eye(3, 4), np.ones(3))
+
+
+class TestFactorChain:
+    def test_matches_pinv_and_projector_oracles(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            m = int(rng.integers(5, 20))
+            n = int(rng.integers(m + 1, 2 * m))
+            k = int(rng.integers(1, m))
+            a = gaussian(m, n, int(rng.integers(2**31))).matrix
+            perm = [int(i) for i in rng.permutation(n)]
+            order, probes = perm[:k], perm[k:]
+            coef, probe_norms, support_norms = linalg.factor_chain(a, order, probes)
+            assert coef.shape == (k, n - k)
+            assert probe_norms.shape == (k + 1, n - k)
+            assert support_norms.shape == (k + 1, k)
+            want = np.linalg.pinv(a[:, order]) @ a[:, probes]
+            assert np.abs(coef - want).max() < 1e-9
+            for q in range(k + 1):
+                p = explicit_projector(a[:, order[:q]]) if q else np.eye(m)
+                assert np.abs(probe_norms[q] - np.linalg.norm(p @ a[:, probes], axis=0)).max() < 1e-9
+                assert np.abs(support_norms[q] - np.linalg.norm(p @ a[:, order], axis=0)).max() < 1e-9
+
+    def test_small_norms_keep_relative_accuracy(self):
+        # atoms nearly parallel to the all-ones vector: every projected
+        # norm past the first step is about 1e-3, where 1 - cumsum(G**2)
+        # loses digits (relative error near 3e-10 here)
+        rng = np.random.default_rng(18)
+        m, n, k = 30, 60, 6
+        a = hybrid(m, n, 1000.0, 3).matrix
+        order = [int(i) for i in rng.permutation(n)[:k]]
+        probes = [j for j in range(n) if j not in order]
+        _, probe_norms, _ = linalg.factor_chain(a, order, probes)
+        for q in range(1, k + 1):
+            basis, _ = np.linalg.qr(a[:, order[:q]])
+            x = a[:, probes]
+            x = x - basis @ (basis.T @ x)
+            x = x - basis @ (basis.T @ x)
+            want = np.linalg.norm(x, axis=0)
+            assert np.abs(probe_norms[q] / want - 1.0).max() < 1e-12
+
+    def test_rank_deficient_support_raises(self):
+        v = np.sqrt(0.5)
+        a = np.array([[1.0, 0.0, v, 0.0], [0.0, 1.0, v, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(RankDeficientError):
+            linalg.factor_chain(a, [0, 1, 2], [3])
+        with pytest.raises(RankDeficientError):
+            linalg.factor_chain(np.eye(2), [0, 1, 0], [])
+
+    def test_not_normalized_raises(self):
+        a = np.eye(4) * np.array([1.0, 1.0, 2.0, 1.0])
+        with pytest.raises(NotNormalizedError):
+            linalg.factor_chain(a, [2], [0, 1])
+        with pytest.raises(NotNormalizedError):
+            linalg.factor_chain(a, [0, 1], [2, 3])
+
+    def test_empty_order_gives_atom_norms(self):
+        d = gaussian(6, 9, 2)
+        coef, probe_norms, support_norms = linalg.factor_chain(d, [], range(9))
+        assert coef.shape == (0, 9) and support_norms.shape == (1, 0)
+        assert np.allclose(probe_norms, 1.0, atol=1e-12)
+
+    def test_no_probes(self):
+        d = gaussian(6, 9, 2)
+        coef, probe_norms, support_norms = linalg.factor_chain(d, [4, 1], [])
+        assert coef.shape == (2, 0) and probe_norms.shape == (3, 0)
+        assert np.allclose(support_norms[0], 1.0, atol=1e-12)
+        assert np.all(support_norms[2] == 0.0)
+
+
+class TestFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        a = np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            linalg._as_matrix(a)
+        with pytest.raises(ValueError, match="finite"):
+            linalg.least_squares(a, np.ones(3))
 
 
 class TestProjectionState:
