@@ -40,6 +40,14 @@ class Dictionary:
         return self.matrix.shape[1]
 
 
+def _finite(name, value):
+    """``value`` as a float; NaN and infinities raise ``ValueError``."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _normalized(a):
     norms = np.linalg.norm(a, axis=0)
     if np.any(norms == 0.0):
@@ -62,7 +70,9 @@ def hybrid(m, n, t_max, seed):
     ``t_max`` makes the atoms nearly collinear with the all-ones vector,
     which is the regime where the two greedy selection rules separate.
     ``t_max = 0`` reproduces :func:`gaussian` exactly (same draw order).
+    A non-finite ``t_max`` raises ``ValueError``.
     """
+    _finite("t_max", t_max)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((m, n))
     t = rng.uniform(0.0, t_max, n)
@@ -81,9 +91,10 @@ def convolutive(n, sigma, downsample=1):
     ``0, downsample, 2*downsample, ...`` and makes the dictionary
     overcomplete for ``downsample > 1``.  Columns are normalized;
     decimation that leaves an atom with no nonzero sample raises
-    :class:`EmptyAtomError`.
+    :class:`EmptyAtomError`.  A non-finite ``sigma`` raises
+    ``ValueError``.
     """
-    if sigma <= 0:
+    if _finite("sigma", sigma) <= 0:
         raise ValueError("sigma must be positive")
     d = int(downsample)
     if d < 1:

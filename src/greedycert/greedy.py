@@ -3,11 +3,16 @@
 Both algorithms pick the atom whose projected version correlates most
 with the current residual; OMP uses the raw projected atoms, OLS their
 normalized versions (equivalently, OLS minimizes the next residual
-norm).  A selection is "tied" when the runner-up score is within a
-relative ``TAU_TIE`` of the leader; against a known support, a tie that
-mixes true and wrong atoms counts as a failure (the adversarial tie
-convention), while ties among true atoms are broken by lowest index and
-only flagged.
+norm).  The residual ``r`` is already orthogonal to the active span, so
+``(P A).T r = A.T r``: OMP scores ``|A.T r|`` and OLS divides the same
+correlations by the projected norms ``|P a_j|`` that the
+:class:`linalg.ProjectionState` keeps, and no projected matrix is
+formed.  A run stops as ``exhausted`` when ``r`` is orthogonal to every
+inactive atom (no score above ``TAU_ZERO * |r|``).  A selection is
+"tied" when the runner-up score is within a relative ``TAU_TIE`` of the
+leader; against a known support, a tie that mixes true and wrong atoms
+counts as a failure (the adversarial tie convention), while ties among
+true atoms are broken by lowest index and only flagged.
 
 The constructive half builds inputs that provably steer a run: a vector
 reaching a prescribed selection sequence (always possible for OLS, by
@@ -62,13 +67,16 @@ class Selection:
     tied: tuple
 
 
-def _pick(state, scores):
+def _pick(state, scores, rnorm):
+    """The top-scoring inactive atom, or None when no inactive score
+    exceeds ``TAU_ZERO * rnorm``."""
     scores = np.array(scores, dtype=np.float64)
-    for i in state.active:
-        scores[i] = np.nan
-    top = np.nanmax(scores)
+    scores[list(state.active)] = np.nan
+    live = scores[~np.isnan(scores)]
+    if not live.size or live.max() <= TAU_ZERO * rnorm:
+        return None
     with np.errstate(invalid="ignore"):
-        tied = np.flatnonzero(scores >= top * (1.0 - TAU_TIE))
+        tied = np.flatnonzero(scores >= live.max() * (1.0 - TAU_TIE))
     tie = len(tied) > 1
     scores.setflags(write=False)
     return Selection(
@@ -76,25 +84,36 @@ def _pick(state, scores):
     )
 
 
-def select_omp(state, r):
-    """Pick the inactive atom maximizing |<r, projected atom>|."""
-    if np.linalg.norm(r) <= TAU_ZERO:
+def _correlations(state, r):
+    rnorm = np.linalg.norm(r)
+    if rnorm <= TAU_ZERO:
         raise ZeroResidualError("residual is already zero")
-    return _pick(state, np.abs(state.projected.T @ r))
+    return np.abs(state.atoms.T @ r), rnorm
+
+
+def select_omp(state, r):
+    """Pick the inactive atom maximizing |<r, projected atom>|.
+
+    ``r`` must be orthogonal to the active span (a :func:`residual`), so
+    the scores are ``|A.T r|``.  Returns None when ``r`` is orthogonal
+    to every inactive atom.
+    """
+    corr, rnorm = _correlations(state, r)
+    return _pick(state, corr, rnorm)
 
 
 def select_ols(state, r):
     """Pick the inactive atom maximizing |<r, normalized projected atom>|.
 
     Equivalent to minimizing the residual norm after the candidate
-    extension; atoms inside the active span score zero.
+    extension.  ``r`` must be orthogonal to the active span, so the
+    scores are ``|A.T r| / |P a_j|``; atoms inside the active span score
+    zero.  Returns None when ``r`` is orthogonal to every inactive atom.
     """
-    if np.linalg.norm(r) <= TAU_ZERO:
-        raise ZeroResidualError("residual is already zero")
+    corr, rnorm = _correlations(state, r)
     alive = state.norms > TAU_ZERO
-    scores = np.zeros(state.n)
-    scores[alive] = np.abs(state.projected[:, alive].T @ r) / state.norms[alive]
-    return _pick(state, scores)
+    scores = np.divide(corr, state.norms, out=np.zeros(state.n), where=alive)
+    return _pick(state, scores, rnorm)
 
 
 _SELECT = {"omp": select_omp, "ols": select_ols}
@@ -116,8 +135,11 @@ class GreedyTrace:
     ``status`` is one of ``success`` (residual exhausted, and only true
     atoms selected when a support oracle was given), ``wrong_atom``,
     ``tie_failure`` (true/wrong tie), ``rank_abort`` (selected atom
-    degenerate), or ``exhausted`` (iteration budget hit with residual
-    left; only possible without early failure).
+    degenerate), or ``exhausted``: either the iteration budget was hit
+    with residual left, or the residual is orthogonal to every inactive
+    atom (no inactive score above ``TAU_ZERO * |r|``, every atom active
+    included), in which case the run stops without recording a
+    selection.
     """
 
     algorithm: str
@@ -177,6 +199,9 @@ def run_greedy(algorithm, atoms, y, max_iters, oracle=None):
             status = "success"
             break
         sel = select(state, r)
+        if sel is None:
+            status = "exhausted"
+            break
         records.append(
             IterationRecord(sel.index, sel.scores, sel.tie, sel.tied, float(rnorm))
         )

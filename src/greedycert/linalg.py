@@ -13,16 +13,26 @@ LAPACK QR of the support in growth order gives the coefficient table of
 the probe atoms and every projected norm along the chain, without ever
 forming a projected matrix.
 
-A :class:`ProjectionState` caches the projected atoms and their norms and
-is extended one atom at a time.  It drives the greedy runs and is the
-independent cross-check of the factor kernel in checked mode.  Each
-extension also records, for every still-inactive atom, the
-norm-reduction factor ``eta`` and the alignment ``chi`` of its
-normalized projected atom with the newly added basis direction;
-``eta**2 + chi**2 == 1`` up to rounding.
+A :class:`ProjectionState` holds an orthonormal basis ``U`` of the
+active span and the projected-atom norms ``|P a_i|``, and is extended one
+atom at a time.  An extension costs one product ``u.T A`` with the new
+basis direction ``u``: since ``u`` is orthogonal to ``U``, ``u.T a_i =
+u.T P a_i``, so the squared norms are downdated as ``|P a_i|^2 -
+(u.T a_i)^2``.  A downdated square that falls below
+``RECOMPUTE_FRACTION`` of the column's last exactly computed square is
+recomputed from ``a_i - U(U.T a_i)``, the norm-downdate safeguard of
+LAPACK's column-pivoted QR (xGEQP3/xLAQPS).  No m x n array is formed
+on the way; the projected matrix ``P A`` is built only when
+:attr:`ProjectionState.projected` is read, as the checked-mode
+cross-checks do.  The states drive the greedy runs and are the
+independent cross-check of the factor kernel.  Each extension also
+records, for every still-inactive atom, the norm-reduction factor
+``eta`` and the alignment ``chi`` of its normalized projected atom with
+the new basis direction; ``eta**2 + chi**2 == 1`` up to rounding.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -46,11 +56,13 @@ __all__ = [
     "init_state",
     "state_for",
     "extend_state",
-    "projected_atom",
-    "normalized_projected_atom",
     "residual",
     "compute_spark",
 ]
+
+# A downdated squared projected norm below this fraction of the column's
+# last exactly computed squared norm is recomputed from the basis.
+RECOMPUTE_FRACTION = 1e-2
 
 
 def _as_matrix(a):
@@ -165,14 +177,20 @@ class ExtensionRecord:
 
 @dataclass(frozen=True)
 class ProjectionState:
-    """Atoms projected on the orthogonal complement of the active span."""
+    """Orthonormal basis of the active span and the projected-atom norms.
+
+    ``basis`` (m x t) spans ``A_active``; ``norms[i]`` is ``|P a_i|``,
+    exactly 0 for active atoms.  ``exact_sq[i]`` is the squared norm of
+    column ``i`` at its last exact computation, against which the
+    downdate safeguard of :func:`extend_state` compares.
+    """
 
     atoms: np.ndarray
     active: tuple
     basis: np.ndarray
-    projected: np.ndarray
     norms: np.ndarray
     extensions: tuple
+    exact_sq: np.ndarray
 
     @property
     def m(self):
@@ -182,10 +200,36 @@ class ProjectionState:
     def n(self):
         return self.atoms.shape[1]
 
+    @cached_property
+    def projected(self):
+        """``P A``, formed on first access as ``A - U(U.T A)`` with a
+        second pass; active columns are exactly 0.  With an empty basis
+        this is ``atoms`` itself."""
+        if not self.active:
+            return self.atoms
+        p = _project(self.basis, self.atoms)
+        p[:, list(self.active)] = 0.0
+        _freeze(p)
+        return p
+
 
 def _freeze(*arrays):
     for a in arrays:
         a.setflags(write=False)
+
+
+def _project(basis, x):
+    """``x`` projected off ``span(basis)``; the second pass removes the
+    rounding left by the first."""
+    if x.ndim == 1:
+        x = x - basis @ (basis.T @ x)
+        return x - basis @ (basis.T @ x)
+    # the columns of x are the rows of xt, a Fortran-ordered copy that
+    # BLAS updates in place: xt -= (xt U) U.T
+    xt = np.array(x.T, order="F")
+    for _ in range(2):
+        xt = dgemm(-1.0, xt @ basis, basis, beta=1.0, c=xt, trans_b=True, overwrite_c=True)
+    return xt.T
 
 
 def init_state(atoms, check_normalization=True):
@@ -196,22 +240,22 @@ def init_state(atoms, check_normalization=True):
     correlations assumes unit atoms; norm-free callers may opt out).
     """
     a = _as_matrix(atoms).copy()
-    norms = np.linalg.norm(a, axis=0)
+    exact_sq = np.einsum("ij,ij->j", a, a)
+    norms = np.sqrt(exact_sq)
     if check_normalization and np.any(np.abs(norms - 1.0) > TAU_NUM):
         worst = int(np.argmax(np.abs(norms - 1.0)))
         raise NotNormalizedError(
             f"atom {worst} has norm {norms[worst]:.12g}, expected 1"
         )
-    projected = a.copy()
     basis = np.empty((a.shape[0], 0))
-    _freeze(a, projected, basis, norms)
+    _freeze(a, basis, norms, exact_sq)
     return ProjectionState(
         atoms=a,
         active=(),
         basis=basis,
-        projected=projected,
         norms=norms,
         extensions=(),
+        exact_sq=exact_sq,
     )
 
 
@@ -226,8 +270,9 @@ def state_for(atoms, active, check_normalization=True):
 def extend_state(state, index):
     """Add atom ``index`` to the active set, returning a new state.
 
-    Records the ``eta``/``chi`` coefficients of every remaining atom and
-    sets the projected atom of every active index to exactly zero.
+    The new basis direction comes from the atom projected twice off the
+    basis; one product ``u.T A`` gives every ``chi`` and the downdated
+    norms, from which ``eta`` follows.  Active atoms get norm exactly 0.
     Raises :class:`DegenerateAtomError` if the atom already lies in the
     active span.
     """
@@ -236,73 +281,56 @@ def extend_state(state, index):
         raise IndexError(f"atom index {index} out of range")
     if index in state.active:
         raise DegenerateAtomError(f"atom {index} is already active")
-    old_norm = state.norms[index]
-    if old_norm <= TAU_ZERO:
+    old = state.norms
+    if old[index] <= TAU_ZERO:
         raise DegenerateAtomError(
-            f"atom {index} lies in the active span (projected norm {old_norm:.3e})"
+            f"atom {index} lies in the active span (projected norm {old[index]:.3e})"
         )
 
-    u = state.projected[:, index] / old_norm
-    # the cached column is orthogonal to the basis up to drift; one
-    # cleanup pass keeps the basis orthonormal over long chains
-    if state.basis.shape[1]:
-        u = u - state.basis @ (state.basis.T @ u)
-        d = np.linalg.norm(u)
-        if d <= TAU_ZERO:
-            raise DegenerateAtomError(f"atom {index} lies in the active span")
-        u = u / d
+    u = _project(state.basis, state.atoms[:, index])
+    d = np.linalg.norm(u)
+    if d <= TAU_ZERO:
+        raise DegenerateAtomError(f"atom {index} lies in the active span")
+    u = u / d
+    basis = np.column_stack([state.basis, u])
+    active = state.active + (index,)
+    idx = list(active)
 
-    coef = u @ state.projected
+    coef = u @ state.atoms  # equals u.T P A, as u is orthogonal to the basis
+    sq = old * old - coef * coef
+    exact_sq = state.exact_sq.copy()
+    sq[idx] = exact_sq[idx] = 0.0
+    # squares that fell too far below their last exact value, every
+    # negative one included, are recomputed
+    cols = np.flatnonzero(sq < RECOMPUTE_FRACTION * exact_sq)
+    if cols.size:
+        p = _project(basis, state.atoms[:, cols])
+        sq[cols] = exact_sq[cols] = np.einsum("ij,ij->j", p, p)
+    new_norms = np.sqrt(sq)
+
     with np.errstate(invalid="ignore", divide="ignore"):
-        chi = coef / state.norms
-    projected = state.projected - np.outer(u, coef)
-    projected -= np.outer(u, u @ projected)  # second pass, removes rounding
-
-    new_norms = np.linalg.norm(projected, axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        eta = new_norms / state.norms
-
-    dead = state.norms <= TAU_ZERO
+        chi = coef / old
+        eta = new_norms / old
+    dead = old <= TAU_ZERO
+    dead[idx] = True
     eta[dead] = np.nan
     chi[dead] = np.nan
-    for i in state.active + (index,):
-        projected[:, i] = 0.0
-        new_norms[i] = 0.0
-        eta[i] = np.nan
-        chi[i] = np.nan
 
-    basis = np.column_stack([state.basis, u])
     record = ExtensionRecord(index=index, eta=eta, chi=chi)
-    _freeze(basis, projected, new_norms, eta, chi)
+    _freeze(basis, new_norms, exact_sq, eta, chi)
     return ProjectionState(
         atoms=state.atoms,
-        active=state.active + (index,),
+        active=active,
         basis=basis,
-        projected=projected,
         norms=new_norms,
         extensions=state.extensions + (record,),
+        exact_sq=exact_sq,
     )
-
-
-def projected_atom(state, i):
-    """Projection of atom ``i`` on the complement of the active span."""
-    return state.projected[:, i]
-
-
-def normalized_projected_atom(state, i):
-    """Unit-norm projected atom, or the zero vector if it degenerates."""
-    nrm = state.norms[i]
-    if nrm <= TAU_ZERO:
-        return np.zeros(state.m)
-    return state.projected[:, i] / nrm
 
 
 def residual(state, y):
     """Project ``y`` on the orthogonal complement of the active span."""
-    y = np.asarray(y, dtype=np.float64)
-    r = y - state.basis @ (state.basis.T @ y)
-    r = r - state.basis @ (state.basis.T @ r)
-    return r
+    return _project(state.basis, np.asarray(y, dtype=np.float64))
 
 
 def compute_spark(a, max_size):

@@ -147,8 +147,7 @@ class TestKernelAgainstProjectedRoute:
     """The factor kernel (one QR of the support) against the projected
     route (ProjectionState plus a QR of the projected system)."""
 
-    @settings(derandomize=True, database=None, max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
     @given(kernel_cases(), st.sampled_from(["omp", "ols"]))
     def test_values_and_verdicts_agree(self, case, algorithm):
         a, qstar, q, js = case

@@ -53,10 +53,20 @@ class TestCert:
     def test_unknown_flag_rejected(self, capsys):
         assert main(["cert", "--dict", "example1", "--qstar", "0", "--bogus"]) == 2
 
-    @pytest.mark.parametrize("flag,value", [("--theta1", "nan"), ("--theta2", "inf")])
+    @pytest.mark.parametrize("flag,value", [
+        ("--theta1", "nan"), ("--theta2", "inf"),
+        ("--t-max", "inf"), ("--t-max", "nan"), ("--sigma", "inf"), ("--sigma", "nan"),
+    ])
     def test_non_finite_dictionary_rejected(self, capsys, flag, value):
-        # the angles reach the matrix as NaN entries
-        assert main(["cert", "--dict", "example1", flag, value, "--qstar", "0,1"]) == 2
+        # the angles reach the matrix as NaN entries; the generator
+        # parameters are checked before any draw
+        family = {
+            "--theta1": ["example1"],
+            "--theta2": ["example1"],
+            "--t-max": ["hybrid", "--m", "5", "--n", "8"],
+            "--sigma": ["convolutive", "--n", "20"],
+        }[flag]
+        assert main(["cert", "--dict", *family, flag, value, "--qstar", "0,1"]) == 2
         assert "finite" in capsys.readouterr().err
 
     def test_q_and_card_exclusive(self, capsys):

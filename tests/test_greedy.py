@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import orth
 
 from greedycert import greedy
 from greedycert.certificates import erc_oxx_subset
 from greedycert.dictionaries import example1, from_matrix, gaussian, hybrid
 from greedycert.exceptions import ConstructionFailedError, ZeroResidualError
 from greedycert.linalg import residual, state_for
-from greedycert.tolerances import TAU_SUCCESS_REL
+from greedycert.tolerances import TAU_SUCCESS_REL, TAU_ZERO
 
 
 def explicit_projector(a_q):
@@ -166,6 +169,22 @@ class TestRunGreedy:
         assert trace.status == "exhausted"
         assert trace.final_residual > 0
 
+    @pytest.mark.parametrize("alg", ["omp", "ols"])
+    def test_exhausted_when_residual_orthogonal_to_every_atom(self, alg):
+        # y has a component outside the span of the two atoms: once that
+        # component is all that is left, no atom scores and the run stops
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        trace = greedy.run_greedy(alg, a, np.array([0.0, 0.0, 1.0]), 3)
+        assert trace.status == "exhausted"
+        assert trace.records == ()
+        assert trace.failure_iteration is None
+        assert trace.final_residual == pytest.approx(1.0)
+        trace = greedy.run_greedy(alg, a, np.array([1.0, 0.5, 1.0]), 3, oracle=(0, 1))
+        assert trace.status == "exhausted"
+        assert trace.selections() == [0, 1]
+        assert not any(rec.tie for rec in trace.records)
+        assert trace.final_residual == pytest.approx(1.0)
+
     def test_zero_input_is_immediate_success(self):
         trace = greedy.run_greedy("omp", gaussian(5, 8, 0), np.zeros(5), 3)
         assert trace.status == "success"
@@ -181,6 +200,72 @@ class TestRunGreedy:
         first = blob["iterations"][0]
         assert set(first) == {"selected", "tie", "tied", "residual_norm", "scores"}
         assert len(first["scores"]) == 12
+
+
+def reference_greedy(alg, a, y, max_iters):
+    """OMP/OLS through an explicit projector, rebuilt at every step:
+    (selections, status)."""
+    def projector(cols):
+        u = orth(a[:, cols]) if cols else np.zeros((a.shape[0], 0))
+        return np.eye(a.shape[0]) - u @ u.T
+
+    selected = []
+    ynorm = np.linalg.norm(y)
+    for _ in range(max_iters):
+        p = projector(selected)
+        r = p @ y
+        if np.linalg.norm(r) <= TAU_SUCCESS_REL * ynorm:
+            return selected, "success"
+        pa = p @ a
+        scores = np.abs(pa.T @ r)
+        if alg == "ols":
+            norms = np.linalg.norm(pa, axis=0)
+            scores = np.where(norms > TAU_ZERO, scores / np.maximum(norms, TAU_ZERO), 0.0)
+        scores[selected] = -np.inf
+        if scores.max() <= TAU_ZERO * np.linalg.norm(r):
+            return selected, "exhausted"
+        selected.append(int(np.argmax(scores)))
+    final = np.linalg.norm(projector(selected) @ y)
+    return selected, "success" if final <= TAU_SUCCESS_REL * ynorm else "exhausted"
+
+
+@st.composite
+def greedy_cases(draw):
+    """A dictionary (possibly with fewer atoms than rows), an input that
+    is sparse on it or a generic vector, and an iteration budget."""
+    m = draw(st.integers(4, 24))
+    n = draw(st.integers(2, 2 * m))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if draw(st.booleans()):
+        d = gaussian(m, n, seed)
+    else:
+        d = hybrid(m, n, draw(st.floats(0.0, 100.0)), seed)
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        k = draw(st.integers(1, max(1, min(n, m) // 2)))
+        support = rng.permutation(n)[:k]
+        y = d.matrix[:, support] @ (rng.uniform(0.5, 1.5, k) * rng.choice([-1.0, 1.0], k))
+    else:
+        y = rng.standard_normal(m)
+    return d.matrix, y, draw(st.integers(1, n + 1))
+
+
+class TestAgainstReferenceGreedy:
+    """Selections scored through A.T r and the downdated norms against a
+    greedy that forms the projected dictionary at every step."""
+
+    @settings(max_examples=120)
+    @given(greedy_cases(), st.sampled_from(["omp", "ols"]))
+    def test_selections_and_status_match(self, case, alg):
+        a, y, budget = case
+        trace = greedy.run_greedy(alg, a, y, budget)
+        want, status = reference_greedy(alg, a, y, budget)
+        for p, (got, ref) in enumerate(zip(trace.selections(), want)):
+            if trace.records[p].tie:
+                return
+            assert got == ref, f"step {p}"
+        assert trace.selections() == want
+        assert trace.status == status
 
 
 class TestReachingInput:

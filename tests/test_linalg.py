@@ -1,7 +1,12 @@
 """Projection-state machinery against explicit-projector oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import orth
 
 from greedycert import linalg
 from greedycert.dictionaries import example1, from_matrix, gaussian, hybrid
@@ -239,11 +244,55 @@ class TestProjectionState:
         state = linalg.init_state(a, check_normalization=False)
         assert np.allclose(state.norms, 2.0)
 
-    def test_normalized_projected_atom_zero_when_degenerate(self):
-        a = np.array([[1.0, 1.0], [0.0, 0.0]])
-        state = linalg.init_state(from_matrix(a))
-        state = linalg.extend_state(state, 0)
-        assert np.all(linalg.normalized_projected_atom(state, 1) == 0.0)
+
+@st.composite
+def chains(draw):
+    """A gaussian or hybrid dictionary and a selection chain of depth
+    min(m, n) - 1 on it; the test checks every depth on the way."""
+    m = draw(st.integers(4, 30))
+    n = draw(st.integers(2, 2 * m))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if draw(st.booleans()):
+        d = gaussian(m, n, seed)
+    else:
+        d = hybrid(m, n, draw(st.floats(0.0, 1000.0)), seed)
+    order = draw(st.permutations(range(n)))[: min(m, n) - 1]
+    return d.matrix, [int(i) for i in order]
+
+
+class TestDowndatedState:
+    """The basis-plus-downdated-norms state against an explicit
+    projector at every depth of the chain."""
+
+    @settings(max_examples=150)
+    @given(chains())
+    def test_matches_explicit_projector_along_chain(self, case):
+        a, order = case
+        state = linalg.init_state(a)
+        for p, i in enumerate(order):
+            state = linalg.extend_state(state, i)
+            u = orth(a[:, order[: p + 1]])
+            want = a - u @ (u.T @ a)
+            want[:, order[: p + 1]] = 0.0
+            exact = np.linalg.norm(want, axis=0)
+            big = exact > 1e-6
+            assert np.all(np.abs(state.norms - exact)[big] <= 1e-9 * exact[big])
+            assert np.all(state.norms[~big] <= 1e-6 + 1e-9)
+            assert np.abs(state.projected - want).max() <= 1e-9
+            rec = state.extensions[-1]
+            ok = ~np.isnan(rec.eta)
+            assert np.abs(rec.eta[ok] ** 2 + rec.chi[ok] ** 2 - 1.0).max(initial=0.0) <= 1e-9
+
+    def test_extension_allocates_less_than_one_projected_matrix(self):
+        m, n = 200, 600
+        state = linalg.state_for(gaussian(m, n, 5), range(10))
+        tracemalloc.start()
+        try:
+            linalg.extend_state(state, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * n
 
 
 class TestTwoPairGeometry:
@@ -259,7 +308,7 @@ class TestTwoPairGeometry:
     def test_projected_second_atom(self, t1, t2):
         state = linalg.extend_state(linalg.init_state(example1(t1, t2)), 0)
         want = np.sin(2 * t1) * np.array([np.sin(t1), np.cos(t1), 0.0])
-        assert np.abs(linalg.projected_atom(state, 1) - want).max() < 1e-12
+        assert np.abs(state.projected[:, 1] - want).max() < 1e-12
         assert abs(state.norms[1] - abs(np.sin(2 * t1))) < 1e-12
 
     def test_second_atom_norm_is_one_at_quarter_pi(self):
@@ -273,8 +322,8 @@ class TestTwoPairGeometry:
         s2, c2 = np.sin(t2), np.cos(t2)
         want3 = np.array([s1 * c1 * c2, c1 * c1 * c2, s2])
         want4 = np.array([s1 * c1 * c2, c1 * c1 * c2, -s2])
-        assert np.abs(linalg.projected_atom(state, 2) - want3).max() < 1e-12
-        assert np.abs(linalg.projected_atom(state, 3) - want4).max() < 1e-12
+        assert np.abs(state.projected[:, 2] - want3).max() < 1e-12
+        assert np.abs(state.projected[:, 3] - want4).max() < 1e-12
 
 
 class TestSpark:
