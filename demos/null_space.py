@@ -24,7 +24,7 @@ for seed in (1, 7):
         x[list(support)] = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 2.0, 2)
         hits += l1_recovers(d, x)
     print(f"seed {seed}: verdict={nsp.verdict!s:5} "
-          f"(supremum {nsp.supremum:+.4f})  recovered {hits}/20 draws")
+          f"(largest v(eps) {nsp.supremum:.4f})  recovered {hits}/20 draws")
 print()
 
 # duplicated atoms sit exactly on the boundary: equal mass moves on and
@@ -32,13 +32,14 @@ print()
 paired = np.hstack([np.eye(3), np.eye(3)])
 nsp = nsp_check(paired, (0,))
 print(f"paired identity: verdict={nsp.verdict} "
-      f"indeterminate={nsp.indeterminate} supremum={nsp.supremum:+.1e}")
+      f"indeterminate={nsp.indeterminate} v = {nsp.supremum:.12f}")
 sols = l1_min(paired, np.eye(3)[:, 0])
 print(f"minimizers of the first spike: {len(sols)} (a tie, as expected)")
 print()
 
 # near-parallel atoms plus their sum and difference directions: every
-# sign pattern on the pair is beaten, so failure is sign-universal
+# sign pattern on the pair is beaten (v(eps) > 1: some null vector gains
+# more on the pair than it spends off it), so failure is sign-universal
 t = 0.1
 a1 = np.array([np.cos(t), np.sin(t), 0.0])
 a2 = np.array([np.cos(t), -np.sin(t), 0.0])
@@ -48,4 +49,4 @@ coherent = np.column_stack([a1, a2, mid, dif, [0.0, 0.0, 1.0]])
 report = brc_bp_check(coherent, (0, 1))
 print(f"coherent pair: failure certificate = {report.verdict}")
 for eps, supremum, feasible, _ in report.patterns:
-    print(f"  pattern {eps}: beaten by margin {supremum:.4f}")
+    print(f"  pattern {eps}: v(eps) = {supremum:.4f}")

@@ -1,21 +1,19 @@
 """Null-space recovery conditions and a brute-force l1 oracle.
 
-The l1 recovery question for a support Q* is decided by signs of
-piecewise-linear functionals over the null space of the dictionary:
+The l1 recovery question for a support Q* is decided per sign pattern
+eps on Q* by the linear program (Fuchs 2004; Gribonval & Nielsen 2003)
 
-* the null-space property: every nonzero null vector carries strictly
-  less l1 mass on Q* than off it (then every vector supported on Q* is
-  the unique l1 minimizer of its own measurements);
-* its failure counterpart: for every sign pattern on Q* some null
-  vector beats the off-support mass (then no vector supported on Q* is
-  recovered, whatever the amplitudes).
+    v(eps) = max eps^T x_Q*  subject to  A x = 0,  |x_off|_1 <= 1.
 
-Null spaces of dimension up to 3 are handled exactly: the functionals
-are linear on the sign cones of the row arrangement, so the supremum
-over the unit sphere is attained either at a cone's own gradient
-direction or on a face of the arrangement, all of which are enumerated.
-Computed suprema within ``TAU_STRICT`` of zero are flagged as boundary
-cases (strictness cannot be decided at working precision).
+* v(eps) < 1 for every eps is the null-space property: every vector
+  supported on Q* is the unique l1 minimizer of its own measurements.
+* v(eps) > 1 for every eps is its failure counterpart: no vector
+  supported on Q* is recovered, whatever the signs and amplitudes.
+
+The 2^(k-1) patterns with a leading +1 (negating eps negates the
+witness) are the blocks of one block-diagonal HiGHS program over the
+null space: one solver call per check, for any null-space dimension.
+Values within ``TAU_STRICT`` of 1 are flagged as boundary cases.
 
 ``l1_min`` settles small instances independently by enumerating basic
 solutions; it is the round-trip oracle for both conditions.
@@ -27,9 +25,9 @@ from itertools import combinations, product
 import numpy as np
 from scipy.linalg import null_space
 
-from .exceptions import DimensionTooLargeError, InfeasibleError, TooLargeError
+from .exceptions import FormMismatchError, GreedycertError, InfeasibleError, TooLargeError
 from .linalg import _as_matrix
-from .tolerances import TAU_RANK, TAU_STRICT, TAU_ZERO
+from .tolerances import TAU_FORM, TAU_NUM, TAU_RANK, TAU_STRICT, TAU_ZERO
 
 __all__ = [
     "NullSpaceBasis",
@@ -42,7 +40,8 @@ __all__ = [
     "l1_recovers",
 ]
 
-MAX_NULL_DIM = 3
+# work budget of one check: nonzeros of the block-diagonal sign-pattern LP
+MAX_LP_NONZEROS = 2 * 10**6
 MAX_L1_COLUMNS = 12
 
 
@@ -57,71 +56,103 @@ def null_space_basis(a):
     return NullSpaceBasis(basis=v, dim=v.shape[1])
 
 
-def _sphere_max(linear, rows, coeffs):
-    """Exact max of ``<linear, w> + sum coeffs_l |<rows_l, w>|`` on the
-    unit sphere of R^d, d <= 3.
+def _support(a, qstar):
+    support = tuple(dict.fromkeys(int(i) for i in qstar))
+    if any(not 0 <= i < a.shape[1] for i in support):
+        raise ValueError(f"support {support} outside 0..{a.shape[1] - 1}")
+    return support
 
-    Returns (value, argmax).  The objective is linear on each sign cone
-    of the row arrangement, so a maximizer is either interior to a cone
-    (then proportional to that cone's gradient, enumerated over all sign
-    patterns) or sits on a boundary hyperplane (then it solves the
-    restriction to that hyperplane, handled recursively: a one-lower-
-    dimensional instance of the same problem).
+
+def _finite_or_none(value):
+    return None if value is None or not np.isfinite(value) else float(value)
+
+
+def _sign_patterns(a, support, basis):
+    """``(eps, v(eps), decision, witness)`` for the patterns with eps_0 = +1.
+
+    The null space splits into directions moving x_off (B, the row
+    space of N_off) and directions on Q* alone (Z).  A pattern gaining
+    along Z is unbounded (v = inf, witnessed there); one not gaining
+    along a nonempty Z ties 0 against 0, so it is never decided below 1.
+    The others solve the bounded LP over B.  The decision is True when
+    the LP value and the ratio ``eps^T x_Q / |x_off|_1`` recomputed at
+    the witness both exceed ``1 + TAU_STRICT`` and ``|A x| <= TAU_NUM``,
+    False when both are below ``1 - TAU_STRICT``, None otherwise.
     """
-    linear = np.asarray(linear, dtype=np.float64)
-    d = linear.shape[0]
-    rows = np.asarray(rows, dtype=np.float64).reshape(-1, d)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    live = np.linalg.norm(rows, axis=1) > 1e-14
-    rows, coeffs = rows[live], coeffs[live]
-    p = len(rows)
-    if 2**p > 2 * 10**6:
-        raise TooLargeError(f"{p} arrangement rows exceed the sign-pattern budget")
+    n, k = a.shape[1], len(support)
+    off = [j for j in range(n) if j not in support]
+    p = len(off)
+    _, s, vt = np.linalg.svd(basis[off], full_matrices=True)
+    r = int((s > TAU_RANK).sum())
+    moving, on_support = basis @ vt[:r].T, basis @ vt[r:].T
+    count = 2 ** max(k - 1, 0)
+    if count * (2 * p * r + 3 * p) > MAX_LP_NONZEROS:
+        raise TooLargeError(f"{count} sign-pattern blocks exceed {MAX_LP_NONZEROS} LP nonzeros")
 
-    def value(w):
-        return float(linear @ w + coeffs @ np.abs(rows @ w))
+    eps = np.array([(1.0,) + tail for tail in product((-1.0, 1.0), repeat=k - 1)]
+                   if k else [()]).reshape(count, k)
+    gain = eps @ on_support[list(support)]
+    gain_norm = np.linalg.norm(gain, axis=1)
+    unbounded = gain_norm > TAU_RANK
+    values = np.full(count, np.inf)
+    witnesses = np.zeros((count, n))
+    witnesses[unbounded] = gain[unbounded] @ on_support.T / gain_norm[unbounded, None]
+    live = np.flatnonzero(~unbounded)
+    if live.size:
+        from scipy.optimize import linprog
+        from scipy.sparse import csc_array
 
-    if d == 1:
-        one = np.array([1.0])
-        return max((value(one), one), (value(-one), -one), key=lambda t: t[0])
+        # block variables (u, t): x = B u, -t <= x_off <= t, sum t <= 1,
+        # repeated down the diagonal once per pattern
+        b_off = moving[off]
+        block = np.block([[b_off, -np.eye(p)], [-b_off, -np.eye(p)],
+                          [np.zeros((1, r)), np.ones((1, p))]])
+        (h, w), (rows, cols) = block.shape, np.nonzero(block)
+        shift = np.arange(live.size)[:, None]
+        a_ub = csc_array((np.tile(block[rows, cols], live.size),
+                          ((rows + h * shift).ravel(), (cols + w * shift).ravel())),
+                         shape=(h * live.size, w * live.size))
+        objective = eps[live] @ moving[list(support)]
+        cost = np.hstack([-objective, np.zeros((live.size, p))])
+        bounds = [(-np.inf, np.inf)] * r + [(0.0, np.inf)] * p
+        res = linprog(cost.ravel(), A_ub=a_ub, b_ub=np.tile(np.eye(h)[-1], live.size),
+                      bounds=np.tile(bounds, (live.size, 1)), method="highs")
+        if res.status != 0:
+            raise GreedycertError(f"sign-pattern LP not solved: {res.message}")
+        sol = res.x.reshape(live.size, w)[:, :r]
+        values[live] = np.einsum("ij,ij->i", objective, sol)
+        witnesses[live] = sol @ moving.T
 
-    candidates = []
-    weighted = rows * coeffs[:, None]
-    for signs in product((-1.0, 1.0), repeat=p):
-        candidates.append(linear + np.asarray(signs) @ weighted)
-    for v in rows:
-        if d == 2:
-            candidates.append(np.array([-v[1], v[0]]))
-            candidates.append(np.array([v[1], -v[0]]))
+    gained = np.einsum("ij,ij->i", eps, witnesses[:, list(support)])
+    mass = np.abs(witnesses[:, off]).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(mass > 0, gained / mass, np.where(gained > 0, np.inf, 0.0))
+    finite = np.isfinite(values)
+    gap = np.abs(values[finite] - ratio[finite])
+    if np.any(gap > TAU_FORM * np.maximum(1.0, np.abs(values[finite]))):
+        raise FormMismatchError(f"LP value and witness ratio differ by {gap.max():.3e}")
+    residual = np.linalg.norm(witnesses @ a.T, axis=1)
+    tied = on_support.shape[1] > 0
+
+    patterns = []
+    for i in range(count):
+        if min(values[i], ratio[i]) > 1.0 + TAU_STRICT and residual[i] <= TAU_NUM:
+            decision = True
+        elif max(values[i], ratio[i]) < 1.0 - TAU_STRICT and not tied:
+            decision = False
         else:
-            # restrict to the boundary plane of this row and recurse
-            u = v / np.linalg.norm(v)
-            basis = null_space(u[None, :])  # 3 x 2 orthonormal
-            _, w2 = _sphere_max(basis.T @ linear, rows @ basis, coeffs)
-            candidates.append(basis @ w2)
-
-    best, best_w = -np.inf, None
-    for c in candidates:
-        nrm = np.linalg.norm(c)
-        if nrm <= 1e-14:
-            continue
-        w = c / nrm
-        got = value(w)
-        if got > best:
-            best, best_w = got, w
-    if best_w is None:
-        # every candidate degenerated: the objective is constant zero
-        best_w = np.zeros(d)
-        best_w[0] = 1.0
-        best = value(best_w)
-    return best, best_w
+            decision = None
+        patterns.append((tuple(int(e) for e in eps[i]), float(values[i]), decision,
+                         witnesses[i]))
+    return patterns
 
 
 @dataclass(frozen=True)
 class NspReport:
-    """``verdict`` is True only with a strict margin; a supremum within
-    ``TAU_STRICT`` of zero keeps the verdict False and sets
-    ``indeterminate`` (the guarantee is not claimed at the boundary)."""
+    """``supremum`` is the largest v(eps) (None for a trivial null
+    space) and ``witness`` its null vector.  ``verdict`` is True only
+    when every pattern is decided below 1; ``indeterminate`` when none
+    is decided above 1 and a boundary pattern prevents the verdict."""
 
     verdict: bool
     supremum: float | None
@@ -131,35 +162,26 @@ class NspReport:
     def to_json(self):
         return {
             "verdict": bool(self.verdict),
-            "supremum": None if self.supremum is None else float(self.supremum),
+            "supremum": _finite_or_none(self.supremum),
             "witness": None if self.witness is None else [float(v) for v in self.witness],
             "indeterminate": bool(self.indeterminate),
         }
 
 
-def nsp_check(a, qstar, max_dim=MAX_NULL_DIM):
+def nsp_check(a, qstar):
     """Does every nonzero null vector carry less l1 mass on the support?
-
-    The supremum of (on-support mass - off-support mass) over the unit
-    sphere of the null space must be strictly negative.
-    """
+    Holds when v(eps) < 1 for every sign pattern eps on it."""
     a = _as_matrix(a)
-    qstar = {int(i) for i in qstar}
+    support = _support(a, qstar)
     ns = null_space_basis(a)
     if ns.dim == 0:
         return NspReport(verdict=True, supremum=None, witness=None, indeterminate=False)
-    if ns.dim > max_dim:
-        raise DimensionTooLargeError(
-            f"null space has dimension {ns.dim}, supported up to {max_dim}"
-        )
-    signs = np.array([1.0 if i in qstar else -1.0 for i in range(a.shape[1])])
-    sup, w = _sphere_max(np.zeros(ns.dim), ns.basis, signs)
-    return NspReport(
-        verdict=sup < -TAU_STRICT,
-        supremum=sup,
-        witness=ns.basis @ w,
-        indeterminate=abs(sup) <= TAU_STRICT,
-    )
+    patterns = _sign_patterns(a, support, ns.basis)
+    decisions = [f for _, _, f, _ in patterns]
+    _, sup, _, witness = max(patterns, key=lambda pattern: pattern[1])
+    verdict = all(f is False for f in decisions)
+    return NspReport(verdict=verdict, supremum=sup, witness=witness,
+                     indeterminate=not verdict and not any(f is True for f in decisions))
 
 
 @dataclass(frozen=True)
@@ -169,8 +191,9 @@ class BrcBpReport:
     recovered).  False: some pattern admits none.  None: a boundary
     pattern prevented a call either way.
 
-    ``patterns`` maps each sign pattern (over the support, in index
-    order) to its supremum, feasibility and witness null vector."""
+    ``patterns`` maps each sign pattern (over the support, in the given
+    order) to v(eps) (``inf`` when unbounded, null in JSON), its
+    feasibility and its witness null vector."""
 
     verdict: bool | None
     support: tuple
@@ -183,9 +206,9 @@ class BrcBpReport:
             "patterns": [
                 {
                     "epsilon": [int(e) for e in eps],
-                    "supremum": float(sup),
+                    "supremum": _finite_or_none(sup),
                     "feasible": feas,
-                    "witness": None if wit is None else [float(v) for v in wit],
+                    "witness": [float(v) for v in wit],
                 }
                 for eps, sup, feas, wit in self.patterns
             ],
@@ -195,52 +218,21 @@ class BrcBpReport:
 def brc_bp_check(a, qstar):
     """Is l1 recovery wrong for every input carried by the support?
 
-    For each sign pattern eps on the support, looks for a null vector x
-    with ``sum_i eps_i x_i > sum_offsupport |x_j|`` (strictly).  The
-    search space halves by symmetry: negating the pattern negates the
-    witness.
+    Asks, for each sign pattern eps on the support, whether v(eps) > 1:
+    some null vector x has ``sum_i eps_i x_i > sum_offsupport |x_j|``.
+    Each solved pattern is listed next to its mirror (negated witness).
     """
     a = _as_matrix(a)
-    support = tuple(int(i) for i in qstar)
-    k = len(support)
-    if k > 20:
-        raise TooLargeError(f"{2**k} sign patterns exceed the budget")
-    off = [j for j in range(a.shape[1]) if j not in set(support)]
-    ns = null_space_basis(a)
-    if ns.dim > MAX_NULL_DIM:
-        raise DimensionTooLargeError(
-            f"null space has dimension {ns.dim}, supported up to {MAX_NULL_DIM}"
-        )
-
+    support = _support(a, qstar)
     patterns = []
-    verdicts = []
-    for tail in product((-1.0, 1.0), repeat=max(k - 1, 0)):
-        eps = np.array((1.0,) + tail) if k else np.array([])
-        if ns.dim == 0:
-            sup, x = -np.inf, None
-        else:
-            linear = eps @ ns.basis[list(support)]
-            rows = ns.basis[off]
-            sup, w = _sphere_max(linear, rows, -np.ones(len(off)))
-            x = ns.basis @ w
-        if sup > TAU_STRICT:
-            feas = True
-        elif sup == -np.inf or sup < -TAU_STRICT:
-            feas = False
-        else:
-            feas = None
-        verdicts.append(feas)
-        patterns.append((tuple(int(e) for e in eps), sup, feas, x))
-        if k:
-            mirrored = tuple(-int(e) for e in eps)
-            patterns.append((mirrored, sup, feas, None if x is None else -x))
+    for eps, sup, feas, x in _sign_patterns(a, support, null_space_basis(a).basis):
+        patterns.append((eps, sup, feas, x))
+        if support:
+            patterns.append((tuple(-e for e in eps), sup, feas, -x))
 
-    if any(f is False for f in verdicts):
-        verdict = False
-    elif all(f is True for f in verdicts):
-        verdict = True
-    else:
-        verdict = None
+    decisions = [f for _, _, f, _ in patterns]
+    verdict = (False if any(f is False for f in decisions)
+               else True if all(f is True for f in decisions) else None)
     return BrcBpReport(verdict=verdict, support=support, patterns=tuple(patterns))
 
 

@@ -26,7 +26,10 @@ class TooLargeError(GreedycertError):
 
 
 class DimensionTooLargeError(GreedycertError):
-    """A null-space search beyond the supported dimension was requested."""
+    """A null-space search beyond the supported dimension was requested.
+
+    The l1 certificates decide every null-space dimension and no longer
+    raise it; it stays for callers that catch it."""
 
 
 class ConstructionFailedError(GreedycertError):

@@ -28,6 +28,7 @@ TAU_SUCCESS_REL = 1e-8
 # agree to this, otherwise a FormMismatchError is raised.
 TAU_FORM = 1e-7
 
-# Strictness margin for sign-sensitive suprema over null spaces.  Values
-# inside [-TAU_STRICT, TAU_STRICT] are flagged as boundary cases.
+# Strictness margin for the sign-pattern values v(eps) of the l1
+# certificates, whose decision line is 1.  Values inside
+# [1 - TAU_STRICT, 1 + TAU_STRICT] are flagged as boundary cases.
 TAU_STRICT = 1e-10

@@ -1,22 +1,22 @@
-"""Null-space conditions vs dense-grid and basic-solution oracles."""
+"""Null-space conditions vs sampled-null-vector, closed-form and
+basic-solution oracles."""
+
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedycert import basis_pursuit as bp
 from greedycert.dictionaries import from_matrix, gaussian
-from greedycert.exceptions import (
-    DimensionTooLargeError,
-    InfeasibleError,
-    TooLargeError,
-)
+from greedycert.exceptions import FormMismatchError, InfeasibleError, TooLargeError
+from greedycert.tolerances import TAU_STRICT
 
 
-def grid_value(linear, rows, coeffs, w_grid):
-    return w_grid @ linear + np.abs(w_grid @ rows.T) @ coeffs
-
-
-def grid_directions(d, count, seed):
+def sphere_directions(d, count, seed):
     if d == 2:
         ang = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
         return np.column_stack([np.cos(ang), np.sin(ang)])
@@ -24,37 +24,95 @@ def grid_directions(d, count, seed):
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
-class TestSphereMax:
+def patterns(a, support):
+    return bp._sign_patterns(a, support, bp.null_space_basis(a).basis)
+
+
+def split(a, support):
+    basis = bp.null_space_basis(a).basis
+    off = [j for j in range(a.shape[1]) if j not in support]
+    return basis[list(support)], basis[off]
+
+
+class TestPatternValues:
     @pytest.mark.parametrize("d", [2, 3])
-    def test_never_beaten_by_grid(self, d):
-        rng = np.random.default_rng(50 + d)
-        for trial in range(30):
-            p = int(rng.integers(1, 7))
-            rows = rng.standard_normal((p, d))
-            coeffs = rng.choice([-1.0, 1.0], p)
-            linear = rng.standard_normal(d) if trial % 2 else np.zeros(d)
-            value, w = bp._sphere_max(linear, rows, coeffs)
-            assert abs(np.linalg.norm(w) - 1.0) < 1e-12
-            got = grid_value(linear, rows, coeffs, w[None, :])[0]
-            assert abs(got - value) < 1e-12
-            grid = grid_value(linear, rows, coeffs, grid_directions(d, 200_000, trial))
-            assert value >= grid.max() - 1e-9
-            # closeness limited by grid spacing times the slope bound
-            lip = np.linalg.norm(linear) + np.linalg.norm(rows, axis=1).sum()
-            spacing = 1e-4 if d == 2 else 3e-2
-            assert value - grid.max() < spacing * max(lip, 1.0)
+    def test_never_beaten_by_sampled_null_vectors(self, d):
+        # every null vector x = N w gives the lower bound
+        # eps^T x_Q / |x_off|_1 <= v(eps); a dense sample comes close
+        for seed in range(6):
+            n = 6 + seed % 4
+            a = gaussian(n - d, n, 60 + seed).matrix
+            support = (0, 3) if seed % 2 else (1, 2, 5)
+            on, off = split(a, support)
+            w = sphere_directions(d, 200_000, seed)
+            lo = np.linalg.svd(off, compute_uv=False)[-1]
+            for eps, value, _, _ in patterns(a, support):
+                c = on.T @ np.array(eps, dtype=float)
+                sampled = ((w @ c) / np.abs(w @ off.T).sum(axis=1)).max()
+                assert sampled <= value + 1e-12 * max(1.0, value)
+                # ratio slope on the unit sphere, over the grid spacing
+                lip = (np.linalg.norm(c) + value * np.linalg.norm(off, axis=1).sum()) / lo
+                spacing = 1e-4 if d == 2 else 3e-2
+                assert value - sampled < spacing * lip
 
-    def test_degenerate_plane_maximum(self):
-        # single absolute term in 3-D: the objective is 0 on a whole
-        # circle and negative elsewhere; the supremum is exactly 0
-        value, w = bp._sphere_max(np.zeros(3), np.eye(3)[2:], [-1.0])
-        assert value == pytest.approx(0.0, abs=1e-15)
-        assert abs(w[2]) < 1e-12
+    def test_witness_attains_value(self):
+        for seed in range(20):
+            a = gaussian(5, 8, seed).matrix
+            support = (seed % 8, (seed + 3) % 8)
+            off = [j for j in range(8) if j not in support]
+            for eps, value, _, x in patterns(a, support):
+                assert np.abs(a @ x).max() < 1e-12
+                assert np.abs(x[off]).sum() == pytest.approx(1.0, abs=1e-12)
+                assert np.dot(eps, x[list(support)]) == pytest.approx(value, abs=1e-12)
 
-    def test_one_dimensional(self):
-        value, w = bp._sphere_max(np.array([-2.0]), np.array([[1.0]]), np.array([1.0]))
-        assert value == pytest.approx(3.0)
-        assert w[0] == -1.0
+    def test_one_dimensional_closed_form(self):
+        # a single null direction h: v(eps) = |eps^T h_Q| / |h_off|_1
+        for seed in range(10):
+            a = gaussian(6, 7, seed).matrix
+            support = (1, 4, 6)
+            on, off = split(a, support)
+            for eps, value, _, _ in patterns(a, support):
+                closed = abs(np.dot(eps, on[:, 0])) / np.abs(off[:, 0]).sum()
+                assert value == pytest.approx(closed, rel=1e-12)
+
+    def test_unbounded_when_support_not_injective(self):
+        # four atoms in R^3: a null vector lives on the support alone
+        a = gaussian(3, 5, 13).matrix
+        support = (0, 1, 2, 3)
+        for eps, value, feasible, x in patterns(a, support):
+            assert value == np.inf and feasible is True
+            assert abs(x[4]) < 1e-12 and np.dot(eps, x[:4]) > 0.1
+            assert np.abs(a @ x).max() < 1e-12
+
+    def test_lp_value_checked_at_witness(self, monkeypatch):
+        # a solver answer off the constraint |x_off|_1 = 1 by 1% moves the
+        # LP value but not the witness ratio: the two routes disagree
+        import scipy.optimize
+
+        solve = scipy.optimize.linprog
+
+        def scaled(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            res.x = 1.01 * res.x
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", scaled)
+        with pytest.raises(FormMismatchError):
+            bp.brc_bp_check(gaussian(3, 5, 13), (0, 3))
+
+    def test_tied_pattern_left_open(self):
+        # a duplicated atom on the support: e0 - e1 is a null vector on
+        # the support; eps = (1, 1) gains nothing along it (a tie, so no
+        # input with that sign is the unique minimizer), eps = (1, -1)
+        # gains without bound
+        a = np.array([[1.0, 1.0, 0.0, np.sqrt(0.5)], [0.0, 0.0, 1.0, np.sqrt(0.5)]])
+        by_eps = {eps: (value, feasible) for eps, value, feasible, _ in patterns(a, (0, 1))}
+        assert by_eps[(1, -1)] == (np.inf, True)
+        value, feasible = by_eps[(1, 1)]
+        assert value < 1.0 and feasible is None
+        assert not bp.l1_recovers(a, np.array([2.0, 1.0, 0.0, 0.0]))
+        report = bp.nsp_check(a, (0, 1))
+        assert not report.verdict and not report.indeterminate
 
 
 class TestNullSpaceBasis:
@@ -81,12 +139,12 @@ class TestNsp:
         report = bp.nsp_check(a, (0,))
         assert not report.verdict
         assert report.indeterminate
-        assert abs(report.supremum) <= 1e-10
+        assert abs(report.supremum - 1.0) <= TAU_STRICT
 
     def test_holds_for_single_atom_generic(self):
         report = bp.nsp_check(gaussian(4, 5, 3), (2,))
         assert report.verdict
-        assert report.supremum < -1e-6
+        assert report.supremum < 1.0 - 1e-6
         assert not report.indeterminate
 
     def test_witness_lies_in_null_space(self):
@@ -94,9 +152,63 @@ class TestNsp:
         report = bp.nsp_check(d, (0, 1))
         assert np.abs(d.matrix @ report.witness).max() < 1e-10
 
-    def test_dimension_guard(self):
-        with pytest.raises(DimensionTooLargeError):
-            bp.nsp_check(gaussian(2, 8, 0), (0,))
+    @pytest.mark.parametrize("m, n, support", [(2, 8, (0,)), (6, 10, (0, 1, 2))])
+    def test_decided_at_null_dimension_four_and_up(self, m, n, support):
+        d = gaussian(m, n, 0)
+        nsp = bp.nsp_check(d, support)
+        brc = bp.brc_bp_check(d, support)
+        assert not nsp.indeterminate
+        assert all(f is not None for _, _, f, _ in brc.patterns)
+        round_trip(d, support, nsp, brc, np.random.default_rng(54), draws=3)
+
+    def test_supremum_is_largest_pattern_value(self):
+        for seed in range(10):
+            d = gaussian(4, 7, seed)
+            nsp = bp.nsp_check(d, (1, 5, 6))
+            brc = bp.brc_bp_check(d, (1, 5, 6))
+            assert nsp.supremum == max(sup for _, sup, _, _ in brc.patterns)
+
+    def test_budget_in_lp_nonzeros(self, monkeypatch):
+        # 2^19 patterns of a 4-dimensional null space: far over budget,
+        # refused before the pattern table or the LP exists
+        import scipy.optimize
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("LP built over budget")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+        d = gaussian(20, 24, 0)
+        for check in (bp.nsp_check, bp.brc_bp_check):
+            tracemalloc.start()
+            try:
+                with pytest.raises(TooLargeError, match="nonzeros"):
+                    check(d, tuple(range(20)))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 200_000
+
+    @pytest.mark.parametrize("support", [(0, 5), (-1,)])
+    def test_support_index_range(self, support):
+        for check in (bp.nsp_check, bp.brc_bp_check):
+            with pytest.raises(ValueError, match="outside"):
+                check(gaussian(3, 5, 0), support)
+
+
+def round_trip(d, support, nsp, brc, rng, draws):
+    """Each decided pattern against ``l1_min``: feasible means every
+    input with that sign is lost, infeasible that every one is
+    recovered; the null-space verdict means all are."""
+    n = d.matrix.shape[1]
+    for eps, _, feasible, _ in brc.patterns:
+        for _ in range(draws):
+            x = np.zeros(n)
+            x[list(support)] = np.array(eps) * rng.uniform(0.2, 5.0, len(support))
+            recovered = bp.l1_recovers(d, x)
+            if feasible is not None:
+                assert recovered is not feasible, (eps, feasible)
+            if nsp.verdict:
+                assert recovered
 
 
 def coherent_pair_dictionary():
@@ -125,7 +237,7 @@ class TestBrcBp:
         assert len(report.patterns) == 4
         for eps, sup, feas, x in report.patterns:
             assert feas is True
-            assert sup > 1e-10
+            assert sup > 1.0 + TAU_STRICT
             assert np.abs(d.matrix @ x).max() < 1e-10
 
     def test_round_trip_with_l1_oracle(self):
@@ -195,3 +307,23 @@ class TestL1Min:
                 x[list(qstar)] = rng.uniform(0.3, 2.0, 2) * rng.choice([-1, 1], 2)
                 assert bp.l1_recovers(d, x)
         assert checked >= 3
+
+
+@settings(max_examples=80)
+@given(m=st.integers(1, 6), null_dim=st.integers(1, 4), seed=st.integers(0, 10**6),
+       data=st.data())
+def test_lp_and_l1_min_agree(m, null_dim, seed, data):
+    n = m + null_dim
+    k = data.draw(st.integers(1, min(3, n - 1)))
+    support = tuple(data.draw(st.permutations(range(n)))[:k])
+    d = gaussian(m, n, seed)
+    nsp = bp.nsp_check(d, support)
+    brc = bp.brc_bp_check(d, support)
+    round_trip(d, support, nsp, brc, np.random.default_rng(seed), draws=2)
+
+
+def test_import_leaves_linprog_unloaded():
+    code = "import sys, greedycert; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "False"

@@ -132,9 +132,30 @@ class TestBpAndSpark:
         assert set(obj) == {"config", "nsp", "brc_bp"}
         assert len(obj["brc_bp"]["patterns"]) == 4
 
-    def test_bp_check_dimension_guard(self, capsys):
-        assert main(["bp-check", "--dict", "gaussian", "--m", "2", "--n", "8",
-                     "--qstar", "0"]) == 2
+    @pytest.mark.parametrize("m, n, qstar", [(2, 8, "0"), (6, 10, "0,1,2")])
+    def test_bp_check_beyond_former_dimension_cap(self, capsys, m, n, qstar):
+        code, obj = run_json(capsys, ["bp-check", "--dict", "gaussian", "--m", str(m),
+                                      "--n", str(n), "--qstar", qstar])
+        assert code == 0
+        assert obj["nsp"]["indeterminate"] is False
+        assert all(p["feasible"] is not None for p in obj["brc_bp"]["patterns"])
+
+    @pytest.mark.parametrize("m, qstar", [(5, "0,1"), (3, "0,1,2,3")])
+    def test_bp_check_output_is_strict_json(self, capsys, m, qstar):
+        # square dictionary (trivial null space) and a support larger
+        # than m (unbounded patterns): no NaN or Infinity tokens
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        code = main(["bp-check", "--dict", "gaussian", "--m", str(m), "--n", "5",
+                     "--qstar", qstar])
+        obj = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert code == 0
+        sups = [p["supremum"] for p in obj["brc_bp"]["patterns"]]
+        if m == 5:
+            assert obj["nsp"]["supremum"] is None and sups == [0.0] * 4
+        else:
+            assert obj["nsp"]["supremum"] is None and None in sups
 
     def test_spark_two_pairs(self, capsys):
         code, obj = run_json(capsys, ["spark", "--dict", "example1",
