@@ -40,8 +40,9 @@ __all__ = [
     "l1_recovers",
 ]
 
-# work budget of one check: nonzeros of the block-diagonal sign-pattern LP
-MAX_LP_NONZEROS = 2 * 10**6
+# work budget of one check, in array entries per sign pattern: its row of
+# the pattern table (k), its witness (n) and its LP block's nonzeros
+MAX_PATTERN_WORK = 2 * 10**6
 MAX_L1_COLUMNS = 12
 
 
@@ -86,8 +87,8 @@ def _sign_patterns(a, support, basis):
     r = int((s > TAU_RANK).sum())
     moving, on_support = basis @ vt[:r].T, basis @ vt[r:].T
     count = 2 ** max(k - 1, 0)
-    if count * (2 * p * r + 3 * p) > MAX_LP_NONZEROS:
-        raise TooLargeError(f"{count} sign-pattern blocks exceed {MAX_LP_NONZEROS} LP nonzeros")
+    if count * (k + n + 2 * p * r + 3 * p) > MAX_PATTERN_WORK:
+        raise TooLargeError(f"{count} sign patterns exceed the work budget of {MAX_PATTERN_WORK}")
 
     eps = np.array([(1.0,) + tail for tail in product((-1.0, 1.0), repeat=k - 1)]
                    if k else [()]).reshape(count, k)

@@ -168,21 +168,24 @@ class TestNsp:
             brc = bp.brc_bp_check(d, (1, 5, 6))
             assert nsp.supremum == max(sup for _, sup, _, _ in brc.patterns)
 
-    def test_budget_in_lp_nonzeros(self, monkeypatch):
-        # 2^19 patterns of a 4-dimensional null space: far over budget,
-        # refused before the pattern table or the LP exists
+    @pytest.mark.parametrize("n, k", [(24, 20), (30, 30)])
+    def test_work_budget_before_allocation(self, monkeypatch, n, k):
+        # 2^19 patterns of a 4-dimensional null space, and 2^29 patterns
+        # of a support naming every atom (no off-support atom, so no LP
+        # nonzeros): both far over budget, refused before the pattern
+        # table or the LP exists
         import scipy.optimize
 
         def no_lp(*args, **kwargs):
             raise AssertionError("LP built over budget")
 
         monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
-        d = gaussian(20, 24, 0)
+        d = gaussian(20, n, 0)
         for check in (bp.nsp_check, bp.brc_bp_check):
             tracemalloc.start()
             try:
-                with pytest.raises(TooLargeError, match="nonzeros"):
-                    check(d, tuple(range(20)))
+                with pytest.raises(TooLargeError, match="work budget"):
+                    check(d, tuple(range(k)))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

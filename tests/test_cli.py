@@ -157,6 +157,12 @@ class TestBpAndSpark:
         else:
             assert obj["nsp"]["supremum"] is None and None in sups
 
+    def test_bp_check_every_atom_over_budget(self, capsys):
+        # 2^29 sign patterns on a support naming all 30 atoms
+        assert main(["bp-check", "--dict", "gaussian", "--m", "20", "--n", "30",
+                     "--qstar", ",".join(map(str, range(30)))]) == 2
+        assert "work budget" in capsys.readouterr().err
+
     def test_spark_two_pairs(self, capsys):
         code, obj = run_json(capsys, ["spark", "--dict", "example1",
                                       "--theta1", "0.5", "--theta2", "0.7"])
