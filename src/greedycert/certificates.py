@@ -10,14 +10,18 @@ selection Q inside Q*:
   ``|Pa_i| / |Pa_j|`` (zero when ``Pa_j`` vanishes).
 
 The values come from the factor kernel :func:`linalg.factor_chain`: one
-QR of the support with Q first gives the coefficient table and every
-projected norm.  Both factors also admit an equivalent "projected"
-evaluation through the pseudo-inverse of the projected (OMP) or
-normalized-projected (OLS) remaining true atoms, built on a
-:class:`linalg.ProjectionState`; it shares no factorization with the
-kernel and serves as its cross-check.  The default (checked) mode
-evaluates both routes and raises :class:`FormMismatchError` if they
-disagree beyond ``TAU_FORM``; fast mode evaluates only the kernel.
+QR of the support with Q first gives the coefficient table, every
+projected norm and the triangular factor.  The one-step recursion of
+:func:`recursion_chain` and the failure inputs of
+:func:`greedy.build_failure_input` read the same call.  Both factors
+also admit an equivalent "projected" evaluation through the
+pseudo-inverse of the projected (OMP) or normalized-projected (OLS)
+remaining true atoms, built on a :class:`linalg.ProjectionState` and a
+QR of those projected atoms; it shares no factorization with the kernel
+and serves as its cross-check.  The default (checked) mode of the
+certificates evaluates both routes and raises
+:class:`FormMismatchError` if they disagree beyond ``TAU_FORM``; fast
+mode evaluates only the kernel.
 
 Exactness certificates say that every wrong factor stays below 1
 (selection-wise exact recovery for every reachable Q of the stated
@@ -33,8 +37,15 @@ from math import comb
 import numpy as np
 
 from .exceptions import FormMismatchError, RankDeficientError, TooLargeError
-from .linalg import _as_matrix, _tail_sums, factor_chain, least_squares, state_for
-from .tolerances import TAU_FORM, TAU_NUM, TAU_ZERO
+from .linalg import (
+    _as_matrix,
+    _tail_sums,
+    factor_chain,
+    least_squares,
+    residual,
+    state_for,
+)
+from .tolerances import TAU_FORM, TAU_ZERO
 
 __all__ = [
     "CertificateReport",
@@ -47,9 +58,6 @@ __all__ = [
     "f_omp_update",
     "f_ols_recursive",
     "recursion_chain",
-    "PhiParams",
-    "phi_eval",
-    "phi_min",
 ]
 
 
@@ -67,6 +75,12 @@ def _check_support(n, qstar, q=(), j=None):
     if j is not None and int(j) in set(qstar):
         raise ValueError("the probe atom must lie outside the support")
     return qstar, q
+
+
+def _wrong_atoms(n, qstar):
+    """The atoms outside the support, in index order."""
+    member = set(qstar)
+    return [j for j in range(n) if j not in member]
 
 
 @dataclass(frozen=True)
@@ -117,16 +131,17 @@ def erc_factor(a, qstar, j):
     return float(np.abs(c).sum())
 
 
-def _chain_factors(a, order, probes, depths, algorithms):
-    """Factors of ``probes`` after each prefix ``order[:q]``, q in ``depths``.
+def _chain_factors(chain, depths, algorithms):
+    """Factors of the probes after each prefix ``order[:q]``, q in ``depths``.
 
-    ``order`` lists the whole support in growth order.  Returns
-    ``{algorithm: array of shape (len(depths), len(probes))}``; the OMP
-    row at depth q is the tail row sum of ``|C|``, the OLS row the same
-    tail weighted by the support norms at q and divided by the probe
-    norms.  A probe inside the selected span scores 0 under both rules.
+    ``chain`` is the result of :func:`linalg.factor_chain` on the whole
+    support in growth order.  Returns ``{algorithm: array of shape
+    (len(depths), len(probes))}``; the OMP row at depth q is the tail
+    row sum of ``|C|``, the OLS row the same tail weighted by the
+    support norms at q and divided by the probe norms.  A probe inside
+    the selected span scores 0 under both rules.
     """
-    coef, probe_norms, support_norms = factor_chain(a, order, probes)
+    coef, probe_norms, support_norms, _ = chain
     c = np.abs(coef)
     depths = list(depths)
     den = probe_norms[depths]
@@ -149,8 +164,8 @@ def _projected_factors(a, qstar, q, js, algorithm):
     remaining true atoms, never of ``A_Qstar``."""
     state = state_for(a, q)
     remaining = [i for i in qstar if i not in q]
-    pt = state.projected[:, remaining]
-    pj = state.projected[:, js]
+    pt = residual(state, a[:, remaining])
+    pj = residual(state, a[:, js])
     jn = state.norms[js]
     alive = jn > TAU_ZERO
 
@@ -176,9 +191,9 @@ def _factors(a, qstar, q, js, algorithm, fast):
     """
     if algorithm not in ("omp", "ols"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    remaining = [i for i in qstar if i not in q]
-    order = list(q) + remaining
-    vals = _chain_factors(a, order, js, [len(q)], (algorithm,))[algorithm][0]
+    order = list(q) + [i for i in qstar if i not in q]
+    chain = factor_chain(a, order, js)
+    vals = _chain_factors(chain, [len(q)], (algorithm,))[algorithm][0]
     if not fast:
         proj = _projected_factors(a, qstar, q, js, algorithm)
         gap = np.abs(vals - proj).max() if len(js) else 0.0
@@ -207,7 +222,7 @@ def erc_oxx_subset(a, qstar, q, algorithm, fast=False):
     """Exactness certificate at one explicit partial selection."""
     a = _as_matrix(a)
     qstar, q = _check_support(a.shape[1], qstar, q)
-    js = [j for j in range(a.shape[1]) if j not in set(qstar)]
+    js = _wrong_atoms(a.shape[1], qstar)
     vals = _factors(a, qstar, q, js, algorithm, fast)
     aggregate = float(vals.max()) if js else 0.0
     return CertificateReport(
@@ -237,7 +252,7 @@ def erc_oxx_cardinality(a, qstar, card, algorithm, fast=True):
         raise TooLargeError(
             f"{comb(len(qstar), card)} subsets exceed the 1e6 budget"
         )
-    js = [j for j in range(a.shape[1]) if j not in set(qstar)]
+    js = _wrong_atoms(a.shape[1], qstar)
     worst = np.full(len(js), -np.inf)
     worst_subset = ()
     aggregate = -np.inf
@@ -274,7 +289,7 @@ def brc_omp(a, qstar, fast=False):
     qstar, _ = _check_support(a.shape[1], qstar)
     if len(qstar) < 1:
         raise ValueError("support must not be empty")
-    js = [j for j in range(a.shape[1]) if j not in set(qstar)]
+    js = _wrong_atoms(a.shape[1], qstar)
     if not js:
         raise ValueError("no wrong atom to probe")
     c = least_squares(a[:, qstar], a[:, js])
@@ -332,111 +347,62 @@ def recursion_chain(a, qstar, j, order, algorithm):
     """Factors of atom ``j`` along a nested selection chain.
 
     ``order`` lists the true atoms in activation order; the returned
-    list holds the factor at depth 0..len(order), each value produced by
-    the one-step recursion and checked against the projected route
-    within 1e-8 (:class:`FormMismatchError` otherwise).
+    list holds the factor at depth 0..len(order).  One kernel call in
+    the growth order ``order + (qstar \\ order)`` gives the direct value
+    at every depth, and each returned value is rebuilt from the same
+    call by the one-step recursion: the OMP factor loses the coefficient
+    of the atom activated at that step (:func:`f_omp_update`), the OLS
+    factor at depth p follows from depth p+1 and the norm-reduction and
+    alignment pairs of that step (:func:`f_ols_recursive`).  Recursion
+    and direct values must agree within 1e-8
+    (:class:`FormMismatchError` otherwise).
     """
     a = _as_matrix(a)
     qstar, order = _check_support(a.shape[1], qstar, order, j)
     j = int(j)
     if algorithm not in ("omp", "ols"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    direct = [
-        float(_projected_factors(a, qstar, order[:p], [j], algorithm)[0])
-        for p in range(len(order) + 1)
-    ]
+    depth = len(order)
+    chain = factor_chain(a, order + tuple(i for i in qstar if i not in order), [j])
+    direct = _chain_factors(chain, range(depth + 1), (algorithm,))[algorithm]
+    direct = [float(v) for v in direct[:, 0]]
+    coef, probe_norms, support_norms, r = chain
+    c = coef[:, 0]
 
     if algorithm == "omp":
-        c = least_squares(a[:, qstar], a[:, j])
         values = [direct[0]]
-        for p, ell in enumerate(order):
-            values.append(f_omp_update(values[-1], c[qstar.index(ell)]))
+        for p in range(depth):
+            values.append(f_omp_update(values[-1], c[p]))
     else:
-        values = [0.0] * (len(order) + 1)
+        # at depth p, with s = sign(R[p, p]) the orientation of the new
+        # basis direction and G = R C the probe in the QR basis:
+        # eta_j = jn[p+1] / jn[p], chi_j = s G[p] / jn[p] for the wrong
+        # atom, eta_i = tn[p+1, i] / tn[p, i], chi_i = s R[p, i] / tn[p, i]
+        # for each true atom i still unselected at p+1, and beta_i =
+        # tn[p+1, i] C[i] / jn[p+1] its coefficient on the normalized
+        # projected system at p+1
+        jn, tn = probe_norms[:, 0], support_norms
+        g = r @ c
+        values = [0.0] * (depth + 1)
         values[-1] = direct[-1]
-        state = state_for(a, order)
-        for p in range(len(order) - 1, -1, -1):
-            # extension record of the step that took depth p to p+1
-            rec = state.extensions[p]
-            deeper = state_for(a, order[: p + 1])
-            remaining = [i for i in qstar if i not in order[: p + 1]]
-            if deeper.norms[j] <= TAU_ZERO:
+        for p in range(depth - 1, -1, -1):
+            if jn[p + 1] <= TAU_ZERO:
                 # wrong atom swallowed by the deeper span: factor at
                 # this depth must come from the direct route
                 values[p] = direct[p]
                 continue
-            lhs = deeper.projected[:, remaining] / deeper.norms[remaining]
-            beta = least_squares(lhs, deeper.projected[:, j] / deeper.norms[j])
+            s = np.sign(r[p, p])
+            rest = slice(p + 1, None)
+            beta = tn[p + 1, rest] * c[rest] / jn[p + 1]
             values[p] = f_ols_recursive(
-                beta, rec.eta[j], rec.chi[j], rec.eta[remaining], rec.chi[remaining]
+                beta,
+                jn[p + 1] / jn[p],
+                s * g[p] / jn[p],
+                tn[p + 1, rest] / tn[p, rest],
+                s * r[p, rest] / tn[p, rest],
             )
 
     gap = max(abs(v - d) for v, d in zip(values, direct))
     if gap > 1e-8:
         raise FormMismatchError(f"recursion and direct factors differ by {gap:.3e}")
     return values
-
-
-@dataclass(frozen=True)
-class PhiParams:
-    """Parameters of the one-step OLS factor profile.
-
-    ``phi(eta) = |sqrt(1 - eta^2) - c * eta| + d * eta`` describes how
-    the factor one level up depends on the wrong atom's norm-reduction
-    coefficient, with ``c``/``d`` built from the deeper-level data.
-    """
-
-    beta: np.ndarray
-    etas: np.ndarray
-    chis: np.ndarray
-    c: float
-    d: float
-
-    @classmethod
-    def from_components(cls, beta, etas, chis):
-        beta = np.asarray(beta, dtype=np.float64)
-        etas = np.asarray(etas, dtype=np.float64)
-        chis = np.asarray(chis, dtype=np.float64)
-        if beta.shape != etas.shape or beta.shape != chis.shape:
-            raise ValueError("beta, etas, chis must have matching shapes")
-        if np.any(etas <= 0.0) or np.any(etas > 1.0 + TAU_NUM):
-            raise ValueError("eta coefficients must lie in (0, 1]")
-        if np.abs(etas**2 + chis**2 - 1.0).max() > 1e-6:
-            raise ValueError("eta/chi pairs must lie on the unit circle")
-        c = float(np.sum(beta * chis / etas))
-        d = float(np.sum(np.abs(beta) / etas))
-        return cls(beta=beta, etas=etas, chis=chis, c=c, d=d)
-
-    @classmethod
-    def from_extension(cls, beta, chi_j, etas, chis):
-        """Build params from raw extension data; a negative alignment of
-        the wrong atom flips the sign of ``beta`` (the profile only sees
-        ``|chi_j|``)."""
-        beta = np.asarray(beta, dtype=np.float64)
-        if chi_j < 0:
-            beta = -beta
-        return cls.from_components(beta, etas, chis)
-
-    @property
-    def beta_l1(self):
-        return float(np.abs(self.beta).sum())
-
-
-def phi_eval(params, eta):
-    """Evaluate the factor profile at ``eta`` (scalar or array)."""
-    eta = np.asarray(eta, dtype=np.float64)
-    root = np.sqrt(np.clip(1.0 - eta**2, 0.0, None))
-    out = np.abs(root - params.c * eta) + params.d * eta
-    return float(out) if out.ndim == 0 else out
-
-
-def phi_min(params):
-    """Minimum of the profile over [0, 1].
-
-    Closed form ``min(1, d / sqrt(1 + c^2))`` for positive ``c``; for
-    ``c <= 0`` the returned value is the linear lower bound
-    ``min(1, |beta|_1)`` (the profile never dips below it).
-    """
-    if params.c > 0:
-        return min(1.0, params.d / np.sqrt(1.0 + params.c**2))
-    return min(1.0, params.beta_l1)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis_pursuit import brc_bp_check, nsp_check
 from .certificates import brc_omp, erc_oxx_cardinality, erc_oxx_subset
-from .dictionaries import convolutive, example1, gaussian, hybrid
+from .dictionaries import _build
 from .exceptions import GreedycertError
 from .experiments import (
     KINDS,
@@ -76,20 +76,6 @@ def _dict_parent():
     return p
 
 
-def _dictionary_from_args(args, seed):
-    kind = args.dictionary
-    if kind in ("gaussian", "hybrid"):
-        _check(args.m > 0 and args.n > 0, f"{kind} needs --m and --n positive")
-    if kind == "gaussian":
-        return gaussian(args.m, args.n, seed)
-    if kind == "hybrid":
-        return hybrid(args.m, args.n, args.t_max, seed)
-    if kind == "convolutive":
-        _check(args.n > 0, "convolutive needs --n positive")
-        return convolutive(args.n, args.sigma, args.downsample)
-    return example1(args.theta1, args.theta2)
-
-
 def _echo(subcommand, d, **extra):
     out = {"subcommand": subcommand, "dict": d.kind, "params": dict(d.params),
            "seed": d.seed}
@@ -108,7 +94,7 @@ def _emit(obj, output):
 
 
 def _cmd_cert(args):
-    d = _dictionary_from_args(args, args.seed)
+    d = _build(args, args.m, args.n, args.seed)
     qstar = _parse_ints(args.qstar)
     _check(qstar, "--qstar must name at least one atom")
     if args.brc:
@@ -128,7 +114,7 @@ def _cmd_cert(args):
 
 def _cmd_greedy(args):
     _check(args.k >= 1, "--k must be at least 1")
-    d = _dictionary_from_args(args, args.seed)
+    d = _build(args, args.m, args.n, args.seed)
     n = d.matrix.shape[1]
     _check(args.k <= n, "--k cannot exceed the atom count")
     # support and amplitudes come from a salted stream so they are
@@ -147,7 +133,7 @@ def _cmd_greedy(args):
 
 
 def _cmd_construct(args):
-    d = _dictionary_from_args(args, args.seed)
+    d = _build(args, args.m, args.n, args.seed)
     if args.goal == "reach":
         _check(args.order, "--order is required for --goal reach")
         order = _parse_ints(args.order)
@@ -175,7 +161,7 @@ def _cmd_construct(args):
 
 
 def _cmd_bp_check(args):
-    d = _dictionary_from_args(args, args.seed)
+    d = _build(args, args.m, args.n, args.seed)
     qstar = _parse_ints(args.qstar)
     _check(qstar, "--qstar must name at least one atom")
     nsp = nsp_check(d, qstar)
@@ -186,7 +172,7 @@ def _cmd_bp_check(args):
 
 
 def _cmd_spark(args):
-    d = _dictionary_from_args(args, args.seed)
+    d = _build(args, args.m, args.n, args.seed)
     bound = args.max_size if args.max_size is not None else d.matrix.shape[1]
     value = compute_spark(d, bound)
     echo = _echo("spark", d, max_size=bound)

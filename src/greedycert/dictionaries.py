@@ -2,7 +2,9 @@
 
 All generators return a :class:`Dictionary` whose matrix has unit-norm
 columns.  Randomized generators take an explicit integer seed and are
-bit-reproducible (PCG64 generator).
+bit-reproducible (PCG64 generator).  The command line and the
+experiments name a family and build it through one registry,
+:func:`_build`.
 """
 
 from dataclasses import dataclass, field
@@ -19,8 +21,6 @@ __all__ = [
     "convolutive",
     "example1",
     "from_matrix",
-    "write_matrix_text",
-    "read_matrix_text",
 ]
 
 
@@ -125,7 +125,10 @@ def example1(theta1, theta2):
     the pair (a3, a4) by theta2 around e2 in the (e2, e3) plane.  Small
     theta1 makes the first pair nearly collinear, which is the classic
     setting where a correct partial selection can still be abandoned.
+    A non-finite angle raises ``ValueError``.
     """
+    _finite("theta1", theta1)
+    _finite("theta2", theta2)
     c1, s1 = np.cos(theta1), np.sin(theta1)
     c2, s2 = np.cos(theta2), np.sin(theta2)
     a = np.array(
@@ -153,14 +156,28 @@ def from_matrix(matrix, kind="custom", params=None, normalize=False):
     return Dictionary(a, kind, dict(params or {}), None)
 
 
-def write_matrix_text(matrix, path):
-    """One row per line, space-separated decimals (17 significant digits)."""
-    matrix = np.asarray(getattr(matrix, "matrix", matrix), dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in matrix:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+def _build(spec, m, n, seed):
+    """The dictionary of family ``spec.dictionary``.
 
-
-def read_matrix_text(path):
-    a = np.loadtxt(path, dtype=np.float64, ndmin=2)
-    return a
+    The one registry behind the command line and the experiments:
+    ``spec`` carries the family parameters as attributes (a parsed
+    command line or an experiment configuration), while the sizes and
+    the seed come apart because the experiment grids vary them.  Row
+    and atom counts must be positive where the family reads them;
+    ``example1`` reads the angles ``theta1``/``theta2``, which only the
+    command line carries.
+    """
+    kind = spec.dictionary
+    if kind in ("gaussian", "hybrid") and not (m > 0 and n > 0):
+        raise ValueError(f"{kind} needs --m and --n positive")
+    if kind == "gaussian":
+        return gaussian(m, n, seed)
+    if kind == "hybrid":
+        return hybrid(m, n, spec.t_max, seed)
+    if kind == "convolutive":
+        if not n > 0:
+            raise ValueError("convolutive needs --n positive")
+        return convolutive(n, spec.sigma, spec.downsample)
+    if kind == "example1" and hasattr(spec, "theta1"):
+        return example1(spec.theta1, spec.theta2)
+    raise ValueError(f"unknown dictionary kind: {kind!r}")

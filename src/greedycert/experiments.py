@@ -22,9 +22,9 @@ from time import perf_counter
 
 import numpy as np
 
-from .certificates import _chain_factors, brc_omp
-from .dictionaries import convolutive, gaussian, hybrid
-from .linalg import _as_matrix
+from .certificates import _chain_factors, _wrong_atoms, brc_omp
+from .dictionaries import _build, convolutive
+from .linalg import _as_matrix, factor_chain
 
 __all__ = [
     "ExperimentConfig",
@@ -175,21 +175,6 @@ def load_config(path):
     return ExperimentConfig.from_dict(data)
 
 
-def _build(kind, m, n, t_max, sigma, downsample, seed):
-    if kind == "gaussian":
-        return gaussian(m, n, seed)
-    if kind == "hybrid":
-        return hybrid(m, n, t_max, seed)
-    if kind == "convolutive":
-        return convolutive(n, sigma, downsample)
-    raise ValueError(f"unknown dictionary kind: {kind!r}")
-
-
-def _trial_dictionary(config, m, n, seed):
-    return _build(config.dictionary, m, n, config.t_max, config.sigma,
-                  config.downsample, seed)
-
-
 def _support(placement, n, k, delta, rng):
     if not 1 <= k < n:
         raise ValueError(f"support size {k} must satisfy 1 <= k < n = {n}")
@@ -223,9 +208,8 @@ def _factor_curves(atoms, qstar, order, q_values, algorithms):
     q_values = tuple(q_values)
     if not q_values or any(not 0 <= q < len(qstar) for q in q_values):
         raise ValueError("partial supports must be proper subsets of the support")
-    member = set(qstar)
-    probes = [j for j in range(a.shape[1]) if j not in member]
-    values = _chain_factors(a, order, probes, q_values, algorithms)
+    chain = factor_chain(a, order, _wrong_atoms(a.shape[1], qstar))
+    values = _chain_factors(chain, q_values, algorithms)
     # factors are non-negative, so the empty probe set aggregates to 0
     return {alg: [float(v) for v in values[alg].max(axis=1, initial=0.0)]
             for alg in algorithms}
@@ -260,7 +244,7 @@ def _require(condition, message):
 
 def _scatter_trial(task):
     config, t = task
-    d = _trial_dictionary(config, config.m, config.n, config.base_seed + t)
+    d = _build(config, config.m, config.n, config.base_seed + t)
     qstar = tuple(range(config.k))
     curves = _factor_curves(d, qstar, qstar, (0, 1), ("omp", "ols"))
     return (t, curves["omp"][0], curves["omp"][1], curves["ols"][1])
@@ -288,7 +272,7 @@ def scatter_experiment(config, workers=1):
 def phase_trial_state(config, t):
     """Dictionary, support and growth order for trial ``t``, replayable."""
     seed = config.base_seed + t
-    d = _trial_dictionary(config, config.m, config.n, seed)
+    d = _build(config, config.m, config.n, seed)
     # salted stream: keeps support draws independent of the matrix draws
     rng = np.random.default_rng((seed, 1))
     delta = config.deltas[0] if config.deltas else 1
@@ -328,7 +312,7 @@ def phase_curve(config, workers=1):
 
 def _diagram_trial(task):
     config, n, k, seed = task
-    d = _trial_dictionary(config, config.m, n, seed)
+    d = _build(config, config.m, n, seed)
     rng = np.random.default_rng((seed, 1))
     qstar = _support(config.placement, n, k, 1, rng)
     order = tuple(int(i) for i in rng.permutation(list(qstar)))
@@ -376,7 +360,7 @@ def f_vs_q_curve(config, workers=1):
     """
     _require(config.dictionary == "convolutive", "f-vs-q expects a convolutive dictionary")
     _require(config.placement in ("contiguous", "first"), "f-vs-q supports are contiguous")
-    d = _trial_dictionary(config, config.m, config.n, config.base_seed)
+    d = _build(config, config.m, config.n, config.base_seed)
     _require(config.k < min(d.matrix.shape), "support size must be below both dimensions")
     q_values = config.q_values or tuple(range(config.k))
     start = perf_counter()
@@ -392,7 +376,7 @@ def f_vs_q_curve(config, workers=1):
 
 def _brc_map_trial(task):
     config, m, n, seed = task
-    d = _trial_dictionary(config, m, n, seed)
+    d = _build(config, m, n, seed)
     return bool(brc_omp(d, (0, 1), fast=True).verdict)
 
 

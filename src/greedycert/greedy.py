@@ -18,28 +18,20 @@ The constructive half builds inputs that provably steer a run: a vector
 reaching a prescribed selection sequence (always possible for OLS, by
 small-perturbation stacking), and a vector that reaches a partial
 selection and then forces a wrong atom (possible exactly when the
-corresponding exactness certificate fails).  Both are verified by
+corresponding exactness certificate fails).  The failure direction is
+read off one call of the factor kernel :func:`linalg.factor_chain`, the
+call the certificate itself makes.  Both inputs are verified by
 re-running the algorithm before being returned.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from .exceptions import (
-    ConstructionFailedError,
-    DegenerateAtomError,
-    RankDeficientError,
-    ZeroResidualError,
-)
-from .linalg import (
-    _as_matrix,
-    extend_state,
-    init_state,
-    least_squares,
-    residual,
-    state_for,
-)
+from .certificates import _chain_factors, _check_support, _wrong_atoms
+from .exceptions import ConstructionFailedError, DegenerateAtomError, ZeroResidualError
+from .linalg import _as_matrix, extend_state, factor_chain, init_state, residual
 from .tolerances import TAU_SUCCESS_REL, TAU_TIE, TAU_ZERO
 
 __all__ = [
@@ -292,40 +284,29 @@ def build_failure_input(atoms, qstar, q, algorithm, reaching=None):
     a = _as_matrix(atoms)
     if algorithm not in _SELECT:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    qstar = [int(i) for i in qstar]
-    q = [int(i) for i in q]
-    if not set(q) <= set(qstar) or len(q) >= len(qstar):
+    qstar, q = _check_support(a.shape[1], qstar, q)
+    if len(q) >= len(qstar):
         raise ValueError("q must be a strict subset of the support")
+    qstar, q = list(qstar), list(q)
 
-    state = state_for(a, q)
+    # growth order q + (qstar \ q): rows t: of the coefficient table are
+    # the remaining true atoms, and those atoms projected off span(A_q)
+    # are Q[:, t:] R22, so their Gram matrix is R22.T R22
+    t = len(q)
     remaining = [i for i in qstar if i not in q]
-    wrongs = [j for j in range(a.shape[1]) if j not in set(qstar)]
-    pt = state.projected[:, remaining]
-    if algorithm == "omp":
-        lhs = pt
-        rhs = state.projected[:, wrongs]
-        alive = np.ones(len(wrongs), dtype=bool)
-    else:
-        tn = state.norms[remaining]
-        if np.any(tn <= TAU_ZERO):
-            raise RankDeficientError("a support atom lies in the selected span")
-        lhs = pt / tn
-        jn = state.norms[wrongs]
-        alive = jn > TAU_ZERO
-        rhs = np.where(alive, state.projected[:, wrongs] / np.where(alive, jn, 1.0), 0.0)
-    coef = least_squares(lhs, rhs)
-    factors = np.abs(coef).sum(axis=0)
-    factors[~alive] = 0.0
-    best = int(np.argmax(factors))
-    if factors[best] < 1.0:
+    chain = factor_chain(a, q + remaining, _wrong_atoms(a.shape[1], qstar))
+    factors = _chain_factors(chain, [t], (algorithm,))[algorithm][0]
+    if factors.max(initial=0.0) < 1.0:
         return None
-
-    v = np.sign(coef[:, best])
+    coef, _, support_norms, r = chain
+    v = np.sign(coef[t:, int(np.argmax(factors))])
     v[v == 0.0] = 1.0
-    try:
-        w = np.linalg.solve(lhs.T @ pt, v)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficientError(str(exc)) from None
+    if algorithm == "ols":
+        # OLS correlates with the normalized projected atoms: the system
+        # is diag(1 / |P_q a_i|) R22.T R22 w = v
+        v = v * support_norms[t, t:]
+    r22 = r[t:, t:]
+    w = solve_triangular(r22, solve_triangular(r22, v, trans="T"))
     yhat = a[:, remaining] @ w
 
     def verified(y):

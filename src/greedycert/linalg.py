@@ -5,13 +5,14 @@ Conventions used throughout the package:
 * matrices are 2-D ``numpy.float64`` arrays (C order), columns are atoms;
 * an "active set" Q is an ordered tuple of distinct column indices;
 * the projected atom of ``a_i`` w.r.t. Q is ``P a_i`` where ``P`` projects
-  onto the orthogonal complement of ``span(A_Q)``; active atoms project
-  to exactly zero.
+  onto the orthogonal complement of ``span(A_Q)``; active atoms have
+  projected norm exactly zero.
 
-:func:`factor_chain` is the value route of the certificate factors: one
-LAPACK QR of the support in growth order gives the coefficient table of
-the probe atoms and every projected norm along the chain, without ever
-forming a projected matrix.
+:func:`factor_chain` is the factor kernel: one LAPACK QR of the support
+in growth order gives the coefficient table of the probe atoms, every
+projected norm along the chain and the triangular factor itself, without
+ever forming a projected matrix.  The certificate values, the failure
+inputs and the recursion chains all read it.
 
 A :class:`ProjectionState` holds an orthonormal basis ``U`` of the
 active span and the projected-atom norms ``|P a_i|``, and is extended one
@@ -22,17 +23,12 @@ u.T P a_i``, so the squared norms are downdated as ``|P a_i|^2 -
 ``RECOMPUTE_FRACTION`` of the column's last exactly computed square is
 recomputed from ``a_i - U(U.T a_i)``, the norm-downdate safeguard of
 LAPACK's column-pivoted QR (xGEQP3/xLAQPS).  No m x n array is formed
-on the way; the projected matrix ``P A`` is built only when
-:attr:`ProjectionState.projected` is read, as the checked-mode
-cross-checks do.  The states drive the greedy runs and are the
-independent cross-check of the factor kernel.  Each extension also
-records, for every still-inactive atom, the norm-reduction factor
-``eta`` and the alignment ``chi`` of its normalized projected atom with
-the new basis direction; ``eta**2 + chi**2 == 1`` up to rounding.
+on the way; :func:`residual` projects just the columns a caller asks
+for.  The states drive the greedy runs and are the independent
+cross-check of the factor kernel in the certificates' checked mode.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -49,7 +45,6 @@ from .exceptions import (
 from .tolerances import TAU_NUM, TAU_RANK, TAU_ZERO
 
 __all__ = [
-    "ExtensionRecord",
     "ProjectionState",
     "least_squares",
     "factor_chain",
@@ -120,7 +115,7 @@ def _tail_sums(x):
 
 
 def factor_chain(atoms, order, probes):
-    """Coefficient table and projected norms along a growth order.
+    """Coefficient table, projected norms and R along a growth order.
 
     One economic QR ``A_order = Q R``, one product ``G = Q.T A_probes``
     and one triangular solve give, with ``k = len(order)`` and ``p =
@@ -130,7 +125,10 @@ def factor_chain(atoms, order, probes):
     * ``probe_norms`` ((k+1) x p): row ``q`` holds ``|P_q a_j|``, the
       probe norms projected off ``span(A_order[:q])``, for ``q = 0 .. k``;
     * ``support_norms`` ((k+1) x k): entry ``[q, i]`` holds
-      ``|P_q a_order[i]|``, which is 0 for ``q > i``.
+      ``|P_q a_order[i]|``, which is 0 for ``q > i``;
+    * ``r`` (k x k): the triangular factor, so that ``G = r @ coef`` and
+      ``A_order[:, q:]`` projected off ``span(A_order[:q])`` is
+      ``Q[:, q:] @ r[q:, q:]``.
 
     Every squared norm is a sum of non-negative terms:
     ``|P_q a_j|^2 = sum_{l>=q} G[l, j]^2 + |a_j - Q G_j|^2`` and
@@ -158,21 +156,7 @@ def factor_chain(atoms, order, probes):
     probe_norms = np.sqrt(_tail_sums(g * g) + np.einsum("ij,ij->j", x, x))
     _check_unit(probe_norms[0], probes)
     support_norms = np.sqrt(_tail_sums(r * r))  # R is upper triangular
-    return coef, probe_norms, support_norms
-
-
-@dataclass(frozen=True)
-class ExtensionRecord:
-    """Per-step extension data.
-
-    ``eta[i]`` and ``chi[i]`` hold the norm-reduction and alignment
-    coefficients of atom ``i`` for this extension; entries are NaN for
-    active atoms and for atoms already (numerically) inside the span.
-    """
-
-    index: int
-    eta: np.ndarray
-    chi: np.ndarray
+    return coef, probe_norms, support_norms, r
 
 
 @dataclass(frozen=True)
@@ -189,7 +173,6 @@ class ProjectionState:
     active: tuple
     basis: np.ndarray
     norms: np.ndarray
-    extensions: tuple
     exact_sq: np.ndarray
 
     @property
@@ -199,18 +182,6 @@ class ProjectionState:
     @property
     def n(self):
         return self.atoms.shape[1]
-
-    @cached_property
-    def projected(self):
-        """``P A``, formed on first access as ``A - U(U.T A)`` with a
-        second pass; active columns are exactly 0.  With an empty basis
-        this is ``atoms`` itself."""
-        if not self.active:
-            return self.atoms
-        p = _project(self.basis, self.atoms)
-        p[:, list(self.active)] = 0.0
-        _freeze(p)
-        return p
 
 
 def _freeze(*arrays):
@@ -224,6 +195,8 @@ def _project(basis, x):
     if x.ndim == 1:
         x = x - basis @ (basis.T @ x)
         return x - basis @ (basis.T @ x)
+    if not x.size:  # BLAS rejects an empty output
+        return x.copy()
     # the columns of x are the rows of xt, a Fortran-ordered copy that
     # BLAS updates in place: xt -= (xt U) U.T
     xt = np.array(x.T, order="F")
@@ -254,7 +227,6 @@ def init_state(atoms, check_normalization=True):
         active=(),
         basis=basis,
         norms=norms,
-        extensions=(),
         exact_sq=exact_sq,
     )
 
@@ -271,10 +243,9 @@ def extend_state(state, index):
     """Add atom ``index`` to the active set, returning a new state.
 
     The new basis direction comes from the atom projected twice off the
-    basis; one product ``u.T A`` gives every ``chi`` and the downdated
-    norms, from which ``eta`` follows.  Active atoms get norm exactly 0.
-    Raises :class:`DegenerateAtomError` if the atom already lies in the
-    active span.
+    basis; one product ``u.T A`` gives the downdated norms.  Active atoms
+    get norm exactly 0.  Raises :class:`DegenerateAtomError` if the atom
+    already lies in the active span.
     """
     index = int(index)
     if index < 0 or index >= state.n:
@@ -307,29 +278,19 @@ def extend_state(state, index):
         p = _project(basis, state.atoms[:, cols])
         sq[cols] = exact_sq[cols] = np.einsum("ij,ij->j", p, p)
     new_norms = np.sqrt(sq)
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        chi = coef / old
-        eta = new_norms / old
-    dead = old <= TAU_ZERO
-    dead[idx] = True
-    eta[dead] = np.nan
-    chi[dead] = np.nan
-
-    record = ExtensionRecord(index=index, eta=eta, chi=chi)
-    _freeze(basis, new_norms, exact_sq, eta, chi)
+    _freeze(basis, new_norms, exact_sq)
     return ProjectionState(
         atoms=state.atoms,
         active=active,
         basis=basis,
         norms=new_norms,
-        extensions=state.extensions + (record,),
         exact_sq=exact_sq,
     )
 
 
 def residual(state, y):
-    """Project ``y`` on the orthogonal complement of the active span."""
+    """Project ``y`` (a vector, or columns side by side) on the
+    orthogonal complement of the active span."""
     return _project(state.basis, np.asarray(y, dtype=np.float64))
 
 

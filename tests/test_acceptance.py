@@ -26,7 +26,7 @@ from greedycert.certificates import (
 from greedycert.certificates import brc_omp as brc_omp_check
 from greedycert.dictionaries import example1, gaussian, hybrid
 from greedycert.greedy import build_failure_input, run_greedy
-from greedycert.linalg import state_for
+from greedycert.linalg import residual, state_for
 
 
 def _report(num, name, ok, detail=""):
@@ -209,9 +209,9 @@ def test_07_two_pair_closed_forms_and_separating_cones():
     plane = null_space(a[:, :1].T)
     phi = np.linspace(0.0, 2.0 * math.pi, 10**4, endpoint=False)
     r = np.cos(phi)[:, None] * plane[:, 0] + np.sin(phi)[:, None] * plane[:, 1]
-    lhs = np.abs(r @ state.projected[:, 1])
-    rhs = np.maximum(np.abs(r @ state.projected[:, 2]),
-                     np.abs(r @ state.projected[:, 3]))
+    lhs = np.abs(r @ residual(state, a[:, 1]))
+    rhs = np.maximum(np.abs(r @ residual(state, a[:, 2])),
+                     np.abs(r @ residual(state, a[:, 3])))
     ok_cone = bool(np.all(lhs < rhs))
     _report(7, "two-pair closed forms and separating cones",
             ok_wide and ok_narrow and ok_cone,

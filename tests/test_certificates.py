@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from greedycert import certificates as cert
 from greedycert.dictionaries import convolutive, example1, gaussian, hybrid
 from greedycert.exceptions import TooLargeError
-from greedycert.linalg import state_for
+from greedycert.linalg import residual, state_for
 
 
 def oracle_f_omp(a, qstar, q, j):
@@ -169,7 +169,7 @@ class TestRestrictionIdentities:
             state = state_for(a, q)
             remaining = [i for i in qstar if i not in q]
             full = cert.least_squares(a[:, list(qstar)], a[:, j])
-            sub = cert.least_squares(state.projected[:, remaining], state.projected[:, j])
+            sub = cert.least_squares(residual(state, a[:, remaining]), residual(state, a[:, j]))
             rows = [list(qstar).index(i) for i in remaining]
             assert np.abs(sub - full[rows]).max() < 1e-9
 
@@ -181,8 +181,8 @@ class TestRestrictionIdentities:
             if state.norms[j] <= 1e-10:
                 continue
             remaining = [i for i in qstar if i not in q]
-            bt = state.projected[:, remaining] / state.norms[remaining]
-            bj = state.projected[:, j] / state.norms[j]
+            bt = residual(state, a[:, remaining]) / state.norms[remaining]
+            bj = residual(state, a[:, j]) / state.norms[j]
             beta = cert.least_squares(bt, bj)
             full = cert.least_squares(a[:, list(qstar)], a[:, j])
             rows = [list(qstar).index(i) for i in remaining]
@@ -300,7 +300,35 @@ class TestMonotonicity:
                 prev = cur
 
 
+@st.composite
+def chain_cases(draw):
+    """A gaussian or hybrid dictionary, a support, a wrong atom and an
+    activation order over a strict subset of the support."""
+    m = draw(st.integers(6, 30))
+    n = draw(st.integers(m + 1, 2 * m))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if draw(st.booleans()):
+        d = gaussian(m, n, seed)
+    else:
+        d = hybrid(m, n, draw(st.floats(0.0, 1000.0)), seed)
+    k = draw(st.integers(1, min(7, m - 1)))
+    perm = draw(st.permutations(range(n)))
+    qstar = tuple(perm[:k])
+    order = tuple(draw(st.permutations(qstar)))[: draw(st.integers(0, k - 1))]
+    return d.matrix, qstar, perm[k], order
+
+
 class TestRecursion:
+    @settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow])
+    @given(chain_cases(), st.sampled_from(["omp", "ols"]))
+    def test_matches_projected_route_at_every_depth(self, case, algorithm):
+        a, qstar, j, order = case
+        values = cert.recursion_chain(a, qstar, j, order, algorithm)
+        assert len(values) == len(order) + 1
+        for p, got in enumerate(values):
+            want = cert._projected_factors(a, qstar, order[:p], [j], algorithm)[0]
+            assert abs(got - want) / max(1.0, abs(want)) <= 1e-9, f"depth {p}"
+
     def test_two_pair_omp_chain(self):
         d = example1(np.pi / 6, np.pi / 4)
         values = cert.recursion_chain(d, (0, 1), 2, (0,), "omp")
@@ -320,67 +348,3 @@ class TestRecursion:
 
     def test_omp_update_is_coefficient_drop(self):
         assert cert.f_omp_update(2.5, -0.75) == pytest.approx(1.75)
-
-
-class TestPhi:
-    def _single_entry_params(self, beta, eta, chi):
-        return cert.PhiParams.from_components([beta], [eta], [chi])
-
-    def test_closed_form_min_positive_c(self):
-        # beta = sqrt(3), eta = sqrt(3)/2, chi = 1/2 gives c = 1, d = 2
-        p = self._single_entry_params(np.sqrt(3.0), np.sqrt(3.0) / 2.0, 0.5)
-        assert p.c == pytest.approx(1.0, abs=1e-12)
-        assert p.d == pytest.approx(2.0, abs=1e-12)
-        assert cert.phi_min(p) == pytest.approx(1.0, abs=1e-12)
-        grid = cert.phi_eval(p, np.linspace(0.0, 1.0, 2_000_001))
-        assert abs(grid.min() - cert.phi_min(p)) < 1e-6
-
-    def test_nonpositive_c_lower_bound_on_grid(self):
-        p = self._single_entry_params(1.0, np.sqrt(3.0) / 2.0, -0.5)
-        assert p.c < 0
-        eta = np.linspace(0.0, 1.0, 10001)
-        bound = 1.0 + (p.beta_l1 - 1.0) * eta
-        assert np.all(cert.phi_eval(p, eta) >= bound - 1e-12)
-        assert cert.phi_min(p) <= cert.phi_eval(p, eta).min() + 1e-12
-
-    def test_d_dominates_beta_mass(self):
-        rng = np.random.default_rng(34)
-        for _ in range(20):
-            size = int(rng.integers(1, 5))
-            chis = rng.uniform(-0.9, 0.9, size)
-            etas = np.sqrt(1.0 - chis**2)
-            beta = rng.standard_normal(size)
-            p = cert.PhiParams.from_components(beta, etas, chis)
-            assert p.d >= p.beta_l1 - 1e-12
-            assert p.d**2 - p.c**2 >= p.beta_l1**2 - 1e-9
-
-    def test_profile_matches_one_step_factor(self):
-        # phi evaluated at the wrong atom's eta reproduces the factor
-        # one level up, on real chains
-        rng = np.random.default_rng(35)
-        hits = 0
-        while hits < 15:
-            a, qstar, _, j = rand_instance(rng)
-            order = list(qstar)[: len(qstar) - 1]
-            for p in range(len(order)):
-                deeper = state_for(a, order[: p + 1])
-                rec = deeper.extensions[p]
-                if np.isnan(rec.eta[j]) or deeper.norms[j] <= 1e-10:
-                    continue
-                remaining = [i for i in qstar if i not in order[: p + 1]]
-                bt = deeper.projected[:, remaining] / deeper.norms[remaining]
-                beta = cert.least_squares(bt, deeper.projected[:, j] / deeper.norms[j])
-                params = cert.PhiParams.from_extension(
-                    beta, rec.chi[j], rec.eta[remaining], rec.chi[remaining]
-                )
-                got = cert.phi_eval(params, rec.eta[j])
-                want = cert.f_ols(a, qstar, tuple(order[:p]), j)
-                assert abs(got - want) < 1e-8
-                assert cert.phi_min(params) <= got + 1e-12
-                hits += 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cert.PhiParams.from_components([1.0], [1.5], [0.0])
-        with pytest.raises(ValueError):
-            cert.PhiParams.from_components([1.0], [0.5], [0.5])

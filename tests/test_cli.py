@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -58,16 +59,24 @@ class TestCert:
         ("--t-max", "inf"), ("--t-max", "nan"), ("--sigma", "inf"), ("--sigma", "nan"),
     ])
     def test_non_finite_dictionary_rejected(self, capsys, flag, value):
-        # the angles reach the matrix as NaN entries; the generator
-        # parameters are checked before any draw
+        # the generator parameters are checked before any draw or
+        # trigonometry, so the message names the angle and numpy warns
+        # about nothing
         family = {
             "--theta1": ["example1"],
             "--theta2": ["example1"],
             "--t-max": ["hybrid", "--m", "5", "--n", "8"],
             "--sigma": ["convolutive", "--n", "20"],
         }[flag]
-        assert main(["cert", "--dict", *family, flag, value, "--qstar", "0,1"]) == 2
-        assert "finite" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["cert", "--dict", *family, flag, value, "--qstar", "0,1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "finite" in err
+        if flag.startswith("--theta"):
+            assert f"{flag[2:]} must be finite" in err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_q_and_card_exclusive(self, capsys):
         assert main(["cert", "--dict", "example1", "--qstar", "0,1",

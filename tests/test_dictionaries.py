@@ -9,8 +9,6 @@ from greedycert.dictionaries import (
     from_matrix,
     gaussian,
     hybrid,
-    read_matrix_text,
-    write_matrix_text,
 )
 from greedycert.exceptions import EmptyAtomError
 
@@ -93,19 +91,6 @@ class TestTwoPairDictionary:
 
 
 class TestSerialization:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        d = gaussian(7, 11, 3)
-        path = tmp_path / "dict.txt"
-        write_matrix_text(d, path)
-        back = read_matrix_text(path)
-        assert np.array_equal(back, d.matrix)
-
-    def test_single_row(self, tmp_path):
-        a = np.array([[1.0, -2.5, 3.25]])
-        path = tmp_path / "row.txt"
-        write_matrix_text(a, path)
-        assert np.array_equal(read_matrix_text(path), a)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_from_matrix_rejects_non_finite(self, bad):
         a = np.eye(3)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import orth
 
@@ -309,6 +309,22 @@ class TestFailureInput:
         d = example1(np.pi / 12, np.pi / 4)
         assert greedy.build_failure_input(d, (0, 1), (0,), "ols") is None
 
+    def test_none_when_no_wrong_atom(self):
+        # a support of every atom leaves nothing to pick wrongly, and the
+        # certificate holds with aggregate 0
+        d = gaussian(8, 4, 0)
+        for alg in ("omp", "ols"):
+            assert erc_oxx_subset(d, range(4), (), alg).verdict
+            assert greedy.build_failure_input(d, range(4), (), alg) is None
+
+    @pytest.mark.parametrize("qstar,q", [((-1, 0), ()), ((0, 0, 1), ()), ((0, 20), ()),
+                                         ((0, 1), (2,)), ((0, 1), (0, 1))])
+    def test_support_and_selection_validated(self, qstar, q):
+        # a negative index would alias the last atom, which would then
+        # count as both a true and a wrong atom
+        with pytest.raises(ValueError):
+            greedy.build_failure_input(gaussian(10, 20, 0), qstar, q, "omp")
+
     def test_two_pair_second_step_omp(self):
         d = example1(np.pi / 12, np.pi / 4)
         y = greedy.build_failure_input(d, (0, 1), (0,), "omp")
@@ -328,7 +344,88 @@ class TestFailureInput:
         assert trace.status in ("wrong_atom", "tie_failure")
         assert trace.failure_iteration == 1
 
+    @pytest.mark.parametrize("alg,d,qstar,q", [
+        ("omp", gaussian(100, 11, 1), tuple(range(10)), ()),
+        ("ols", gaussian(100, 11, 1), tuple(range(10)), ()),
+        ("omp", example1(np.pi / 12, np.pi / 4), (0, 1), (0,)),
+        ("ols", hybrid(20, 60, 5.0, 0), tuple(range(6)), (0,)),
+        ("ols", hybrid(20, 60, 5.0, 0), tuple(range(6)), (3, 1)),
+    ])
+    def test_direction_solves_projected_system(self, alg, d, qstar, q):
+        # the added direction against the projected system at q, formed
+        # with an explicit projector: coefficients of the worst wrong
+        # atom on the (normalized, for OLS) projected remaining atoms,
+        # and w solving (lhs.T P A_R) w = sign of those coefficients
+        a = d.matrix
+        remaining = [i for i in qstar if i not in q]
+        wrongs = [j for j in range(a.shape[1]) if j not in qstar]
+        p = explicit_projector(a[:, list(q)]) if q else np.eye(a.shape[0])
+        pt, pj = p @ a[:, remaining], p @ a[:, wrongs]
+        lhs, rhs = pt, pj
+        if alg == "ols":
+            lhs = pt / np.linalg.norm(pt, axis=0)
+            rhs = pj / np.linalg.norm(pj, axis=0)
+        coef = np.linalg.pinv(lhs) @ rhs
+        best = int(np.argmax(np.abs(coef).sum(axis=0)))
+        w = np.linalg.solve(lhs.T @ pt, np.sign(coef[:, best]))
+        want = a[:, remaining] @ w
+        z = greedy.construct_reaching_input(a, q, alg) if q else np.zeros(a.shape[0])
+        y = greedy.build_failure_input(a, qstar, q, alg, reaching=z if q else None)
+        got = y - z
+        # y = z + eps * direction for some step eps in (0, 1]
+        eps = np.linalg.norm(got) / np.linalg.norm(want)
+        assert 0.0 < eps <= 1.0 + 1e-12
+        assert np.abs(got / eps - want).max() <= 1e-9 * np.abs(want).max()
+
     def test_supplied_reaching_vector(self):
         d = example1(np.pi / 12, np.pi / 4)
         y = greedy.build_failure_input(d, (0, 1), (0,), "omp", reaching=d.matrix[:, 0])
         assert y is not None
+
+
+@st.composite
+def failure_cases(draw):
+    """A gaussian or hybrid dictionary, a support and a partial
+    selection inside it, in selection order."""
+    m = draw(st.integers(6, 20))
+    n = draw(st.integers(m + 1, 3 * m))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if draw(st.booleans()):
+        d = gaussian(m, n, seed)
+    else:
+        d = hybrid(m, n, draw(st.floats(0.0, 100.0)), seed)
+    k = draw(st.integers(1, min(6, m - 1)))
+    qstar = tuple(draw(st.permutations(range(n)))[:k])
+    q = tuple(draw(st.permutations(qstar)))[: draw(st.integers(0, k - 1))]
+    return d.matrix, qstar, q
+
+
+class TestFailedCertificateImpliesFailureInput:
+    """A failed exactness certificate at q yields an on-support input
+    that a separate greedy run steers through q and then fails; a
+    holding one yields none."""
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    @given(failure_cases(), st.sampled_from(["omp", "ols"]))
+    def test_none_exactly_when_certified(self, case, alg):
+        a, qstar, q = case
+        holds = erc_oxx_subset(a, qstar, q, alg, fast=False).verdict
+        try:
+            y = greedy.build_failure_input(a, qstar, q, alg)
+        except ConstructionFailedError:
+            # OMP cannot always be steered through a prescribed
+            # selection; only that documented case may give up
+            assert alg == "omp" and q
+            with pytest.raises(ConstructionFailedError):
+                greedy.construct_reaching_input(a, q, alg)
+            assume(False)
+        assert (y is None) == holds
+        if y is None:
+            return
+        coef = np.linalg.lstsq(a[:, list(qstar)], y, rcond=None)[0]
+        assert np.linalg.norm(a[:, list(qstar)] @ coef - y) <= 1e-9 * np.linalg.norm(y)
+        trace = greedy.run_greedy(alg, a, y, len(q) + 1, oracle=qstar)
+        assert trace.selections()[: len(q)] == list(q)
+        assert trace.status in ("wrong_atom", "tie_failure")
+        assert trace.failure_iteration == len(q)
+

@@ -38,6 +38,17 @@ def random_state(rng, m, n, depth):
     return d.matrix, state, [int(i) for i in order]
 
 
+def eta_chi_steps(a, order):
+    """Norm-reduction and alignment of every atom at each extension of
+    the chain ``order``, read off consecutive projection states."""
+    state = linalg.init_state(a)
+    for i in order:
+        new = linalg.extend_state(state, i)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            yield new.norms / state.norms, (new.basis[:, -1] @ a) / state.norms
+        state = new
+
+
 class TestLeastSquares:
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(7)
@@ -82,16 +93,21 @@ class TestFactorChain:
             a = gaussian(m, n, int(rng.integers(2**31))).matrix
             perm = [int(i) for i in rng.permutation(n)]
             order, probes = perm[:k], perm[k:]
-            coef, probe_norms, support_norms = linalg.factor_chain(a, order, probes)
+            coef, probe_norms, support_norms, r = linalg.factor_chain(a, order, probes)
             assert coef.shape == (k, n - k)
             assert probe_norms.shape == (k + 1, n - k)
             assert support_norms.shape == (k + 1, k)
+            assert r.shape == (k, k) and np.all(np.tril(r, -1) == 0.0)
             want = np.linalg.pinv(a[:, order]) @ a[:, probes]
             assert np.abs(coef - want).max() < 1e-9
             for q in range(k + 1):
                 p = explicit_projector(a[:, order[:q]]) if q else np.eye(m)
                 assert np.abs(probe_norms[q] - np.linalg.norm(p @ a[:, probes], axis=0)).max() < 1e-9
                 assert np.abs(support_norms[q] - np.linalg.norm(p @ a[:, order], axis=0)).max() < 1e-9
+                # the support atoms still to come, projected off the
+                # first q, have the Gram matrix R22.T R22 of R's tail block
+                rest = p @ a[:, order[q:]]
+                assert np.abs(rest.T @ rest - r[q:, q:].T @ r[q:, q:]).max(initial=0.0) < 1e-9
 
     def test_small_norms_keep_relative_accuracy(self):
         # atoms nearly parallel to the all-ones vector: every projected
@@ -102,7 +118,7 @@ class TestFactorChain:
         a = hybrid(m, n, 1000.0, 3).matrix
         order = [int(i) for i in rng.permutation(n)[:k]]
         probes = [j for j in range(n) if j not in order]
-        _, probe_norms, _ = linalg.factor_chain(a, order, probes)
+        _, probe_norms, _, _ = linalg.factor_chain(a, order, probes)
         for q in range(1, k + 1):
             basis, _ = np.linalg.qr(a[:, order[:q]])
             x = a[:, probes]
@@ -128,13 +144,13 @@ class TestFactorChain:
 
     def test_empty_order_gives_atom_norms(self):
         d = gaussian(6, 9, 2)
-        coef, probe_norms, support_norms = linalg.factor_chain(d, [], range(9))
-        assert coef.shape == (0, 9) and support_norms.shape == (1, 0)
+        coef, probe_norms, support_norms, r = linalg.factor_chain(d, [], range(9))
+        assert coef.shape == (0, 9) and support_norms.shape == (1, 0) and r.shape == (0, 0)
         assert np.allclose(probe_norms, 1.0, atol=1e-12)
 
     def test_no_probes(self):
         d = gaussian(6, 9, 2)
-        coef, probe_norms, support_norms = linalg.factor_chain(d, [4, 1], [])
+        coef, probe_norms, support_norms, _ = linalg.factor_chain(d, [4, 1], [])
         assert coef.shape == (2, 0) and probe_norms.shape == (3, 0)
         assert np.allclose(support_norms[0], 1.0, atol=1e-12)
         assert np.all(support_norms[2] == 0.0)
@@ -156,11 +172,11 @@ class TestProjectionState:
         d = gaussian(10, 6, 0)
         state = linalg.init_state(d)
         assert state.active == ()
-        assert np.array_equal(state.projected, d.matrix)
+        assert np.array_equal(linalg.residual(state, d.matrix), d.matrix)
         assert np.allclose(state.norms, 1.0, atol=1e-12)
 
     def test_matches_explicit_projector(self):
-        # cached projected atoms vs P_perp a_i on fresh random instances
+        # projected atoms vs P_perp a_i on fresh random instances
         rng = np.random.default_rng(11)
         for _ in range(100):
             m = int(rng.integers(4, 16))
@@ -168,14 +184,14 @@ class TestProjectionState:
             depth = int(rng.integers(1, min(m, n)))
             a, state, order = random_state(rng, m, n, depth)
             p = explicit_projector(a[:, order])
-            assert np.abs(state.projected - p @ a).max() < 1e-9
+            assert np.abs(linalg.residual(state, a) - p @ a).max() < 1e-9
 
     def test_active_atoms_exactly_zero(self):
         rng = np.random.default_rng(12)
-        _, state, order = random_state(rng, 10, 15, 4)
+        a, state, order = random_state(rng, 10, 15, 4)
         for i in order:
-            assert np.all(state.projected[:, i] == 0.0)
             assert state.norms[i] == 0.0
+            assert np.abs(linalg.residual(state, a[:, i])).max() < 1e-15
 
     def test_projection_nonexpansive(self):
         rng = np.random.default_rng(13)
@@ -189,20 +205,24 @@ class TestProjectionState:
                 assert np.all(state.norms[keep] <= old[keep] + 1e-9)
 
     def test_eta_chi_pythagoras(self):
+        # per extension, the norm-reduction eta = |P' a_i| / |P a_i| and
+        # the alignment chi = u.T a_i / |P a_i| with the new direction u
         rng = np.random.default_rng(14)
         for _ in range(30):
-            _, state, _ = random_state(rng, 12, 20, 8)
-            for rec in state.extensions:
-                ok = ~np.isnan(rec.eta)
-                assert np.abs(rec.eta[ok] ** 2 + rec.chi[ok] ** 2 - 1.0).max() < 1e-9
+            a, state, order = random_state(rng, 12, 20, 8)
+            for p, (eta, chi) in enumerate(eta_chi_steps(a, order)):
+                ok = np.ones(a.shape[1], dtype=bool)
+                ok[order[: p + 1]] = False
+                assert np.abs(eta[ok] ** 2 + chi[ok] ** 2 - 1.0).max() < 1e-9
 
     def test_eta_in_unit_interval(self):
         rng = np.random.default_rng(15)
-        _, state, _ = random_state(rng, 20, 30, 10)
-        for rec in state.extensions:
-            ok = ~np.isnan(rec.eta)
-            assert np.all(rec.eta[ok] > 0.0)
-            assert np.all(rec.eta[ok] <= 1.0 + 1e-12)
+        a, state, order = random_state(rng, 20, 30, 10)
+        for p, (eta, _) in enumerate(eta_chi_steps(a, order)):
+            ok = np.ones(a.shape[1], dtype=bool)
+            ok[order[: p + 1]] = False
+            assert np.all(eta[ok] > 0.0)
+            assert np.all(eta[ok] <= 1.0 + 1e-12)
 
     def test_basis_stays_orthonormal_on_long_chain(self):
         d = gaussian(60, 80, 3)
@@ -278,10 +298,7 @@ class TestDowndatedState:
             big = exact > 1e-6
             assert np.all(np.abs(state.norms - exact)[big] <= 1e-9 * exact[big])
             assert np.all(state.norms[~big] <= 1e-6 + 1e-9)
-            assert np.abs(state.projected - want).max() <= 1e-9
-            rec = state.extensions[-1]
-            ok = ~np.isnan(rec.eta)
-            assert np.abs(rec.eta[ok] ** 2 + rec.chi[ok] ** 2 - 1.0).max(initial=0.0) <= 1e-9
+            assert np.abs(linalg.residual(state, a) - want).max() <= 1e-9
 
     def test_extension_allocates_less_than_one_projected_matrix(self):
         m, n = 200, 600
@@ -308,7 +325,7 @@ class TestTwoPairGeometry:
     def test_projected_second_atom(self, t1, t2):
         state = linalg.extend_state(linalg.init_state(example1(t1, t2)), 0)
         want = np.sin(2 * t1) * np.array([np.sin(t1), np.cos(t1), 0.0])
-        assert np.abs(state.projected[:, 1] - want).max() < 1e-12
+        assert np.abs(linalg.residual(state, state.atoms[:, 1]) - want).max() < 1e-12
         assert abs(state.norms[1] - abs(np.sin(2 * t1))) < 1e-12
 
     def test_second_atom_norm_is_one_at_quarter_pi(self):
@@ -322,8 +339,8 @@ class TestTwoPairGeometry:
         s2, c2 = np.sin(t2), np.cos(t2)
         want3 = np.array([s1 * c1 * c2, c1 * c1 * c2, s2])
         want4 = np.array([s1 * c1 * c2, c1 * c1 * c2, -s2])
-        assert np.abs(state.projected[:, 2] - want3).max() < 1e-12
-        assert np.abs(state.projected[:, 3] - want4).max() < 1e-12
+        assert np.abs(linalg.residual(state, state.atoms[:, 2]) - want3).max() < 1e-12
+        assert np.abs(linalg.residual(state, state.atoms[:, 3]) - want4).max() < 1e-12
 
 
 class TestSpark:
