@@ -169,20 +169,24 @@ class NspReport:
         }
 
 
+def _nsp_report(dim, patterns):
+    if dim == 0:
+        return NspReport(verdict=True, supremum=None, witness=None, indeterminate=False)
+    decisions = [f for _, _, f, _ in patterns]
+    _, sup, _, witness = max(patterns, key=lambda pattern: pattern[1])
+    verdict = all(f is False for f in decisions)
+    return NspReport(verdict=verdict, supremum=sup, witness=witness,
+                     indeterminate=not verdict and not any(f is True for f in decisions))
+
+
 def nsp_check(a, qstar):
     """Does every nonzero null vector carry less l1 mass on the support?
     Holds when v(eps) < 1 for every sign pattern eps on it."""
     a = _as_matrix(a)
     support = _support(a, qstar)
     ns = null_space_basis(a)
-    if ns.dim == 0:
-        return NspReport(verdict=True, supremum=None, witness=None, indeterminate=False)
-    patterns = _sign_patterns(a, support, ns.basis)
-    decisions = [f for _, _, f, _ in patterns]
-    _, sup, _, witness = max(patterns, key=lambda pattern: pattern[1])
-    verdict = all(f is False for f in decisions)
-    return NspReport(verdict=verdict, supremum=sup, witness=witness,
-                     indeterminate=not verdict and not any(f is True for f in decisions))
+    # a trivial null space needs no pattern table
+    return _nsp_report(ns.dim, _sign_patterns(a, support, ns.basis) if ns.dim else ())
 
 
 @dataclass(frozen=True)
@@ -216,17 +220,9 @@ class BrcBpReport:
         }
 
 
-def brc_bp_check(a, qstar):
-    """Is l1 recovery wrong for every input carried by the support?
-
-    Asks, for each sign pattern eps on the support, whether v(eps) > 1:
-    some null vector x has ``sum_i eps_i x_i > sum_offsupport |x_j|``.
-    Each solved pattern is listed next to its mirror (negated witness).
-    """
-    a = _as_matrix(a)
-    support = _support(a, qstar)
+def _brc_report(support, solved):
     patterns = []
-    for eps, sup, feas, x in _sign_patterns(a, support, null_space_basis(a).basis):
+    for eps, sup, feas, x in solved:
         patterns.append((eps, sup, feas, x))
         if support:
             patterns.append((tuple(-e for e in eps), sup, feas, -x))
@@ -235,6 +231,26 @@ def brc_bp_check(a, qstar):
     verdict = (False if any(f is False for f in decisions)
                else True if all(f is True for f in decisions) else None)
     return BrcBpReport(verdict=verdict, support=support, patterns=tuple(patterns))
+
+
+def _l1_reports(a, qstar):
+    """``(nsp_check(a, qstar), brc_bp_check(a, qstar))`` from one
+    pattern table: one null space and one LP for both reports."""
+    a = _as_matrix(a)
+    support = _support(a, qstar)
+    ns = null_space_basis(a)
+    patterns = _sign_patterns(a, support, ns.basis)
+    return _nsp_report(ns.dim, patterns), _brc_report(support, patterns)
+
+
+def brc_bp_check(a, qstar):
+    """Is l1 recovery wrong for every input carried by the support?
+
+    Asks, for each sign pattern eps on the support, whether v(eps) > 1:
+    some null vector x has ``sum_i eps_i x_i > sum_offsupport |x_j|``.
+    Each solved pattern is listed next to its mirror (negated witness).
+    """
+    return _l1_reports(a, qstar)[1]
 
 
 def l1_min(a, y):

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .basis_pursuit import brc_bp_check, nsp_check
+from .basis_pursuit import _l1_reports
 from .certificates import brc_omp, erc_oxx_cardinality, erc_oxx_subset
 from .dictionaries import _build
 from .exceptions import GreedycertError
@@ -164,8 +164,7 @@ def _cmd_bp_check(args):
     d = _build(args, args.m, args.n, args.seed)
     qstar = _parse_ints(args.qstar)
     _check(qstar, "--qstar must name at least one atom")
-    nsp = nsp_check(d, qstar)
-    brc = brc_bp_check(d, qstar)
+    nsp, brc = _l1_reports(d, qstar)
     echo = _echo("bp-check", d, qstar=list(qstar))
     return _emit({"config": echo, "nsp": nsp.to_json(), "brc_bp": brc.to_json()},
                  args.output)
@@ -240,7 +239,9 @@ def _experiment_parent():
     g.add_argument("--deltas", help="comma list of support spacings (default: 1)")
     o = p.add_argument_group("execution")
     o.add_argument("--workers", type=int, default=1,
-                   help="worker processes; output is identical for any count (default: 1)")
+                   help="most worker processes to use; a pool starts only when the "
+                        "job is long enough to pay for it, and output is identical "
+                        "for any count (default: 1)")
     o.add_argument("--outdir", default=".",
                    help="directory for default-named outputs (default: .)")
     o.add_argument("--output", action="append",
@@ -266,8 +267,9 @@ def _resolve_experiment_config(kind, args):
 
 
 def _cmd_experiment(kind, args):
+    _check(args.workers >= 1, "--workers must be at least 1")
     config = _resolve_experiment_config(kind, args)
-    result = run_experiment(config, workers=max(1, args.workers))
+    result = run_experiment(config, workers=args.workers)
     if not args.output:
         os.makedirs(args.outdir, exist_ok=True)
     paths = args.output or [os.path.join(args.outdir, default_filename(config, fmt))

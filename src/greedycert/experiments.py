@@ -9,18 +9,28 @@ echoed as a ``#`` comment on the first line) and to JSON (config first).
 Factor values come from the factor kernel alone
 (:func:`linalg.factor_chain`, one QR per trial); the projected route
 that cross-checks it in the certificates' checked mode is not run here.
-Pools start no more worker processes than the CPUs this process may use
-or the number of tasks.
+
+Tasks run in order in this process and are timed.  Once the tasks left,
+at the mean task time so far, would take longer than
+``_POOL_BREAK_EVEN_S`` (measured below), and the prefix has run long
+enough to tell, the rest go to a process pool in contiguous chunks and
+merge after the in-process prefix in task order.  ``workers`` is an
+upper bound: the pool starts no more processes than the request, the
+CPUs this process may use or the tasks left, and each worker runs its
+BLAS with one thread.
 """
 
+import ctypes
 import dataclasses
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
+import scipy
 
 from .certificates import _chain_factors, _wrong_atoms, brc_omp
 from .dictionaries import _build, convolutive
@@ -225,14 +235,61 @@ def _worker_count(requested, tasks):
     return max(1, min(requested, cpus, tasks))
 
 
+# Estimated serial seconds left in a job above which the rest of it goes
+# to a process pool.  On 2 vCPUs (Linux, fork start, one BLAS thread per
+# worker) an empty 2-worker pool starts and shuts down in 16 ms (median
+# of 20), and the same pool running 20 to 200 brc-map or phase-curve
+# trials took about 30 ms more than half their serial time.  So r
+# seconds of work left take about 0.03 + r / 2 pooled, which wins once r
+# passes twice that cost.  More workers only lower the break-even, so
+# the two-worker figure serves every count.  The estimate counts only
+# after a prefix of a quarter of it: right after a fork the parent's
+# first task runs about 6x slower (copy-on-write faults, 1.6 ms against
+# 0.25 ms for a brc-map trial), and that one task times the 179 left
+# made every following short brc-map call start a pool of its own.
+_POOL_BREAK_EVEN_S = 0.06
+
+
+def _one_blas_thread():
+    """Pool initializer: one OpenBLAS thread in this worker process.
+
+    numpy and scipy each bundle an OpenBLAS that starts one thread per
+    core, so every worker would compete for all cores.  A library or
+    symbol that is not there is skipped.
+    """
+    for package, symbol in ((np, "scipy_openblas_set_num_threads64_"),
+                            (scipy, "scipy_openblas_set_num_threads")):
+        libdir = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+        for lib in libdir.glob("*openblas*"):
+            try:
+                setter = getattr(ctypes.CDLL(str(lib)), symbol)
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
 def _map_ordered(fn, tasks, workers):
-    # results merge in task order, so the worker count cannot change them
-    workers = _worker_count(workers, len(tasks))
-    if workers > 1:
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks, chunksize=chunk))
-    return [fn(task) for task in tasks]
+    """``[fn(task) for task in tasks]``, the tail on a process pool when
+    it is long enough to pay for one (see the module docstring).
+
+    Every task is a pure function of its input and results merge in
+    task order, so neither the worker count nor the timing-dependent
+    split can change them.
+    """
+    cap = _worker_count(workers, len(tasks))
+    results, start = [], perf_counter()
+    for done, task in enumerate(tasks, 1):
+        results.append(fn(task))
+        left = len(tasks) - done
+        count = min(cap, left)
+        elapsed = perf_counter() - start
+        if (count > 1 and elapsed >= _POOL_BREAK_EVEN_S / 4
+                and elapsed / done * left > _POOL_BREAK_EVEN_S):
+            with ProcessPoolExecutor(max_workers=count, initializer=_one_blas_thread) as pool:
+                results.extend(pool.map(fn, tasks[done:], chunksize=max(1, left // (count * 4))))
+            break
+    return results
 
 
 def _require(condition, message):

@@ -8,7 +8,10 @@ import warnings
 
 import pytest
 
+from greedycert import basis_pursuit
+from greedycert.basis_pursuit import brc_bp_check, nsp_check
 from greedycert.cli import main
+from greedycert.dictionaries import gaussian
 
 
 def run_json(capsys, argv):
@@ -172,6 +175,26 @@ class TestBpAndSpark:
                      "--qstar", ",".join(map(str, range(30)))]) == 2
         assert "work budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m, n, qstar", [(8, 6, "0,1"), (4, 8, "0,1"), (3, 7, "0,1,2")])
+    def test_bp_check_solves_one_table(self, capsys, monkeypatch, m, n, qstar):
+        # both reports of one call equal the two public checks, while
+        # the sign-pattern table (null space and LP) is built once
+        calls = []
+        real = basis_pursuit._sign_patterns
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(basis_pursuit, "_sign_patterns", counted)
+        code, obj = run_json(capsys, ["bp-check", "--m", str(m), "--n", str(n),
+                                      "--qstar", qstar, "--seed", "3"])
+        assert code == 0 and len(calls) == 1
+        d = gaussian(m, n, 3)
+        support = tuple(int(i) for i in qstar.split(","))
+        assert obj["nsp"] == json.loads(json.dumps(nsp_check(d, support).to_json()))
+        assert obj["brc_bp"] == json.loads(json.dumps(brc_bp_check(d, support).to_json()))
+
     def test_spark_two_pairs(self, capsys):
         code, obj = run_json(capsys, ["spark", "--dict", "example1",
                                       "--theta1", "0.5", "--theta2", "0.7"])
@@ -247,6 +270,14 @@ class TestExperiments:
         assert main(base + ["--workers", "1", "--output", str(one)]) == 0
         assert main(base + ["--workers", "3", "--output", str(many)]) == 0
         assert one.read_bytes() == many.read_bytes()
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, count):
+        out = tmp_path / "w.csv"
+        assert main(["phase-curve", "--m", "20", "--n", "40", "--k", "4", "--trials", "2",
+                     "--workers", count, "--output", str(out)]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_dims_rejected(self, capsys):
         assert main(["phase-curve", "--k", "4", "--trials", "2"]) == 2

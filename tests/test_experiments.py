@@ -1,9 +1,13 @@
 """Monte Carlo harness vs the certificate API and format contracts."""
 
+import ctypes
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from greedycert import experiments as ex
 from greedycert.certificates import brc_omp, erc_oxx_subset
@@ -294,3 +298,117 @@ class TestDeterminism:
         cfg = ex.ExperimentConfig(kind="brc-map", m_grid=(8, 12), n_grid=(30,),
                                   k=2, trials=10, base_seed=2)
         assert ex.run_experiment(cfg, workers=1).rows == ex.run_experiment(cfg, workers=4).rows
+
+
+def _pid_task(task):
+    return task, os.getpid()
+
+
+def _failing_task(task):
+    if task == 3:
+        raise KeyError(task)
+    return task
+
+
+def _blas_threads_task(task):
+    """OpenBLAS thread count of each bundled copy whose getter exists."""
+    counts = {}
+    for package, symbol in ((np, "scipy_openblas_get_num_threads64_"),
+                            (scipy, "scipy_openblas_get_num_threads")):
+        libdir = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+        for lib in sorted(libdir.glob("*openblas*")):
+            getter = getattr(ctypes.CDLL(str(lib)), symbol, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts[symbol] = getter()
+    return os.getpid(), counts
+
+
+class TestAdaptivePool:
+    """The pool path, forced by a zero break-even, or forbidden for jobs
+    far below the real one."""
+
+    @pytest.fixture
+    def forced(self, monkeypatch):
+        # four usable CPUs and no break-even: the tail of any job with two
+        # or more tasks left goes to the pool after the first task
+        monkeypatch.setattr(ex.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        monkeypatch.setattr(ex, "_POOL_BREAK_EVEN_S", 0.0)
+        started = []
+        real = ex.ProcessPoolExecutor
+
+        def counted(*args, **kwargs):
+            started.append(kwargs["max_workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "ProcessPoolExecutor", counted)
+        return started
+
+    def test_tail_runs_in_pool_after_first_task(self, forced):
+        out = ex._map_ordered(_pid_task, list(range(10)), workers=2)
+        assert [t for t, _ in out] == list(range(10))
+        assert out[0][1] == os.getpid()
+        assert all(pid != os.getpid() for _, pid in out[1:])
+        assert forced == [2]
+
+    @pytest.mark.parametrize("cfg", [
+        ex.ExperimentConfig(kind="phase-curve", m=25, n=60, k=5, trials=9, base_seed=4),
+        ex.ExperimentConfig(kind="brc-map", m_grid=(4, 12), n_grid=(12, 40), k=2,
+                            trials=3, base_seed=6),
+        ex.ExperimentConfig(kind="phase-diagram", m=20, n_grid=(30, 40), k_grid=(2, 4),
+                            trials=2, base_seed=8),
+    ], ids=lambda cfg: cfg.kind)
+    def test_forced_pool_bytes_match_one_worker(self, forced, cfg):
+        pooled = ex.run_experiment(cfg, workers=3)
+        assert forced == [3]
+        single = ex.run_experiment(cfg, workers=1)
+        assert forced == [3]
+        assert pooled.to_csv() == single.to_csv()
+        assert pooled.to_json() == single.to_json()
+
+    @pytest.fixture
+    def forbidden(self, monkeypatch):
+        # four usable CPUs, the real break-even, and no pool allowed
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(ex.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        monkeypatch.setattr(ex, "ProcessPoolExecutor", refuse)
+
+    def test_short_job_starts_no_pool(self, forbidden):
+        cfg = ex.ExperimentConfig(kind="brc-map", m_grid=(8,), n_grid=(20,), k=2,
+                                  trials=4, base_seed=1)
+        assert len(ex.run_experiment(cfg, workers=4).rows) == 1
+
+    def test_slow_first_task_starts_no_pool(self, forbidden, monkeypatch):
+        # right after a fork the parent's first task runs about 6x slower
+        # (copy-on-write faults); alone it must not make a short job (60
+        # tasks, 16 ms in all on this clock) look long
+        clock = [0.0]
+        monkeypatch.setattr(ex, "perf_counter", lambda: clock[0])
+
+        def task(i):
+            clock[0] += 1.6e-3 if i == 0 else 0.25e-3
+            return i
+
+        assert ex._map_ordered(task, list(range(60)), workers=4) == list(range(60))
+
+    def test_task_error_type_kept_in_pool(self, forced):
+        with pytest.raises(KeyError):
+            ex._map_ordered(_failing_task, list(range(8)), workers=2)
+        assert forced == [2]
+
+    def test_task_error_type_kept_in_process(self, forbidden):
+        with pytest.raises(KeyError):
+            ex._map_ordered(_failing_task, list(range(8)), workers=4)
+
+    def test_workers_run_one_blas_thread(self, forced):
+        parent = _blas_threads_task(None)[1]
+        out = ex._map_ordered(_blas_threads_task, list(range(6)), workers=2)
+        assert forced == [2]
+        for pid, counts in out[1:]:
+            assert pid != os.getpid()
+            assert counts.keys() == parent.keys()
+            assert all(v == 1 for v in counts.values())
