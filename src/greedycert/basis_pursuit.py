@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .exceptions import FormMismatchError, GreedycertError, InfeasibleError, TooLargeError
-from .linalg import _as_matrix
+from .linalg import _as_matrix, _scans_once
 from .tolerances import TAU_FORM, TAU_NUM, TAU_RANK, TAU_STRICT, TAU_ZERO
 
 __all__ = [
@@ -179,6 +179,7 @@ def _nsp_report(dim, patterns):
                      indeterminate=not verdict and not any(f is True for f in decisions))
 
 
+@_scans_once
 def nsp_check(a, qstar):
     """Does every nonzero null vector carry less l1 mass on the support?
     Holds when v(eps) < 1 for every sign pattern eps on it."""
@@ -233,6 +234,7 @@ def _brc_report(support, solved):
     return BrcBpReport(verdict=verdict, support=support, patterns=tuple(patterns))
 
 
+@_scans_once
 def _l1_reports(a, qstar):
     """``(nsp_check(a, qstar), brc_bp_check(a, qstar))`` from one
     pattern table: one null space and one LP for both reports."""
@@ -298,6 +300,7 @@ def l1_min(a, y):
     return solutions
 
 
+@_scans_once
 def l1_recovers(a, xstar):
     """True when ``xstar`` is the unique l1 minimizer of its own
     measurements."""

@@ -16,9 +16,11 @@ projected norm and the triangular factor.  The one-step recursion of
 :func:`greedy.build_failure_input` read the same call.  Both factors
 also admit an equivalent "projected" evaluation through the
 pseudo-inverse of the projected (OMP) or normalized-projected (OLS)
-remaining true atoms, built on a :class:`linalg.ProjectionState` and a
-QR of those projected atoms; it shares no factorization with the kernel
-and serves as its cross-check.  The default (checked) mode of the
+remaining true atoms.  It is built on a :class:`linalg.ProjectionState`
+for Q, one small QR of those k projected atoms and one k x n product
+with the dictionary (the wrong atoms need no projection), and forms no
+projected m x n matrix.  It shares no factorization with the kernel and
+serves as its cross-check.  The default (checked) mode of the
 certificates evaluates both routes and raises
 :class:`FormMismatchError` if they disagree beyond ``TAU_FORM``; fast
 mode evaluates only the kernel.
@@ -35,10 +37,13 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .exceptions import FormMismatchError, RankDeficientError, TooLargeError
 from .linalg import (
     _as_matrix,
+    _qr,
+    _scans_once,
     _tail_sums,
     factor_chain,
     least_squares,
@@ -161,23 +166,34 @@ def _chain_factors(chain, depths, algorithms):
 def _projected_factors(a, qstar, q, js, algorithm):
     """Factors through the projected system at ``q``: the cross-check
     route, built on a :class:`ProjectionState` and a QR of the projected
-    remaining true atoms, never of ``A_Qstar``."""
+    remaining true atoms, never of ``A_Qstar``.
+
+    With ``Qp R`` the QR of the projected (OMP) or normalized-projected
+    (OLS) remaining true atoms, ``Qp`` lies in the complement of
+    ``span(A_q)``, so ``Qp.T P a_j = Qp.T a_j``: the wrong atoms enter
+    unprojected, through one k x n product ``Qp.T A``.  ``Qp`` is
+    projected off the span once more, so that the rounding of the QR
+    does not carry the selected part of ``a_j`` into the coefficients.
+    For OLS the l1 sum is divided by ``|P a_j|``, which normalizes the
+    wrong atom.  The cost is one state, one m x k QR and the k x n
+    product; no projected m x n matrix is formed.
+    """
     state = state_for(a, q)
     remaining = [i for i in qstar if i not in q]
-    pt = residual(state, a[:, remaining])
-    pj = residual(state, a[:, js])
-    jn = state.norms[js]
-    alive = jn > TAU_ZERO
-
-    if algorithm == "omp":
-        lhs, rhs = pt, pj
-    else:
+    lhs = residual(state, a[:, remaining])
+    if algorithm == "ols":
         tn = state.norms[remaining]
         if np.any(tn <= TAU_ZERO):
             raise RankDeficientError("a support atom lies in the selected span")
-        lhs = pt / tn
-        rhs = np.where(alive, pj / np.where(alive, jn, 1.0), 0.0)
-    proj = np.abs(least_squares(lhs, rhs)).sum(axis=0)
+        lhs = lhs / tn
+    qp, r = _qr(lhs)
+    qp = residual(state, qp)
+    coef = solve_triangular(r, (qp.T @ a)[:, js], check_finite=False)
+    proj = np.abs(coef).sum(axis=0)
+    jn = state.norms[js]
+    alive = jn > TAU_ZERO
+    if algorithm == "ols":
+        proj /= np.where(alive, jn, 1.0)
     proj[~alive] = 0.0
     return proj
 
@@ -204,6 +220,7 @@ def _factors(a, qstar, q, js, algorithm, fast):
     return vals
 
 
+@_scans_once
 def f_omp(a, qstar, q, j, fast=False):
     """OMP interference factor of atom ``j`` for partial selection ``q``."""
     a = _as_matrix(a)
@@ -211,6 +228,7 @@ def f_omp(a, qstar, q, j, fast=False):
     return float(_factors(a, qstar, q, [int(j)], "omp", fast)[0])
 
 
+@_scans_once
 def f_ols(a, qstar, q, j, fast=False):
     """OLS interference factor of atom ``j`` for partial selection ``q``."""
     a = _as_matrix(a)
@@ -218,6 +236,7 @@ def f_ols(a, qstar, q, j, fast=False):
     return float(_factors(a, qstar, q, [int(j)], "ols", fast)[0])
 
 
+@_scans_once
 def erc_oxx_subset(a, qstar, q, algorithm, fast=False):
     """Exactness certificate at one explicit partial selection."""
     a = _as_matrix(a)
@@ -236,6 +255,7 @@ def erc_oxx_subset(a, qstar, q, algorithm, fast=False):
     )
 
 
+@_scans_once
 def erc_oxx_cardinality(a, qstar, card, algorithm, fast=True):
     """Exactness certificate over every partial selection of one size.
 
@@ -276,6 +296,7 @@ def erc_oxx_cardinality(a, qstar, card, algorithm, fast=True):
     )
 
 
+@_scans_once
 def brc_omp(a, qstar, fast=False):
     """OMP badness certificate for a full support.
 
@@ -343,6 +364,7 @@ def f_ols_recursive(beta, eta_j, chi_j, etas, chis):
     return abs(float(chi_j) - float(eta_j) * cross) + float(eta_j) * mass
 
 
+@_scans_once
 def recursion_chain(a, qstar, j, order, algorithm):
     """Factors of atom ``j`` along a nested selection chain.
 
@@ -355,7 +377,10 @@ def recursion_chain(a, qstar, j, order, algorithm):
     factor at depth p follows from depth p+1 and the norm-reduction and
     alignment pairs of that step (:func:`f_ols_recursive`).  Recursion
     and direct values must agree within 1e-8
-    (:class:`FormMismatchError` otherwise).
+    (:class:`FormMismatchError` otherwise).  Both come from the same QR,
+    so this check guards the recursion algebra only, not the kernel; the
+    independent comparison with the projected route is the test suite's
+    ``TestRecursion``.
     """
     a = _as_matrix(a)
     qstar, order = _check_support(a.shape[1], qstar, order, j)

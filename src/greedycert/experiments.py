@@ -34,7 +34,7 @@ import scipy
 
 from .certificates import _chain_factors, _wrong_atoms, brc_omp
 from .dictionaries import _build, convolutive
-from .linalg import _as_matrix, factor_chain
+from .linalg import _as_matrix, _scans_once, factor_chain
 
 __all__ = [
     "ExperimentConfig",
@@ -201,6 +201,7 @@ def _support(placement, n, k, delta, rng):
     raise ValueError(f"unknown placement policy: {placement!r}")
 
 
+@_scans_once
 def _factor_curves(atoms, qstar, order, q_values, algorithms):
     """Aggregate certificate values along a growth order, one pass.
 

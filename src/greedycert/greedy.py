@@ -31,7 +31,14 @@ from scipy.linalg import solve_triangular
 
 from .certificates import _chain_factors, _check_support, _wrong_atoms
 from .exceptions import ConstructionFailedError, DegenerateAtomError, ZeroResidualError
-from .linalg import _as_matrix, extend_state, factor_chain, init_state, residual
+from .linalg import (
+    _as_matrix,
+    _scans_once,
+    extend_state,
+    factor_chain,
+    init_state,
+    residual,
+)
 from .tolerances import TAU_SUCCESS_REL, TAU_TIE, TAU_ZERO
 
 __all__ = [
@@ -166,6 +173,7 @@ class GreedyTrace:
         }
 
 
+@_scans_once
 def run_greedy(algorithm, atoms, y, max_iters, oracle=None):
     """Run OMP or OLS for up to ``max_iters`` selections.
 
@@ -235,6 +243,7 @@ def _reaches_prefix(algorithm, a, y, prefix):
     )
 
 
+@_scans_once
 def construct_reaching_input(atoms, order, algorithm="ols"):
     """A vector making the algorithm select ``order``, in order.
 
@@ -270,6 +279,7 @@ def construct_reaching_input(atoms, order, algorithm="ols"):
     return y
 
 
+@_scans_once
 def build_failure_input(atoms, qstar, q, algorithm, reaching=None):
     """A vector on support ``qstar`` that reaches ``q`` and then fails.
 

@@ -3,6 +3,9 @@
 Conventions used throughout the package:
 
 * matrices are 2-D ``numpy.float64`` arrays (C order), columns are atoms;
+* a public call scans its matrix for non-finite entries once: the
+  package calls nested in an entry point marked :func:`_scans_once`
+  skip the scan of that same array;
 * an "active set" Q is an ordered tuple of distinct column indices;
 * the projected atom of ``a_i`` w.r.t. Q is ``P a_i`` where ``P`` projects
   onto the orthogonal complement of ``span(A_Q)``; active atoms have
@@ -28,7 +31,9 @@ for.  The states drive the greedy runs and are the independent
 cross-check of the factor kernel in the certificates' checked mode.
 """
 
+from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import wraps
 from itertools import combinations
 from math import comb
 
@@ -60,15 +65,48 @@ __all__ = [
 RECOMPUTE_FRACTION = 1e-2
 
 
+# The matrix scanned for finite entries by the outermost running
+# :func:`_scans_once` call, in a one-slot list; None outside such calls.
+_scanned = ContextVar("scanned", default=None)
+
+
 def _as_matrix(a):
-    """Accept a plain array or anything with a ``matrix`` attribute."""
+    """Accept a plain array or anything with a ``matrix`` attribute.
+
+    Entries are scanned for finite values, except on the array already
+    scanned within the running :func:`_scans_once` call.
+    """
     a = getattr(a, "matrix", a)
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("expected a 2-D array of column atoms")
+    scanned = _scanned.get()
+    if scanned and a is scanned[0]:
+        return a
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
+    if scanned is not None and not scanned:
+        scanned.append(a)
     return a
+
+
+def _scans_once(func):
+    """Mark an entry point that hands its matrix on to other package
+    functions: within its call the first matrix :func:`_as_matrix`
+    accepts is scanned for finite entries once, and the calls nested in
+    it skip the scan of that same array."""
+
+    @wraps(func)
+    def entry(*args, **kwargs):
+        if _scanned.get() is not None:
+            return func(*args, **kwargs)
+        token = _scanned.set([])
+        try:
+            return func(*args, **kwargs)
+        finally:
+            _scanned.reset(token)
+
+    return entry
 
 
 def _qr(a):

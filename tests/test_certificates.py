@@ -8,6 +8,8 @@ The two-pair dictionary gives hand-computable references: with support
     OLS factor at {0}:  cos(t1) cos(t2) / sqrt(cos^2 t1 cos^2 t2 + sin^2 t2)
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,8 +17,11 @@ from hypothesis import strategies as st
 
 from greedycert import certificates as cert
 from greedycert.dictionaries import convolutive, example1, gaussian, hybrid
-from greedycert.exceptions import TooLargeError
+from greedycert.exceptions import FormMismatchError, TooLargeError
 from greedycert.linalg import residual, state_for
+from greedycert.tolerances import TAU_ZERO
+
+EPS = np.finfo(np.float64).eps
 
 
 def oracle_f_omp(a, qstar, q, j):
@@ -157,6 +162,118 @@ class TestKernelAgainstProjectedRoute:
         assert gap.max() <= 1e-9
         decided = np.abs(projected - 1.0) > 1e-6
         assert np.array_equal((kernel < 1.0)[decided], (projected < 1.0)[decided])
+
+
+def explicit_projection(a, qstar, q, js, algorithm):
+    """The projected route with the wrong atoms projected as well: least
+    squares of ``P a_j`` (over ``|P a_j|`` for OLS) on the projected
+    (normalized for OLS) remaining true atoms.  Also returns the
+    projected wrong-atom norms and the smallest singular value of the
+    system."""
+    state = state_for(a, q)
+    remaining = [i for i in qstar if i not in q]
+    lhs = residual(state, a[:, remaining])
+    rhs = residual(state, a[:, js])
+    jn = state.norms[js]
+    alive = jn > TAU_ZERO
+    if algorithm == "ols":
+        lhs = lhs / state.norms[remaining]
+        rhs = rhs / np.where(alive, jn, 1.0)
+    vals = np.abs(cert.least_squares(lhs, rhs)).sum(axis=0)
+    return np.where(alive, vals, 0.0), jn, np.linalg.svd(lhs, compute_uv=False)[-1]
+
+
+@st.composite
+def near_span_cases(draw):
+    """A kernel case; when ``q`` is not empty, three more wrong atoms are
+    tilted out of ``span(A_q)`` to projected norms of 0.5, 1.5 and 4
+    times ``TAU_ZERO``."""
+    a, qstar, q, js = draw(kernel_cases())
+    if not q:
+        return a, qstar, q, js
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    state = state_for(a, q)
+    tilted = []
+    for scale in (0.5, 1.5, 4.0):
+        inside = a[:, list(q)] @ rng.standard_normal(len(q))
+        outside = residual(state, rng.standard_normal(a.shape[0]))
+        y = (inside / np.linalg.norm(inside)
+             + scale * TAU_ZERO * outside / np.linalg.norm(outside))
+        tilted.append(y / np.linalg.norm(y))
+    n = a.shape[1]
+    return np.column_stack([a, *tilted]), qstar, q, js + [n, n + 1, n + 2]
+
+
+class TestProjectedRouteIdentity:
+    """The route reads the wrong atoms unprojected, through ``Qp.T A``;
+    projecting them first must give the same factors."""
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    @given(near_span_cases(), st.sampled_from(["omp", "ols"]))
+    def test_matches_explicit_projection(self, case, algorithm):
+        a, qstar, q, js = case
+        got = cert._projected_factors(a, qstar, q, js, algorithm)
+        want, jn, smin = explicit_projection(a, qstar, q, js, algorithm)
+        tol = 1e-9 * np.maximum(1.0, np.abs(want))
+        if algorithm == "ols":
+            # an OLS factor is divided by |P a_j|, so the rounding of
+            # order eps that either route leaves in the projected wrong
+            # atom grows as 1 / |P a_j| near the selected span
+            alive = jn > TAU_ZERO
+            tol += np.where(alive, 16 * EPS / (smin * np.where(alive, jn, 1.0)), 0.0)
+        assert np.all(np.abs(got - want) <= tol)
+        assert np.all(got[jn <= TAU_ZERO] == 0.0)
+
+
+class TestCheckedModeCatchesFaultyKernel:
+    """A kernel off by 1e-6, ten times ``TAU_FORM``, must not pass the
+    cross-check of checked mode."""
+
+    d = hybrid(30, 60, 10.0, 41)
+    qstar = (2, 9, 17, 33)
+
+    @pytest.mark.parametrize("algorithm", ["omp", "ols"])
+    @pytest.mark.parametrize("q", [(), (9, 33)])
+    def test_perturbed_coefficient_table(self, monkeypatch, algorithm, q):
+        kernel = cert.factor_chain
+
+        def faulty(*args):
+            coef, probe_norms, support_norms, r = kernel(*args)
+            return coef + 1e-6, probe_norms, support_norms, r
+
+        monkeypatch.setattr(cert, "factor_chain", faulty)
+        with pytest.raises(FormMismatchError):
+            cert.erc_oxx_subset(self.d, self.qstar, q, algorithm)
+        # fast mode reads the kernel alone
+        cert.erc_oxx_subset(self.d, self.qstar, q, algorithm, fast=True)
+
+    def test_perturbed_least_squares_in_brc_omp(self, monkeypatch):
+        solve = cert.least_squares
+        monkeypatch.setattr(cert, "least_squares", lambda a, b: solve(a, b) + 1e-6)
+        with pytest.raises(FormMismatchError):
+            cert.brc_omp(self.d, self.qstar)
+        cert.brc_omp(self.d, self.qstar, fast=True)
+
+
+class TestCheckedModeMemory:
+    """Checked mode forms no projected m x n matrix: its peak allocation
+    stays within two copies of the dictionary."""
+
+    @pytest.mark.parametrize("call", ["erc_oxx_subset", "brc_omp"])
+    def test_peak_below_two_matrices(self, call):
+        m, n = 200, 600
+        d = hybrid(m, n, 10.0, 7)
+        qstar = (5, 80, 310, 555)
+        tracemalloc.start()
+        try:
+            if call == "erc_oxx_subset":
+                cert.erc_oxx_subset(d, qstar, (80, 555), "ols")
+            else:
+                cert.brc_omp(d, qstar)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * m * n * 8
 
 
 class TestRestrictionIdentities:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import orth
 
-from greedycert import linalg
+from greedycert import certificates, greedy, linalg
 from greedycert.dictionaries import example1, from_matrix, gaussian, hybrid
 from greedycert.exceptions import (
     DegenerateAtomError,
@@ -165,6 +165,29 @@ class TestFiniteInput:
             linalg._as_matrix(a)
         with pytest.raises(ValueError, match="finite"):
             linalg.least_squares(a, np.ones(3))
+
+    def test_entry_point_scans_its_matrix_once(self, monkeypatch):
+        a = np.array(gaussian(20, 40, 3).matrix)
+        scans = []
+        isfinite = np.isfinite
+
+        def recording(x, *args, **kwargs):
+            scans.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", recording)
+        # the kernel and the projected route both take the matrix
+        certificates.erc_oxx_subset(a, (1, 5, 9), (5,), "ols")
+        # and so does each greedy rerun that verifies the failure input
+        greedy.build_failure_input(a, (1, 5, 9), (), "omp")
+        assert scans.count(a.shape) == 2
+
+    def test_scan_repeats_on_the_next_call(self):
+        a = np.array(gaussian(20, 40, 3).matrix)
+        certificates.erc_oxx_subset(a, (1, 5, 9), (5,), "ols")
+        a[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            certificates.erc_oxx_subset(a, (1, 5, 9), (5,), "ols")
 
 
 class TestProjectionState:
