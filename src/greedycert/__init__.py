@@ -4,7 +4,6 @@ from . import basis_pursuit, certificates, dictionaries, experiments, greedy, li
 from .basis_pursuit import brc_bp_check, l1_min, l1_recovers, nsp_check
 from .certificates import (
     brc_omp,
-    erc_factor,
     erc_oxx_cardinality,
     erc_oxx_subset,
     f_ols,
@@ -35,7 +34,6 @@ __all__ = [
     "run_greedy",
     "construct_reaching_input",
     "build_failure_input",
-    "erc_factor",
     "f_omp",
     "f_ols",
     "erc_oxx_subset",

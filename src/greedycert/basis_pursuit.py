@@ -25,6 +25,7 @@ from itertools import combinations, product
 import numpy as np
 from scipy.linalg import null_space
 
+from .certificates import _check_support
 from .exceptions import FormMismatchError, GreedycertError, InfeasibleError, TooLargeError
 from .linalg import _as_matrix, _scans_once
 from .tolerances import TAU_FORM, TAU_NUM, TAU_RANK, TAU_STRICT, TAU_ZERO
@@ -55,13 +56,6 @@ class NullSpaceBasis:
 def null_space_basis(a):
     v = null_space(_as_matrix(a))
     return NullSpaceBasis(basis=v, dim=v.shape[1])
-
-
-def _support(a, qstar):
-    support = tuple(dict.fromkeys(int(i) for i in qstar))
-    if any(not 0 <= i < a.shape[1] for i in support):
-        raise ValueError(f"support {support} outside 0..{a.shape[1] - 1}")
-    return support
 
 
 def _finite_or_none(value):
@@ -184,7 +178,7 @@ def nsp_check(a, qstar):
     """Does every nonzero null vector carry less l1 mass on the support?
     Holds when v(eps) < 1 for every sign pattern eps on it."""
     a = _as_matrix(a)
-    support = _support(a, qstar)
+    support, _ = _check_support(a.shape[1], qstar)
     ns = null_space_basis(a)
     # a trivial null space needs no pattern table
     return _nsp_report(ns.dim, _sign_patterns(a, support, ns.basis) if ns.dim else ())
@@ -239,7 +233,7 @@ def _l1_reports(a, qstar):
     """``(nsp_check(a, qstar), brc_bp_check(a, qstar))`` from one
     pattern table: one null space and one LP for both reports."""
     a = _as_matrix(a)
-    support = _support(a, qstar)
+    support, _ = _check_support(a.shape[1], qstar)
     ns = null_space_basis(a)
     patterns = _sign_patterns(a, support, ns.basis)
     return _nsp_report(ns.dim, patterns), _brc_report(support, patterns)

@@ -20,10 +20,11 @@ remaining true atoms.  It is built on a :class:`linalg.ProjectionState`
 for Q, one small QR of those k projected atoms and one k x n product
 with the dictionary (the wrong atoms need no projection), and forms no
 projected m x n matrix.  It shares no factorization with the kernel and
-serves as its cross-check.  The default (checked) mode of the
-certificates evaluates both routes and raises
-:class:`FormMismatchError` if they disagree beyond ``TAU_FORM``; fast
-mode evaluates only the kernel.
+serves as its cross-check (:func:`_cross_check`): :func:`f_omp`,
+:func:`f_ols`, :func:`erc_oxx_subset` and, unless ``fast``,
+:func:`brc_omp` raise :class:`FormMismatchError` when the routes
+disagree.  :func:`erc_oxx_cardinality` reads the kernel alone: the route
+would multiply an enumeration of up to 1e6 subsets.
 
 Exactness certificates say that every wrong factor stays below 1
 (selection-wise exact recovery for every reachable Q of the stated
@@ -50,18 +51,15 @@ from .linalg import (
     residual,
     state_for,
 )
-from .tolerances import TAU_FORM, TAU_ZERO
+from .tolerances import EPS, FORM_ROUNDING, TAU_FORM, TAU_ZERO
 
 __all__ = [
     "CertificateReport",
-    "erc_factor",
     "f_omp",
     "f_ols",
     "erc_oxx_subset",
     "erc_oxx_cardinality",
     "brc_omp",
-    "f_omp_update",
-    "f_ols_recursive",
     "recursion_chain",
 ]
 
@@ -72,7 +70,7 @@ def _check_support(n, qstar, q=(), j=None):
     if len(set(qstar)) != len(qstar):
         raise ValueError("duplicate indices in the support")
     if not all(0 <= i < n for i in qstar):
-        raise ValueError("support index out of range")
+        raise ValueError(f"support {qstar} outside 0..{n - 1}")
     if not set(q) <= set(qstar):
         raise ValueError("partial selection must lie inside the support")
     if qstar and len(q) >= len(qstar):
@@ -122,18 +120,6 @@ class CertificateReport:
                 for k, v in self.details.items()
             }
         return out
-
-
-def erc_factor(a, qstar, j):
-    """l1 norm of the support coefficients of a wrong atom.
-
-    Below 1 for every wrong atom, k-step exact recovery of any input on
-    the support is guaranteed (either algorithm, any coefficients).
-    """
-    a = _as_matrix(a)
-    qstar, _ = _check_support(a.shape[1], qstar, (), j)
-    c = least_squares(a[:, qstar], a[:, int(j)])
-    return float(np.abs(c).sum())
 
 
 def _chain_factors(chain, depths, algorithms):
@@ -198,56 +184,70 @@ def _projected_factors(a, qstar, q, js, algorithm):
     return proj
 
 
-def _factors(a, qstar, q, js, algorithm, fast):
+def _cross_check(a, qstar, q, js, algorithm, vals, probe_norms):
+    """Raise :class:`FormMismatchError` unless the projected route gives
+    the kernel values ``vals`` of the atoms ``js`` at ``q``, within
+    ``TAU_FORM`` each.  An OLS factor is divided by ``|P_q a_j|``
+    (``probe_norms``), so its bound adds the rounding both routes carry
+    near the selected span, ``FORM_ROUNDING * eps / |P_q a_j|``.
+    """
+    bound = TAU_FORM
+    if algorithm == "ols":
+        bound = bound + FORM_ROUNDING * EPS / np.maximum(probe_norms, TAU_ZERO)
+    excess = np.abs(vals - _projected_factors(a, qstar, q, js, algorithm)) - bound
+    if len(js) and excess.max() > 0:
+        raise FormMismatchError(
+            f"factor routes at q={tuple(q)} disagree by {excess.max():.3e} beyond their bound"
+        )
+
+
+def _factors(a, qstar, q, js, algorithm, checked):
     """Factors of the atoms ``js`` given partial selection ``q``.
 
     Returns the kernel values, read at depth ``|q|`` of the growth order
-    ``q + (qstar \\ q)``; in checked mode the projected route is
-    evaluated as well and compared within ``TAU_FORM``.
+    ``q + (qstar \\ q)``; when ``checked``, the projected route must
+    reproduce them (:func:`_cross_check`).
     """
     if algorithm not in ("omp", "ols"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     order = list(q) + [i for i in qstar if i not in q]
     chain = factor_chain(a, order, js)
     vals = _chain_factors(chain, [len(q)], (algorithm,))[algorithm][0]
-    if not fast:
-        proj = _projected_factors(a, qstar, q, js, algorithm)
-        gap = np.abs(vals - proj).max() if len(js) else 0.0
-        if gap > TAU_FORM:
-            raise FormMismatchError(
-                f"factor routes disagree by {gap:.3e} (> {TAU_FORM})"
-            )
+    if checked:
+        _cross_check(a, qstar, q, js, algorithm, vals, chain[1][len(q)])
     return vals
 
 
 @_scans_once
-def f_omp(a, qstar, q, j, fast=False):
-    """OMP interference factor of atom ``j`` for partial selection ``q``."""
+def f_omp(a, qstar, q, j):
+    """OMP interference factor of atom ``j`` for partial selection ``q``;
+    at ``q = ()`` it is Tropp's ERC factor (l1 norm of the support
+    coefficients of ``a_j``)."""
     a = _as_matrix(a)
     qstar, q = _check_support(a.shape[1], qstar, q, j)
-    return float(_factors(a, qstar, q, [int(j)], "omp", fast)[0])
+    return float(_factors(a, qstar, q, [int(j)], "omp", True)[0])
 
 
 @_scans_once
-def f_ols(a, qstar, q, j, fast=False):
+def f_ols(a, qstar, q, j):
     """OLS interference factor of atom ``j`` for partial selection ``q``."""
     a = _as_matrix(a)
     qstar, q = _check_support(a.shape[1], qstar, q, j)
-    return float(_factors(a, qstar, q, [int(j)], "ols", fast)[0])
+    return float(_factors(a, qstar, q, [int(j)], "ols", True)[0])
 
 
 @_scans_once
-def erc_oxx_subset(a, qstar, q, algorithm, fast=False):
+def erc_oxx_subset(a, qstar, q, algorithm):
     """Exactness certificate at one explicit partial selection."""
     a = _as_matrix(a)
     qstar, q = _check_support(a.shape[1], qstar, q)
     js = _wrong_atoms(a.shape[1], qstar)
-    vals = _factors(a, qstar, q, js, algorithm, fast)
+    vals = _factors(a, qstar, q, js, algorithm, True)
     aggregate = float(vals.max()) if js else 0.0
     return CertificateReport(
         kind="erc-oxx-subset",
         algorithm=algorithm,
-        per_atom=tuple(zip(js, (float(v) for v in vals))),
+        per_atom=tuple(zip(js, vals.tolist())),
         aggregate=aggregate,
         verdict=aggregate < 1.0,
         margin=abs(aggregate - 1.0),
@@ -256,12 +256,13 @@ def erc_oxx_subset(a, qstar, q, algorithm, fast=False):
 
 
 @_scans_once
-def erc_oxx_cardinality(a, qstar, card, algorithm, fast=True):
+def erc_oxx_cardinality(a, qstar, card, algorithm):
     """Exactness certificate over every partial selection of one size.
 
     True means: whatever ``card`` true atoms were selected first, the
     next selection is again a true atom.  ``card = 0`` coincides with
-    the plain l1 certificate.  Subset enumeration is budgeted at 10**6.
+    the plain l1 certificate.  Subset enumeration is budgeted at 10**6;
+    the values come from the kernel alone, without the cross-check.
     """
     a = _as_matrix(a)
     qstar, _ = _check_support(a.shape[1], qstar)
@@ -277,7 +278,7 @@ def erc_oxx_cardinality(a, qstar, card, algorithm, fast=True):
     worst_subset = ()
     aggregate = -np.inf
     for q in combinations(qstar, card):
-        vals = _factors(a, qstar, q, js, algorithm, fast)
+        vals = _factors(a, qstar, q, js, algorithm, False)
         np.maximum(worst, vals, out=worst)
         top = float(vals.max()) if js else 0.0
         if top > aggregate:
@@ -288,7 +289,7 @@ def erc_oxx_cardinality(a, qstar, card, algorithm, fast=True):
     return CertificateReport(
         kind="erc-oxx-cardinality",
         algorithm=algorithm,
-        per_atom=tuple(zip(js, (float(v) for v in worst))),
+        per_atom=tuple(zip(js, worst.tolist())),
         aggregate=float(aggregate),
         verdict=float(aggregate) < 1.0,
         margin=abs(float(aggregate) - 1.0),
@@ -303,8 +304,8 @@ def brc_omp(a, qstar, fast=False):
     Aggregate is the minimum over all leave-one-out selections of the
     worst wrong factor; at least 1 means OMP cannot select all support
     atoms in k steps for any input carried by the support, whatever the
-    coefficients.  In checked mode every leave-one-out factor row is
-    cross-validated against the projected route.
+    coefficients.  Unless ``fast``, every leave-one-out factor row is
+    cross-checked against the projected route.
     """
     a = _as_matrix(a)
     qstar, _ = _check_support(a.shape[1], qstar)
@@ -319,19 +320,14 @@ def brc_omp(a, qstar, fast=False):
     if not fast:
         for pos, i in enumerate(qstar):
             q = tuple(x for x in qstar if x != i)
-            proj = _projected_factors(a, qstar, q, js, "omp")
-            gap = np.abs(proj - np.abs(c[pos])).max()
-            if gap > TAU_FORM:
-                raise FormMismatchError(
-                    f"leave-one-out routes disagree by {gap:.3e} (> {TAU_FORM})"
-                )
+            _cross_check(a, qstar, q, js, "omp", np.abs(c[pos]), None)
 
     pos = int(np.argmin(rowmax))
     aggregate = float(rowmax[pos])
     return CertificateReport(
         kind="brc-omp",
         algorithm="omp",
-        per_atom=tuple(zip(qstar, (float(v) for v in rowmax))),
+        per_atom=tuple(zip(qstar, rowmax.tolist())),
         aggregate=aggregate,
         verdict=aggregate >= 1.0,
         margin=abs(aggregate - 1.0),
@@ -339,7 +335,7 @@ def brc_omp(a, qstar, fast=False):
     )
 
 
-def f_omp_update(factor, coef_ell):
+def _f_omp_update(factor, coef_ell):
     """OMP factor after activating one more true atom.
 
     ``coef_ell`` is the entry of ``pinv(A_Qstar) a_j`` at the atom being
@@ -348,7 +344,7 @@ def f_omp_update(factor, coef_ell):
     return float(factor) - abs(float(coef_ell))
 
 
-def f_ols_recursive(beta, eta_j, chi_j, etas, chis):
+def _f_ols_recursive(beta, eta_j, chi_j, etas, chis):
     """OLS factor one level up the chain, from deeper-level data.
 
     ``beta`` holds the coefficients of the wrong atom against the
@@ -373,9 +369,9 @@ def recursion_chain(a, qstar, j, order, algorithm):
     the growth order ``order + (qstar \\ order)`` gives the direct value
     at every depth, and each returned value is rebuilt from the same
     call by the one-step recursion: the OMP factor loses the coefficient
-    of the atom activated at that step (:func:`f_omp_update`), the OLS
+    of the atom activated at that step (:func:`_f_omp_update`), the OLS
     factor at depth p follows from depth p+1 and the norm-reduction and
-    alignment pairs of that step (:func:`f_ols_recursive`).  Recursion
+    alignment pairs of that step (:func:`_f_ols_recursive`).  Recursion
     and direct values must agree within 1e-8
     (:class:`FormMismatchError` otherwise).  Both come from the same QR,
     so this check guards the recursion algebra only, not the kernel; the
@@ -397,7 +393,7 @@ def recursion_chain(a, qstar, j, order, algorithm):
     if algorithm == "omp":
         values = [direct[0]]
         for p in range(depth):
-            values.append(f_omp_update(values[-1], c[p]))
+            values.append(_f_omp_update(values[-1], c[p]))
     else:
         # at depth p, with s = sign(R[p, p]) the orientation of the new
         # basis direction and G = R C the probe in the QR basis:
@@ -419,7 +415,7 @@ def recursion_chain(a, qstar, j, order, algorithm):
             s = np.sign(r[p, p])
             rest = slice(p + 1, None)
             beta = tn[p + 1, rest] * c[rest] / jn[p + 1]
-            values[p] = f_ols_recursive(
+            values[p] = _f_ols_recursive(
                 beta,
                 jn[p + 1] / jn[p],
                 s * g[p] / jn[p],

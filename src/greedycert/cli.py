@@ -228,7 +228,7 @@ def _experiment_parent():
     g.add_argument("--trials", type=int, help="trial count (default: per subcommand)")
     g.add_argument("--seed", type=int,
                    help=f"base seed; trial t uses base + t (default: {DEFAULT_SEED})")
-    g.add_argument("--placement", choices=("random", "contiguous", "first", "spaced"),
+    g.add_argument("--placement", choices=("random", "contiguous", "spaced"),
                    help="support placement (default: per subcommand)")
     g.add_argument("--algorithms", help="comma list among omp,ols (default: omp,ols)")
     g.add_argument("--q-values", help="comma list of partial-support sizes (default: 0..k-1)")

@@ -191,7 +191,7 @@ def _support(placement, n, k, delta, rng):
     if placement == "random":
         picked = rng.choice(n, size=k, replace=False)
         return tuple(sorted(int(i) for i in picked))
-    if placement in ("contiguous", "first"):
+    if placement == "contiguous":
         return tuple(range(k))
     if placement == "spaced":
         last = (k - 1) * delta
@@ -417,7 +417,7 @@ def f_vs_q_curve(config, workers=1):
     through them in index order, so there is nothing random here.
     """
     _require(config.dictionary == "convolutive", "f-vs-q expects a convolutive dictionary")
-    _require(config.placement in ("contiguous", "first"), "f-vs-q supports are contiguous")
+    _require(config.placement == "contiguous", "f-vs-q supports are contiguous")
     d = _build(config, config.m, config.n, config.base_seed)
     _require(config.k < min(d.matrix.shape), "support size must be below both dimensions")
     q_values = config.q_values or tuple(range(config.k))

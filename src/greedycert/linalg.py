@@ -27,8 +27,9 @@ u.T P a_i``, so the squared norms are downdated as ``|P a_i|^2 -
 recomputed from ``a_i - U(U.T a_i)``, the norm-downdate safeguard of
 LAPACK's column-pivoted QR (xGEQP3/xLAQPS).  No m x n array is formed
 on the way; :func:`residual` projects just the columns a caller asks
-for.  The states drive the greedy runs and are the independent
-cross-check of the factor kernel in the certificates' checked mode.
+for.  The states, like the kernel, take unit atoms only; they drive the
+greedy runs and are the independent cross-check of the factor kernel in
+the checked certificates.
 """
 
 from contextvars import ContextVar
@@ -243,21 +244,16 @@ def _project(basis, x):
     return xt.T
 
 
-def init_state(atoms, check_normalization=True):
+def init_state(atoms):
     """Start a projection state with an empty active set.
 
-    Column norms must be 1 within ``TAU_NUM`` unless
-    ``check_normalization`` is off (selection by projected residual
-    correlations assumes unit atoms; norm-free callers may opt out).
+    Column norms must be 1 within ``TAU_NUM`` (selection by projected
+    residual correlations assumes unit atoms).
     """
     a = _as_matrix(atoms).copy()
     exact_sq = np.einsum("ij,ij->j", a, a)
     norms = np.sqrt(exact_sq)
-    if check_normalization and np.any(np.abs(norms - 1.0) > TAU_NUM):
-        worst = int(np.argmax(np.abs(norms - 1.0)))
-        raise NotNormalizedError(
-            f"atom {worst} has norm {norms[worst]:.12g}, expected 1"
-        )
+    _check_unit(norms, range(len(norms)))
     basis = np.empty((a.shape[0], 0))
     _freeze(a, basis, norms, exact_sq)
     return ProjectionState(
@@ -269,9 +265,9 @@ def init_state(atoms, check_normalization=True):
     )
 
 
-def state_for(atoms, active, check_normalization=True):
+def state_for(atoms, active):
     """Projection state with the given atoms already selected, in order."""
-    state = init_state(atoms, check_normalization=check_normalization)
+    state = init_state(atoms)
     for i in active:
         state = extend_state(state, i)
     return state

@@ -28,6 +28,11 @@ TAU_SUCCESS_REL = 1e-8
 # agree to this, otherwise a FormMismatchError is raised.
 TAU_FORM = 1e-7
 
+# OLS factors (divided by |P a_j|) may disagree by TAU_FORM plus
+# FORM_ROUNDING * EPS / |P a_j|; measured gaps reach 2.9 EPS / |P a_j|.
+FORM_ROUNDING = 16
+EPS = 2.0**-52  # float64 machine epsilon
+
 # Strictness margin for the sign-pattern values v(eps) of the l1
 # certificates, whose decision line is 1.  Values inside
 # [1 - TAU_STRICT, 1 + TAU_STRICT] are flagged as boundary cases.

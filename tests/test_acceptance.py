@@ -67,7 +67,7 @@ def test_01_certified_supports_always_recovered():
         d = gaussian(50, 100, t)
         rng = np.random.default_rng((t, 1))
         qstar = _random_support(rng, 100, 5)
-        report = erc_oxx_subset(d, qstar, (), "omp", fast=True)
+        report = erc_oxx_subset(d, qstar, (), "omp")
         if not (report.verdict and report.margin > 1e-6):
             continue
         checked += 1
@@ -91,7 +91,7 @@ def test_02_first_step_failure_inputs_verify():
     while built < 100 and seed < 5000:
         d = gaussian(100, 11, seed)
         qstar = tuple(range(10))
-        report = erc_oxx_subset(d, qstar, (), "omp", fast=True)
+        report = erc_oxx_subset(d, qstar, (), "omp")
         seed += 1
         if report.verdict or report.margin <= 1e-6:
             continue
@@ -127,7 +127,7 @@ def test_03_definitional_and_projected_forms_agree():
 
         coef, *_ = np.linalg.lstsq(a[:, qstar], a[:, j], rcond=None)
         omp_def = float(np.abs(coef[[qstar.index(i) for i in rest]]).sum())
-        worst = max(worst, abs(omp_def - f_omp(a, qstar, q, j, fast=True)))
+        worst = max(worst, abs(omp_def - f_omp(a, qstar, q, j)))
 
         if q:
             basis, _ = np.linalg.qr(a[:, q])
@@ -139,7 +139,7 @@ def test_03_definitional_and_projected_forms_agree():
         bj = proj[:, j] / norms[j]
         beta, *_ = np.linalg.lstsq(bt, bj, rcond=None)
         ols_def = float(np.abs(beta).sum())
-        worst = max(worst, abs(ols_def - f_ols(a, qstar, q, j, fast=True)))
+        worst = max(worst, abs(ols_def - f_ols(a, qstar, q, j)))
     _report(3, "definitional and projected factor forms agree",
             worst < 1e-8, f"worst={worst:.3e}")
 
@@ -153,8 +153,8 @@ def test_04_factors_never_grow_along_chains():
         order = tuple(int(i) for i in rng.permutation(qstar))
         probes = rng.choice([i for i in range(60) if i not in qstar], 2, replace=False)
         for j in probes:
-            omp_vals = [f_omp(d, qstar, order[:q], int(j), fast=True) for q in range(6)]
-            ols_vals = [f_ols(d, qstar, order[:q], int(j), fast=True) for q in range(6)]
+            omp_vals = [f_omp(d, qstar, order[:q], int(j)) for q in range(6)]
+            ols_vals = [f_ols(d, qstar, order[:q], int(j)) for q in range(6)]
             for q in range(5):
                 if omp_vals[q + 1] > omp_vals[q] + 1e-9:
                     violations.append(("omp", trial, int(j), q))

@@ -197,6 +197,13 @@ class TestNsp:
             with pytest.raises(ValueError, match="outside"):
                 check(gaussian(3, 5, 0), support)
 
+    def test_duplicate_support_rejected(self):
+        # the same validator as the greedy certificates: a repeated
+        # index is an error, not silently merged
+        for check in (bp.nsp_check, bp.brc_bp_check):
+            with pytest.raises(ValueError, match="duplicate"):
+                check(gaussian(3, 5, 0), (0, 0, 1))
+
 
 def round_trip(d, support, nsp, brc, rng, draws):
     """Each decided pattern against ``l1_min``: feasible means every

@@ -60,21 +60,23 @@ def rand_instance(rng):
 
 
 class TestErcFactor:
+    """Tropp's ERC factor is the OMP factor at the empty selection."""
+
     def test_two_pair_closed_form(self):
         d = example1(np.pi / 3, np.pi / 4)
         want = np.cos(np.pi / 4) / np.sin(np.pi / 3)  # 0.8164965809...
-        assert abs(cert.erc_factor(d, (0, 1), 2) - want) < 1e-12
-        assert abs(cert.erc_factor(d, (0, 1), 3) - want) < 1e-12
+        assert abs(cert.f_omp(d, (0, 1), (), 2) - want) < 1e-12
+        assert abs(cert.f_omp(d, (0, 1), (), 3) - want) < 1e-12
 
     def test_matches_pinv_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
             a, qstar, _, j = rand_instance(rng)
-            assert abs(cert.erc_factor(a, qstar, j) - oracle_f_omp(a, qstar, (), j)) < 1e-9
+            assert abs(cert.f_omp(a, qstar, (), j) - oracle_f_omp(a, qstar, (), j)) < 1e-9
 
     def test_rejects_probe_inside_support(self):
         with pytest.raises(ValueError):
-            cert.erc_factor(gaussian(5, 8, 0), (0, 1), 1)
+            cert.f_omp(gaussian(5, 8, 0), (0, 1), (), 1)
 
 
 class TestFactorClosedForms:
@@ -97,8 +99,8 @@ class TestFactorClosedForms:
     def test_empty_selection_reduces_to_erc(self):
         rng = np.random.default_rng(22)
         a, qstar, _, j = rand_instance(rng)
-        e = cert.erc_factor(a, qstar, j)
-        assert abs(cert.f_omp(a, qstar, (), j) - e) < 1e-12
+        e = cert.f_omp(a, qstar, (), j)
+        assert abs(e - oracle_f_omp(a, qstar, (), j)) < 1e-9
         assert abs(cert.f_ols(a, qstar, (), j) - e) < 1e-12
 
     def test_degenerate_probe_scores_zero(self):
@@ -114,14 +116,6 @@ class TestFactorOracles:
             a, qstar, q, j = rand_instance(rng)
             assert abs(cert.f_omp(a, qstar, q, j) - oracle_f_omp(a, qstar, q, j)) < 1e-9
             assert abs(cert.f_ols(a, qstar, q, j) - oracle_f_ols(a, qstar, q, j)) < 1e-9
-
-    def test_fast_mode_agrees(self):
-        rng = np.random.default_rng(24)
-        for _ in range(10):
-            a, qstar, q, j = rand_instance(rng)
-            assert cert.f_omp(a, qstar, q, j, fast=True) == pytest.approx(
-                cert.f_omp(a, qstar, q, j), abs=1e-12
-            )
 
 
 @st.composite
@@ -156,7 +150,7 @@ class TestKernelAgainstProjectedRoute:
     @given(kernel_cases(), st.sampled_from(["omp", "ols"]))
     def test_values_and_verdicts_agree(self, case, algorithm):
         a, qstar, q, js = case
-        kernel = cert._factors(a, qstar, q, js, algorithm, fast=True)
+        kernel = cert._factors(a, qstar, q, js, algorithm, False)
         projected = cert._projected_factors(a, qstar, q, js, algorithm)
         gap = np.abs(kernel - projected) / np.maximum(1.0, np.abs(projected))
         assert gap.max() <= 1e-9
@@ -183,6 +177,15 @@ def explicit_projection(a, qstar, q, js, algorithm):
     return np.where(alive, vals, 0.0), jn, np.linalg.svd(lhs, compute_uv=False)[-1]
 
 
+def tilted_atom(a, q, scale, rng):
+    """``a`` plus one unit atom at projected norm ``scale`` off span(A_q)."""
+    state = state_for(a, q)
+    inside = a[:, list(q)] @ rng.standard_normal(len(q))
+    outside = residual(state, rng.standard_normal(a.shape[0]))
+    y = inside / np.linalg.norm(inside) + scale * outside / np.linalg.norm(outside)
+    return np.column_stack([a, y / np.linalg.norm(y)])
+
+
 @st.composite
 def near_span_cases(draw):
     """A kernel case; when ``q`` is not empty, three more wrong atoms are
@@ -192,16 +195,10 @@ def near_span_cases(draw):
     if not q:
         return a, qstar, q, js
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    state = state_for(a, q)
-    tilted = []
-    for scale in (0.5, 1.5, 4.0):
-        inside = a[:, list(q)] @ rng.standard_normal(len(q))
-        outside = residual(state, rng.standard_normal(a.shape[0]))
-        y = (inside / np.linalg.norm(inside)
-             + scale * TAU_ZERO * outside / np.linalg.norm(outside))
-        tilted.append(y / np.linalg.norm(y))
     n = a.shape[1]
-    return np.column_stack([a, *tilted]), qstar, q, js + [n, n + 1, n + 2]
+    for scale in (0.5, 1.5, 4.0):
+        a = tilted_atom(a, q, scale * TAU_ZERO, rng)
+    return a, qstar, q, js + [n, n + 1, n + 2]
 
 
 class TestProjectedRouteIdentity:
@@ -244,15 +241,46 @@ class TestCheckedModeCatchesFaultyKernel:
         monkeypatch.setattr(cert, "factor_chain", faulty)
         with pytest.raises(FormMismatchError):
             cert.erc_oxx_subset(self.d, self.qstar, q, algorithm)
-        # fast mode reads the kernel alone
-        cert.erc_oxx_subset(self.d, self.qstar, q, algorithm, fast=True)
 
     def test_perturbed_least_squares_in_brc_omp(self, monkeypatch):
         solve = cert.least_squares
         monkeypatch.setattr(cert, "least_squares", lambda a, b: solve(a, b) + 1e-6)
         with pytest.raises(FormMismatchError):
             cert.brc_omp(self.d, self.qstar)
-        cert.brc_omp(self.d, self.qstar, fast=True)
+
+
+class TestCrossCheckNearSpan:
+    """Both routes carry rounding of order eps / |P_q a_j| in an OLS
+    factor; a correct kernel must pass the cross-check however close the
+    wrong atom comes to the selected span."""
+
+    @pytest.mark.parametrize("scale", [1.5e-10, 1e-9])
+    def test_tilted_wrong_atom_passes(self, scale):
+        for t in range(50):
+            a = tilted_atom(gaussian(30, 60, t).matrix, (0, 1), scale,
+                            np.random.default_rng(t))
+            report = cert.erc_oxx_subset(a, (0, 1, 2, 3), (0, 1), "ols")
+            assert dict(report.per_atom)[60] > 0.0
+
+    def test_bound_away_from_span(self):
+        # at |P_q a_j| >= 1e-6 the rounding term adds under 5% to TAU_FORM
+        assert cert.FORM_ROUNDING * EPS / 1e-6 <= 0.05 * cert.TAU_FORM
+
+    def test_omp_bound_is_tau_form(self, monkeypatch):
+        # an OMP factor off by 1.5 TAU_FORM at a tilted atom is rejected
+        a = tilted_atom(gaussian(30, 60, 0).matrix, (0, 1), 1.5e-10,
+                        np.random.default_rng(0))
+        kernel = cert.factor_chain
+
+        def faulty(*args):
+            coef, probe_norms, support_norms, r = kernel(*args)
+            coef = coef.copy()
+            coef[-1, -1] += np.copysign(1.5 * cert.TAU_FORM, coef[-1, -1])
+            return coef, probe_norms, support_norms, r
+
+        monkeypatch.setattr(cert, "factor_chain", faulty)
+        with pytest.raises(FormMismatchError):
+            cert.erc_oxx_subset(a, (0, 1, 2, 3), (0, 1), "omp")
 
 
 class TestCheckedModeMemory:
@@ -326,7 +354,7 @@ class TestErcOxxSubset:
         a, qstar, _, _ = rand_instance(rng)
         report = cert.erc_oxx_subset(a, qstar, (), "omp")
         for j, f in report.per_atom:
-            assert abs(f - cert.erc_factor(a, qstar, j)) < 1e-12
+            assert abs(f - cert.f_omp(a, qstar, (), j)) < 1e-12
 
     def test_json_round_trip_fields(self):
         report = cert.erc_oxx_subset(example1(0.5, 0.9), (0, 1), (), "ols")
@@ -464,4 +492,4 @@ class TestRecursion:
             assert len(values) == len(order) + 1
 
     def test_omp_update_is_coefficient_drop(self):
-        assert cert.f_omp_update(2.5, -0.75) == pytest.approx(1.75)
+        assert cert._f_omp_update(2.5, -0.75) == pytest.approx(1.75)

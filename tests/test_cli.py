@@ -195,6 +195,10 @@ class TestBpAndSpark:
         assert obj["nsp"] == json.loads(json.dumps(nsp_check(d, support).to_json()))
         assert obj["brc_bp"] == json.loads(json.dumps(brc_bp_check(d, support).to_json()))
 
+    def test_bp_check_duplicate_support_rejected(self, capsys):
+        assert main(["bp-check", "--m", "3", "--n", "5", "--qstar", "0,0,1"]) == 2
+        assert "duplicate" in capsys.readouterr().err
+
     def test_spark_two_pairs(self, capsys):
         code, obj = run_json(capsys, ["spark", "--dict", "example1",
                                       "--theta1", "0.5", "--theta2", "0.7"])
@@ -278,6 +282,12 @@ class TestExperiments:
                      "--workers", count, "--output", str(out)]) == 2
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_first_placement_rejected(self, tmp_path, capsys):
+        # "contiguous" is the one name for the leading-atoms support
+        assert main(["scatter", "--m", "20", "--n", "40", "--k", "3", "--trials", "2",
+                     "--placement", "first", "--outdir", str(tmp_path)]) == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_missing_dims_rejected(self, capsys):
         assert main(["phase-curve", "--k", "4", "--trials", "2"]) == 2

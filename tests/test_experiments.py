@@ -181,6 +181,13 @@ class TestFVsQ:
         with pytest.raises(ValueError):
             ex.f_vs_q_curve(cfg)
 
+    def test_rejects_first_placement(self):
+        # "contiguous" is the one name for the leading-atoms support
+        cfg = ex.ExperimentConfig(kind="f-vs-q", dictionary="convolutive", n=60,
+                                  k=4, sigma=3.0, placement="first")
+        with pytest.raises(ValueError):
+            ex.f_vs_q_curve(cfg)
+
 
 class TestBrcMap:
     def test_square_cells_never_certified(self):

@@ -284,8 +284,6 @@ class TestProjectionState:
         a = a * 2.0
         with pytest.raises(NotNormalizedError):
             linalg.init_state(a)
-        state = linalg.init_state(a, check_normalization=False)
-        assert np.allclose(state.norms, 2.0)
 
 
 @st.composite
