@@ -1,7 +1,7 @@
 """Greedy sparse recovery (OMP/OLS) with exact- and bad-recovery certificates."""
 
 from . import basis_pursuit, certificates, dictionaries, experiments, greedy, linalg
-from .basis_pursuit import brc_bp_check, l1_min, l1_recovers, nsp_check
+from .basis_pursuit import brc_bp_check, l1_recovers, nsp_check
 from .certificates import (
     brc_omp,
     erc_oxx_cardinality,
@@ -42,7 +42,6 @@ __all__ = [
     "recursion_chain",
     "nsp_check",
     "brc_bp_check",
-    "l1_min",
     "l1_recovers",
     "compute_spark",
     "ExperimentConfig",

@@ -1,4 +1,4 @@
-"""Null-space recovery conditions and a brute-force l1 oracle.
+"""Null-space recovery conditions and l1 recovery of a given vector.
 
 The l1 recovery question for a support Q* is decided per sign pattern
 eps on Q* by the linear program (Fuchs 2004; Gribonval & Nielsen 2003)
@@ -15,20 +15,22 @@ witness) are the blocks of one block-diagonal HiGHS program over the
 null space: one solver call per check, for any null-space dimension.
 Values within ``TAU_STRICT`` of 1 are flagged as boundary cases.
 
-``l1_min`` settles small instances independently by enumerating basic
-solutions; it is the round-trip oracle for both conditions.
+Whether one vector x* is the unique l1 minimizer of its own measurements
+depends on its support S and signs alone (Fuchs 2004; Zhang, Yin & Cheng
+2015): it is when A_S is injective and v(sign x*_S) < 1.
+``l1_recovers`` reads that one pattern's block of the same program.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 from scipy.linalg import null_space
 
 from .certificates import _check_support
-from .exceptions import FormMismatchError, GreedycertError, InfeasibleError, TooLargeError
+from .exceptions import FormMismatchError, GreedycertError, TooLargeError
 from .linalg import _as_matrix, _scans_once
-from .tolerances import TAU_FORM, TAU_NUM, TAU_RANK, TAU_STRICT, TAU_ZERO
+from .tolerances import TAU_FORM, TAU_NUM, TAU_RANK, TAU_STRICT
 
 __all__ = [
     "NullSpaceBasis",
@@ -37,14 +39,12 @@ __all__ = [
     "null_space_basis",
     "nsp_check",
     "brc_bp_check",
-    "l1_min",
     "l1_recovers",
 ]
 
 # work budget of one check, in array entries per sign pattern: its row of
 # the pattern table (k), its witness (n) and its LP block's nonzeros
 MAX_PATTERN_WORK = 2 * 10**6
-MAX_L1_COLUMNS = 12
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,32 @@ def _finite_or_none(value):
     return None if value is None or not np.isfinite(value) else float(value)
 
 
-def _sign_patterns(a, support, basis):
-    """``(eps, v(eps), decision, witness)`` for the patterns with eps_0 = +1.
+def _within_budget(count, per_pattern):
+    if count * per_pattern > MAX_PATTERN_WORK:
+        raise TooLargeError(f"{count} sign patterns exceed the work budget of {MAX_PATTERN_WORK}")
+
+
+def _every_pattern(k, n):
+    """The 2^(k-1) sign patterns on a k-atom support with eps_0 = +1
+    (negating eps negates the witness), refused before the table exists
+    when its rows and witnesses alone exceed the work budget."""
+    count = 2 ** max(k - 1, 0)
+    _within_budget(count, k + n)
+    return np.array([(1.0,) + tail for tail in product((-1.0, 1.0), repeat=k - 1)]
+                    if k else [()]).reshape(count, k)
+
+
+def _null_split(basis, off):
+    """``(B, Z)``: the null directions that move x_off and those on the
+    support alone."""
+    _, s, vt = np.linalg.svd(basis[off], full_matrices=True)
+    r = int((s > TAU_RANK).sum())
+    return basis @ vt[:r].T, basis @ vt[r:].T
+
+
+def _sign_patterns(a, support, basis, eps):
+    """``(eps, v(eps), decision, witness)`` for each row of the pattern
+    table ``eps``.
 
     The null space splits into directions moving x_off (B, the row
     space of N_off) and directions on Q* alone (Z).  A pattern gaining
@@ -77,15 +101,11 @@ def _sign_patterns(a, support, basis):
     n, k = a.shape[1], len(support)
     off = [j for j in range(n) if j not in support]
     p = len(off)
-    _, s, vt = np.linalg.svd(basis[off], full_matrices=True)
-    r = int((s > TAU_RANK).sum())
-    moving, on_support = basis @ vt[:r].T, basis @ vt[r:].T
-    count = 2 ** max(k - 1, 0)
-    if count * (k + n + 2 * p * r + 3 * p) > MAX_PATTERN_WORK:
-        raise TooLargeError(f"{count} sign patterns exceed the work budget of {MAX_PATTERN_WORK}")
+    moving, on_support = _null_split(basis, off)
+    r = moving.shape[1]
+    count = len(eps)
+    _within_budget(count, k + n + 2 * p * r + 3 * p)
 
-    eps = np.array([(1.0,) + tail for tail in product((-1.0, 1.0), repeat=k - 1)]
-                   if k else [()]).reshape(count, k)
     gain = eps @ on_support[list(support)]
     gain_norm = np.linalg.norm(gain, axis=1)
     unbounded = gain_norm > TAU_RANK
@@ -180,8 +200,10 @@ def nsp_check(a, qstar):
     a = _as_matrix(a)
     support, _ = _check_support(a.shape[1], qstar)
     ns = null_space_basis(a)
-    # a trivial null space needs no pattern table
-    return _nsp_report(ns.dim, _sign_patterns(a, support, ns.basis) if ns.dim else ())
+    if not ns.dim:  # a trivial null space needs no pattern table
+        return _nsp_report(0, ())
+    return _nsp_report(ns.dim, _sign_patterns(a, support, ns.basis,
+                                              _every_pattern(len(support), a.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -235,7 +257,7 @@ def _l1_reports(a, qstar):
     a = _as_matrix(a)
     support, _ = _check_support(a.shape[1], qstar)
     ns = null_space_basis(a)
-    patterns = _sign_patterns(a, support, ns.basis)
+    patterns = _sign_patterns(a, support, ns.basis, _every_pattern(len(support), a.shape[1]))
     return _nsp_report(ns.dim, patterns), _brc_report(support, patterns)
 
 
@@ -249,58 +271,24 @@ def brc_bp_check(a, qstar):
     return _l1_reports(a, qstar)[1]
 
 
-def l1_min(a, y):
-    """All basic minimizers of ``|x|_1`` subject to ``a @ x = y``.
-
-    Enumerates full-rank column subsets of size rank(a); the optimum of
-    the underlying linear program is attained on such basic solutions,
-    and distinct optimal solutions always include distinct basic ones,
-    so a single returned vector certifies uniqueness.  Limited to
-    ``n <= 12`` columns.  Raises :class:`InfeasibleError` when no subset
-    reproduces ``y``.
-    """
-    a = _as_matrix(a)
-    y = np.asarray(y, dtype=np.float64)
-    m, n = a.shape
-    if n > MAX_L1_COLUMNS:
-        raise TooLargeError(f"{n} columns exceed the basic-solution budget")
-    if np.linalg.norm(y) <= TAU_ZERO:
-        return [np.zeros(n)]
-    r = int(np.linalg.matrix_rank(a))
-    if r == 0:
-        raise InfeasibleError("zero matrix cannot reproduce a nonzero input")
-
-    tol = 1e-9 * max(1.0, float(np.linalg.norm(y)))
-    candidates = []
-    for subset in combinations(range(n), r):
-        sub = a[:, subset]
-        sv = np.linalg.svd(sub, compute_uv=False)
-        if sv[-1] <= TAU_RANK:
-            continue
-        x_s, *_ = np.linalg.lstsq(sub, y, rcond=None)
-        if np.linalg.norm(sub @ x_s - y) > tol:
-            continue
-        x = np.zeros(n)
-        x[list(subset)] = x_s
-        candidates.append((float(np.abs(x).sum()), x))
-    if not candidates:
-        raise InfeasibleError("no basic solution reproduces the input")
-    best = min(l1 for l1, _ in candidates)
-    solutions = []
-    for l1, x in candidates:
-        if l1 - best <= 1e-9 * max(1.0, best):
-            if not any(np.allclose(x, s, atol=1e-9) for s in solutions):
-                solutions.append(x)
-    return solutions
-
-
 @_scans_once
 def l1_recovers(a, xstar):
-    """True when ``xstar`` is the unique l1 minimizer of its own
-    measurements."""
+    """Is ``xstar`` the unique l1 minimizer of its own measurements?
+
+    Decided on its support S (its exact nonzeros) and signs alone, at
+    any n within ``MAX_PATTERN_WORK``: True when v(sign xstar_S) is
+    decided below 1; False when it is decided above 1, or when a null
+    vector z lives on S alone (A_S not injective: xstar + t z is another
+    minimizer for small t); None when v lies within ``TAU_STRICT`` of 1.
+    """
+    a = _as_matrix(a)
+    n = a.shape[1]
     xstar = np.asarray(xstar, dtype=np.float64)
-    sols = l1_min(a, _as_matrix(a) @ xstar)
-    if len(sols) != 1:
+    if xstar.shape != (n,) or not np.isfinite(xstar).all():
+        raise ValueError(f"xstar must be a finite vector of length {n}")
+    basis = null_space_basis(a).basis
+    if _null_split(basis, xstar == 0)[1].shape[1]:
         return False
-    scale = max(1.0, float(np.abs(xstar).max()))
-    return bool(np.abs(sols[0] - xstar).max() <= 1e-8 * scale)
+    support = tuple(np.flatnonzero(xstar).tolist())
+    [(_, _, lost, _)] = _sign_patterns(a, support, basis, np.sign(xstar[xstar != 0])[None])
+    return None if lost is None else not lost

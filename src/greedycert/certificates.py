@@ -75,6 +75,8 @@ def _check_support(n, qstar, q=(), j=None):
         raise ValueError("partial selection must lie inside the support")
     if qstar and len(q) >= len(qstar):
         raise ValueError("partial selection must be a strict subset")
+    if j is not None and not 0 <= int(j) < n:
+        raise ValueError(f"probe atom {int(j)} outside 0..{n - 1}")
     if j is not None and int(j) in set(qstar):
         raise ValueError("the probe atom must lie outside the support")
     return qstar, q

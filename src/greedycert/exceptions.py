@@ -40,9 +40,5 @@ class FormMismatchError(GreedycertError):
     """Two mathematically equal evaluation routes disagree numerically."""
 
 
-class InfeasibleError(GreedycertError):
-    """A linear system has no solution over the allowed supports."""
-
-
 class EmptyAtomError(GreedycertError):
     """A generated atom is identically zero and cannot be normalized."""

@@ -183,6 +183,8 @@ def run_greedy(algorithm, atoms, y, max_iters, oracle=None):
     """
     if algorithm not in _SELECT:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be non-negative, got {max_iters}")
     select = _SELECT[algorithm]
     a = _as_matrix(atoms)
     y = np.asarray(y, dtype=np.float64)
@@ -259,6 +261,8 @@ def construct_reaching_input(atoms, order, algorithm="ols"):
     order = [int(i) for i in order]
     if len(set(order)) != len(order) or not order:
         raise ValueError("order must be a non-empty sequence of distinct indices")
+    if not all(0 <= i < a.shape[1] for i in order):
+        raise ValueError(f"order {order} outside 0..{a.shape[1] - 1}")
     y = a[:, order[0]].copy()
     if not _reaches_prefix(algorithm, a, y, order[:1]):
         raise ConstructionFailedError(

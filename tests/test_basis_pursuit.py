@@ -1,5 +1,5 @@
-"""Null-space conditions vs sampled-null-vector, closed-form and
-basic-solution oracles."""
+"""Null-space conditions and ``l1_recovers`` vs sampled-null-vector,
+closed-form, basic-solution and l1-LP oracles."""
 
 import subprocess
 import sys
@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from l1_oracle import InfeasibleError, l1_min, recovers
 
 from greedycert import basis_pursuit as bp
 from greedycert.dictionaries import from_matrix, gaussian
-from greedycert.exceptions import FormMismatchError, InfeasibleError, TooLargeError
+from greedycert.exceptions import FormMismatchError, TooLargeError
 from greedycert.tolerances import TAU_STRICT
 
 
@@ -25,7 +26,8 @@ def sphere_directions(d, count, seed):
 
 
 def patterns(a, support):
-    return bp._sign_patterns(a, support, bp.null_space_basis(a).basis)
+    return bp._sign_patterns(a, support, bp.null_space_basis(a).basis,
+                             bp._every_pattern(len(support), a.shape[1]))
 
 
 def split(a, support):
@@ -110,7 +112,8 @@ class TestPatternValues:
         assert by_eps[(1, -1)] == (np.inf, True)
         value, feasible = by_eps[(1, 1)]
         assert value < 1.0 and feasible is None
-        assert not bp.l1_recovers(a, np.array([2.0, 1.0, 0.0, 0.0]))
+        # A_S is not injective, so that input is lost, exactly
+        assert bp.l1_recovers(a, np.array([2.0, 1.0, 0.0, 0.0])) is False
         report = bp.nsp_check(a, (0, 1))
         assert not report.verdict and not report.indeterminate
 
@@ -206,19 +209,22 @@ class TestNsp:
 
 
 def round_trip(d, support, nsp, brc, rng, draws):
-    """Each decided pattern against ``l1_min``: feasible means every
-    input with that sign is lost, infeasible that every one is
-    recovered; the null-space verdict means all are."""
+    """Each decided pattern against the basic-solution oracle: feasible
+    means every input with that sign is lost, infeasible that every one
+    is recovered; the null-space verdict means all are.  ``l1_recovers``
+    agrees with the oracle wherever it decides."""
     n = d.matrix.shape[1]
     for eps, _, feasible, _ in brc.patterns:
         for _ in range(draws):
             x = np.zeros(n)
             x[list(support)] = np.array(eps) * rng.uniform(0.2, 5.0, len(support))
-            recovered = bp.l1_recovers(d, x)
+            recovered = recovers(d, x)
             if feasible is not None:
                 assert recovered is not feasible, (eps, feasible)
             if nsp.verdict:
                 assert recovered
+            decided = bp.l1_recovers(d, x)
+            assert decided is None or decided == recovered, (eps, decided, recovered)
 
 
 def coherent_pair_dictionary():
@@ -258,7 +264,7 @@ class TestBrcBp:
             for _ in range(5):
                 x = np.zeros(5)
                 x[[0, 1]] = np.array(eps) * rng.uniform(0.5, 2.0, 2)
-                assert not bp.l1_recovers(d, x)
+                assert not recovers(d, x)
 
     def test_mirrored_patterns_share_suprema(self):
         report = bp.brc_bp_check(gaussian(3, 5, 13), (0, 3))
@@ -268,37 +274,40 @@ class TestBrcBp:
 
 
 class TestL1Min:
+    """The basic-solution oracle itself."""
+
     def test_tied_pair(self):
         a = np.hstack([np.eye(3), np.eye(3)])
-        sols = bp.l1_min(a, np.eye(3)[:, 0])
+        sols = l1_min(a, np.eye(3)[:, 0])
         assert len(sols) == 2
         for x in sols:
             assert np.abs(x).sum() == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(a @ x, np.eye(3)[:, 0], atol=1e-12)
 
     def test_unique_orthonormal(self):
-        sols = bp.l1_min(np.eye(4), np.array([0.0, 2.0, 0.0, 0.0]))
+        sols = l1_min(np.eye(4), np.array([0.0, 2.0, 0.0, 0.0]))
         assert len(sols) == 1
         assert np.allclose(sols[0], [0.0, 2.0, 0.0, 0.0], atol=1e-12)
 
     def test_zero_input(self):
-        sols = bp.l1_min(gaussian(3, 5, 1), np.zeros(3))
+        sols = l1_min(gaussian(3, 5, 1), np.zeros(3))
         assert len(sols) == 1
         assert np.all(sols[0] == 0.0)
 
     def test_infeasible(self):
         a = np.eye(3)[:, :1]
         with pytest.raises(InfeasibleError):
-            bp.l1_min(a, np.array([0.0, 1.0, 0.0]))
+            l1_min(a, np.array([0.0, 1.0, 0.0]))
 
     def test_column_budget(self):
         with pytest.raises(TooLargeError):
-            bp.l1_min(gaussian(3, 13, 0), np.zeros(3))
+            l1_min(gaussian(3, 13, 0), np.zeros(3))
 
     def test_recovers_helpers(self):
-        assert bp.l1_recovers(np.eye(3), np.array([0.0, 1.5, 0.0]))
+        assert recovers(np.eye(3), np.array([0.0, 1.5, 0.0]))
+        assert bp.l1_recovers(np.eye(3), np.array([0.0, 1.5, 0.0])) is True
         a = np.hstack([np.eye(3), np.eye(3)])
-        assert not bp.l1_recovers(a, np.array([1.0, 0, 0, 0, 0, 0]))
+        assert not recovers(a, np.array([1.0, 0, 0, 0, 0, 0]))
 
     def test_nsp_implies_recovery_of_all_draws(self):
         # strict null-space verdict -> every vector on the support is
@@ -315,14 +324,63 @@ class TestL1Min:
             for _ in range(5):
                 x = np.zeros(5)
                 x[list(qstar)] = rng.uniform(0.3, 2.0, 2) * rng.choice([-1, 1], 2)
-                assert bp.l1_recovers(d, x)
+                assert recovers(d, x)
         assert checked >= 3
+
+
+class TestL1Recovers:
+    def test_exact_tie_left_open(self):
+        # e0 ties e3 in l1 norm: v = 1 exactly, so no call either way
+        a = np.hstack([np.eye(3), np.eye(3)])
+        assert bp.l1_recovers(a, np.eye(6)[0]) is None
+
+    def test_zero_vector_recovered(self):
+        assert bp.l1_recovers(gaussian(3, 5, 1), np.zeros(5)) is True
+
+    @pytest.mark.parametrize("xstar", [np.zeros((5, 1)), np.zeros(4), np.zeros(6),
+                                       [1.0, np.nan, 0.0, 0.0, 0.0],
+                                       [np.inf, 0.0, 0.0, 0.0, 0.0]])
+    def test_input_validated(self, xstar):
+        with pytest.raises(ValueError, match="xstar"):
+            bp.l1_recovers(gaussian(3, 5, 0), xstar)
+
+    def test_decided_beyond_enumeration(self):
+        # n = 20 is past the basic-solution oracle: a recovery is checked
+        # against an l1 solve by LP, a loss against the pattern's null
+        # witness w, along which x* - t w has smaller l1 norm
+        from scipy.optimize import linprog
+
+        d = gaussian(8, 20, 5)
+        a = d.matrix
+        basis = bp.null_space_basis(a).basis
+        rng = np.random.default_rng(55)
+        outcomes = []
+        for _ in range(30):
+            support = tuple(sorted(rng.choice(20, int(rng.integers(1, 4)), replace=False)))
+            x = np.zeros(20)
+            x[list(support)] = rng.choice([-1.0, 1.0], len(support)) * rng.uniform(0.5, 2.0,
+                                                                                   len(support))
+            got = bp.l1_recovers(d, x)
+            outcomes.append(got)
+            if got:
+                res = linprog(np.ones(40), A_eq=np.hstack([a, -a]), b_eq=a @ x,
+                              bounds=(0.0, None), method="highs")
+                assert np.abs(res.x[:20] - res.x[20:] - x).max() < 1e-7
+            else:
+                eps = np.sign(x[list(support)])
+                [(_, value, lost, w)] = bp._sign_patterns(a, support, basis, eps[None])
+                assert got is False and lost is True and value > 1.0
+                assert np.abs(a @ w).max() < 1e-10
+                t = 1e-3 * np.abs(x[list(support)]).min() / np.abs(w).max()
+                assert np.abs(x - t * w).sum() < np.abs(x).sum()
+        assert outcomes.count(True) >= 5 and outcomes.count(False) >= 5
 
 
 @settings(max_examples=80)
 @given(m=st.integers(1, 6), null_dim=st.integers(1, 4), seed=st.integers(0, 10**6),
        data=st.data())
 def test_lp_and_l1_min_agree(m, null_dim, seed, data):
+    # the certificates and l1_recovers against the basic-solution oracle
     n = m + null_dim
     k = data.draw(st.integers(1, min(3, n - 1)))
     support = tuple(data.draw(st.permutations(range(n)))[:k])

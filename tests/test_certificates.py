@@ -78,6 +78,15 @@ class TestErcFactor:
         with pytest.raises(ValueError):
             cert.f_omp(gaussian(5, 8, 0), (0, 1), (), 1)
 
+    @pytest.mark.parametrize("j", [-1, 8])
+    def test_rejects_probe_outside_range(self, j):
+        # -1 is not read as the last atom
+        d = gaussian(5, 8, 0)
+        for call in (lambda: cert.f_omp(d, (0, 1), (), j), lambda: cert.f_ols(d, (0, 1), (), j),
+                     lambda: cert.recursion_chain(d, (0, 1), j, (0,), "omp")):
+            with pytest.raises(ValueError, match="outside"):
+                call()
+
 
 class TestFactorClosedForms:
     @pytest.mark.parametrize(

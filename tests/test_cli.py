@@ -104,6 +104,11 @@ class TestGreedy:
         assert list(obj)[0] == "config"
         assert "status" in obj
 
+    def test_negative_iteration_count_rejected(self, capsys):
+        assert main(["greedy", "--dict", "gaussian", "--m", "30", "--n", "40",
+                     "--k", "3", "--max-iters", "-2"]) == 2
+        assert "max_iters" in capsys.readouterr().err
+
 
 class TestConstruct:
     def test_failure_not_applicable_when_condition_holds(self, capsys):
@@ -133,6 +138,12 @@ class TestConstruct:
     def test_reach_requires_order(self, capsys):
         assert main(["construct", "--goal", "reach", "--dict", "gaussian",
                      "--m", "20", "--n", "40"]) == 2
+
+    @pytest.mark.parametrize("order", ["0,99", "0,-1"])
+    def test_reach_order_out_of_range(self, capsys, order):
+        assert main(["construct", "--goal", "reach", "--order", order,
+                     "--dict", "gaussian", "--m", "20", "--n", "40"]) == 2
+        assert "outside 0..39" in capsys.readouterr().err
 
 
 class TestBpAndSpark:

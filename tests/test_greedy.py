@@ -96,6 +96,10 @@ class TestRunGreedy:
         with pytest.raises(ValueError, match="'mp'"):
             greedy.run_greedy("mp", np.eye(3), np.ones(3), 1)
 
+    def test_negative_iteration_count_rejected(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            greedy.run_greedy("omp", np.eye(3), np.ones(3), -2)
+
     def test_orthonormal_success(self):
         a = np.eye(6)
         y = a[:, [1, 3]] @ np.array([2.0, -1.0])
@@ -271,6 +275,11 @@ class TestReachingInput:
         a = np.column_stack([np.eye(3)[:, 0], np.eye(3)[:, 0], np.eye(3)[:, 1]])
         with pytest.raises(ConstructionFailedError):
             greedy.construct_reaching_input(a, [0, 2], "ols")
+
+    @pytest.mark.parametrize("order", [[0, 5], [0, -1]])
+    def test_index_range(self, order):
+        with pytest.raises(ValueError, match="outside"):
+            greedy.construct_reaching_input(np.eye(5), order, "ols")
 
 
 class TestFailureInput:

@@ -14,12 +14,12 @@ PUBLIC = {
         "GreedycertError", "gaussian", "hybrid", "convolutive", "example1", "from_matrix",
         "run_greedy", "construct_reaching_input", "build_failure_input",
         "f_omp", "f_ols", "erc_oxx_subset", "erc_oxx_cardinality", "brc_omp",
-        "recursion_chain", "nsp_check", "brc_bp_check", "l1_min", "l1_recovers",
+        "recursion_chain", "nsp_check", "brc_bp_check", "l1_recovers",
         "compute_spark", "ExperimentConfig", "ExperimentResult", "run_experiment",
     ],
     basis_pursuit: [
         "NullSpaceBasis", "NspReport", "BrcBpReport", "null_space_basis", "nsp_check",
-        "brc_bp_check", "l1_min", "l1_recovers",
+        "brc_bp_check", "l1_recovers",
     ],
     certificates: [
         "CertificateReport", "f_omp", "f_ols", "erc_oxx_subset", "erc_oxx_cardinality",
