@@ -13,18 +13,28 @@ The values come from the factor kernel :func:`linalg.factor_chain`: one
 QR of the support with Q first gives the coefficient table, every
 projected norm and the triangular factor.  The one-step recursion of
 :func:`recursion_chain` and the failure inputs of
-:func:`greedy.build_failure_input` read the same call.  Both factors
-also admit an equivalent "projected" evaluation through the
-pseudo-inverse of the projected (OMP) or normalized-projected (OLS)
+:func:`greedy.build_failure_input` read the same call.  Only the
+projected norms depend on the selection, and they live in the k
+dimensions of ``span(A_Qstar)``: :func:`erc_oxx_cardinality` makes one
+kernel call in support order and re-orders it for each subset with a
+k x k QR of the triangular factor, O(k^2 p) per subset for p wrong
+atoms instead of a QR of the m x k support.
+
+Both factors also admit an equivalent "projected" evaluation through
+the pseudo-inverse of the projected (OMP) or normalized-projected (OLS)
 remaining true atoms.  It is built on a :class:`linalg.ProjectionState`
 for Q, one small QR of those k projected atoms and one k x n product
 with the dictionary (the wrong atoms need no projection), and forms no
 projected m x n matrix.  It shares no factorization with the kernel and
 serves as its cross-check (:func:`_cross_check`): :func:`f_omp`,
-:func:`f_ols`, :func:`erc_oxx_subset` and, unless ``fast``,
-:func:`brc_omp` raise :class:`FormMismatchError` when the routes
-disagree.  :func:`erc_oxx_cardinality` reads the kernel alone: the route
-would multiply an enumeration of up to 1e6 subsets.
+:func:`f_ols` and :func:`erc_oxx_subset` raise
+:class:`FormMismatchError` when the routes disagree.
+:func:`erc_oxx_cardinality` reads the kernel alone: the route would
+multiply an enumeration of up to 1e6 subsets.  The leave-one-out rows
+of :func:`brc_omp` are the rows of one coefficient table
+``pinv(A_Qstar) A_off``; unless ``fast``, the table from one QR must
+match the table from one SVD of ``A_Qstar`` (:func:`_pinv_table`),
+which costs one m x k SVD and one k x n product.
 
 Exactness certificates say that every wrong factor stays below 1
 (selection-wise exact recovery for every reachable Q of the stated
@@ -34,11 +44,11 @@ unreachable for any input supported on it.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve_triangular, svd
 
 from .exceptions import FormMismatchError, RankDeficientError, TooLargeError
 from .linalg import (
@@ -51,7 +61,7 @@ from .linalg import (
     residual,
     state_for,
 )
-from .tolerances import EPS, FORM_ROUNDING, TAU_FORM, TAU_ZERO
+from .tolerances import EPS, FORM_ROUNDING, TAU_FORM, TAU_RANK, TAU_ZERO
 
 __all__ = [
     "CertificateReport",
@@ -62,6 +72,11 @@ __all__ = [
     "brc_omp",
     "recursion_chain",
 ]
+
+
+# erc_oxx_cardinality evaluates its subsets in chunks whose batched
+# (k - card) x p arrays hold about this many entries (256 KiB of float64).
+_CHUNK_ENTRIES = 2**15
 
 
 def _check_support(n, qstar, q=(), j=None):
@@ -83,9 +98,10 @@ def _check_support(n, qstar, q=(), j=None):
 
 
 def _wrong_atoms(n, qstar):
-    """The atoms outside the support, in index order."""
-    member = set(qstar)
-    return [j for j in range(n) if j not in member]
+    """The atoms outside the support, in index order, as Python ints."""
+    outside = np.ones(n, dtype=bool)
+    outside[list(qstar)] = False
+    return np.flatnonzero(outside).tolist()
 
 
 @dataclass(frozen=True)
@@ -151,6 +167,54 @@ def _chain_factors(chain, depths, algorithms):
     return out
 
 
+def _subset_factors(chain, subsets, algorithm):
+    """Factors of the probes after each subset of the support was
+    selected first, from the kernel's chain in support order.
+
+    ``subsets`` (b x card) holds positions into the support, one subset
+    S per row; its growth order is S followed by the rest of the
+    support in support order.  With ``A_Qstar = Q R``, the k x k QR
+    ``R[:, order] = Q' R'`` gives ``A_order = (Q Q') R'``: ``R'`` is that
+    order's triangular factor, the coefficient rows are permuted, and
+    ``Q'.T G = R' coef[order]``.  At depth ``card`` only the rows of
+    the rest enter, and the projected norms are the kernel's
+    non-negative sums: column sums of ``R'[card:, card:]**2`` for the
+    support atoms, and of ``(R'[card:, card:] coef[rest])**2`` plus the
+    probes' squared part off ``span(A_Qstar)`` for the probes.  The
+    factors follow the rules of :func:`_chain_factors` at that depth,
+    summed directly rather than through the tail sums of every depth.
+    Returns a b x p array; the cost is O(k^2 p) per subset instead of a
+    QR of the m x k support.
+    """
+    coef, probe_norms, _, r = chain
+    b, card = subsets.shape
+    k = r.shape[0]
+    outside = np.ones((b, k), dtype=bool)
+    outside[np.arange(b)[:, None], subsets] = False
+    rest = np.nonzero(outside)[1].reshape(b, k - card)
+    order = np.concatenate([subsets, rest], axis=1)
+    rp = np.linalg.qr(r[:, order].transpose(1, 0, 2), mode="r")
+    diag = np.abs(np.diagonal(rp, axis1=1, axis2=2))
+    low = np.argwhere(diag <= TAU_RANK)
+    if low.size:
+        i, j = low[0]
+        raise RankDeficientError(
+            f"column {j} is dependent on its predecessors (norm {diag[i, j]:.3e})"
+        )
+    tail = rp[:, card:, card:]
+    c = coef[rest]
+    g = tail @ c
+    den = np.sqrt(np.einsum("bij,bij->bj", g, g) + probe_norms[-1] ** 2)
+    alive = den > TAU_ZERO
+    np.abs(c, out=c)
+    if algorithm == "omp":
+        vals = c.sum(axis=1)
+    else:
+        weights = np.sqrt(np.einsum("bij,bij->bj", tail, tail))
+        vals = np.einsum("bi,bij->bj", weights, c) / np.where(alive, den, 1.0)
+    return np.where(alive, vals, 0.0)
+
+
 def _projected_factors(a, qstar, q, js, algorithm):
     """Factors through the projected system at ``q``: the cross-check
     route, built on a :class:`ProjectionState` and a QR of the projected
@@ -203,20 +267,28 @@ def _cross_check(a, qstar, q, js, algorithm, vals, probe_norms):
         )
 
 
-def _factors(a, qstar, q, js, algorithm, checked):
+def _pinv_table(a, qstar, js):
+    """``pinv(A_Qstar) A_js`` from one SVD ``A_Qstar = U S V.T``, as
+    ``V S^-1 (U.T A)[:, js]`` with one k x n product: the cross-check of
+    the leave-one-out rows in :func:`brc_omp`, sharing no factorization
+    with :func:`linalg.least_squares`."""
+    u, s, vt = svd(a[:, qstar], full_matrices=False, check_finite=False)
+    return (vt.T / s) @ (u.T @ a)[:, js]
+
+
+def _factors(a, qstar, q, js, algorithm):
     """Factors of the atoms ``js`` given partial selection ``q``.
 
     Returns the kernel values, read at depth ``|q|`` of the growth order
-    ``q + (qstar \\ q)``; when ``checked``, the projected route must
-    reproduce them (:func:`_cross_check`).
+    ``q + (qstar \\ q)``, once the projected route has reproduced them
+    (:func:`_cross_check`).
     """
     if algorithm not in ("omp", "ols"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     order = list(q) + [i for i in qstar if i not in q]
     chain = factor_chain(a, order, js)
     vals = _chain_factors(chain, [len(q)], (algorithm,))[algorithm][0]
-    if checked:
-        _cross_check(a, qstar, q, js, algorithm, vals, chain[1][len(q)])
+    _cross_check(a, qstar, q, js, algorithm, vals, chain[1][len(q)])
     return vals
 
 
@@ -227,7 +299,7 @@ def f_omp(a, qstar, q, j):
     coefficients of ``a_j``)."""
     a = _as_matrix(a)
     qstar, q = _check_support(a.shape[1], qstar, q, j)
-    return float(_factors(a, qstar, q, [int(j)], "omp", True)[0])
+    return float(_factors(a, qstar, q, [int(j)], "omp")[0])
 
 
 @_scans_once
@@ -235,7 +307,7 @@ def f_ols(a, qstar, q, j):
     """OLS interference factor of atom ``j`` for partial selection ``q``."""
     a = _as_matrix(a)
     qstar, q = _check_support(a.shape[1], qstar, q, j)
-    return float(_factors(a, qstar, q, [int(j)], "ols", True)[0])
+    return float(_factors(a, qstar, q, [int(j)], "ols")[0])
 
 
 @_scans_once
@@ -244,7 +316,7 @@ def erc_oxx_subset(a, qstar, q, algorithm):
     a = _as_matrix(a)
     qstar, q = _check_support(a.shape[1], qstar, q)
     js = _wrong_atoms(a.shape[1], qstar)
-    vals = _factors(a, qstar, q, js, algorithm, True)
+    vals = _factors(a, qstar, q, js, algorithm)
     aggregate = float(vals.max()) if js else 0.0
     return CertificateReport(
         kind="erc-oxx-subset",
@@ -263,31 +335,46 @@ def erc_oxx_cardinality(a, qstar, card, algorithm):
 
     True means: whatever ``card`` true atoms were selected first, the
     next selection is again a true atom.  ``card = 0`` coincides with
-    the plain l1 certificate.  Subset enumeration is budgeted at 10**6;
-    the values come from the kernel alone, without the cross-check.
+    the plain l1 certificate.  ``worst_subset`` is the first subset, in
+    :func:`itertools.combinations` order, that attains the aggregate.
+
+    One kernel call (:func:`linalg.factor_chain`) in support order gives
+    the coefficient table; each subset costs a k x k QR and a
+    ``(k - card)**2 p`` product for p wrong atoms
+    (:func:`_subset_factors`), evaluated in chunks of subsets whose
+    batched arrays stay near ``_CHUNK_ENTRIES`` entries.  The
+    enumeration is budgeted at 10**6 subsets.  The values come from the
+    kernel alone, without the cross-check.  The closed form for OMP
+    (per probe, the sum of its ``k - card`` largest ``|C_ij|``) is not
+    used: one path for both rules keeps ``worst_subset`` and the zero
+    factor of a probe inside ``span(A_S)`` exact.
     """
     a = _as_matrix(a)
     qstar, _ = _check_support(a.shape[1], qstar)
     card = int(card)
-    if not 0 <= card < len(qstar):
+    k = len(qstar)
+    if not 0 <= card < k:
         raise ValueError("cardinality must satisfy 0 <= card < |support|")
-    if comb(len(qstar), card) > 10**6:
-        raise TooLargeError(
-            f"{comb(len(qstar), card)} subsets exceed the 1e6 budget"
-        )
+    if comb(k, card) > 10**6:
+        raise TooLargeError(f"{comb(k, card)} subsets exceed the 1e6 budget")
+    if algorithm not in ("omp", "ols"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     js = _wrong_atoms(a.shape[1], qstar)
+    chain = factor_chain(a, qstar, js)
     worst = np.full(len(js), -np.inf)
     worst_subset = ()
     aggregate = -np.inf
-    for q in combinations(qstar, card):
-        vals = _factors(a, qstar, q, js, algorithm, False)
-        np.maximum(worst, vals, out=worst)
-        top = float(vals.max()) if js else 0.0
-        if top > aggregate:
-            aggregate = top
-            worst_subset = q
-    if not js:
-        aggregate = 0.0
+    subsets = combinations(range(k), card)
+    size = max(1, _CHUNK_ENTRIES // ((k - card) * max(1, len(js))))
+    while chunk := list(islice(subsets, size)):
+        positions = np.array(chunk, dtype=np.intp).reshape(len(chunk), card)
+        vals = _subset_factors(chain, positions, algorithm)
+        np.maximum(worst, vals.max(axis=0), out=worst)
+        tops = vals.max(axis=1, initial=0.0)  # factors are >= 0
+        best = int(np.argmax(tops))
+        if tops[best] > aggregate:
+            aggregate = float(tops[best])
+            worst_subset = tuple(qstar[i] for i in chunk[best])
     return CertificateReport(
         kind="erc-oxx-cardinality",
         algorithm=algorithm,
@@ -306,8 +393,12 @@ def brc_omp(a, qstar, fast=False):
     Aggregate is the minimum over all leave-one-out selections of the
     worst wrong factor; at least 1 means OMP cannot select all support
     atoms in k steps for any input carried by the support, whatever the
-    coefficients.  Unless ``fast``, every leave-one-out factor row is
-    cross-checked against the projected route.
+    coefficients.  The factor of wrong atom j when only support atom i
+    is left is ``|C_ij|``, with ``C = pinv(A_Qstar) A_off`` from one QR
+    (:func:`linalg.least_squares`).  Unless ``fast``, every ``|C_ij|``
+    must match the SVD route (:func:`_pinv_table`) within ``TAU_FORM``
+    (:class:`FormMismatchError` otherwise); the check adds one m x k
+    SVD and one k x n product.
     """
     a = _as_matrix(a)
     qstar, _ = _check_support(a.shape[1], qstar)
@@ -320,9 +411,11 @@ def brc_omp(a, qstar, fast=False):
     rowmax = np.abs(c).max(axis=1)
 
     if not fast:
-        for pos, i in enumerate(qstar):
-            q = tuple(x for x in qstar if x != i)
-            _cross_check(a, qstar, q, js, "omp", np.abs(c[pos]), None)
+        gap = np.abs(np.abs(c) - np.abs(_pinv_table(a, qstar, js))).max()
+        if gap > TAU_FORM:
+            raise FormMismatchError(
+                f"leave-one-out rows of the QR and SVD routes disagree by {gap:.3e}"
+            )
 
     pos = int(np.argmin(rowmax))
     aggregate = float(rowmax[pos])

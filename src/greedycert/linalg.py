@@ -181,8 +181,8 @@ def factor_chain(atoms, order, probes):
     at every depth ``q <= i`` where it is still unselected.
     """
     a = _as_matrix(atoms)
-    order = [int(i) for i in order]
-    probes = [int(j) for j in probes]
+    order = np.asarray(order, dtype=np.intp)
+    probes = np.asarray(probes, dtype=np.intp)
     _check_unit(np.linalg.norm(a[:, order], axis=0), order)
     q, r = _qr(a[:, order])
     x = a[:, probes]

@@ -10,6 +10,7 @@ The two-pair dictionary gives hand-computable references: with support
 
 import tracemalloc
 
+import cardinality_oracle
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +18,12 @@ from hypothesis import strategies as st
 
 from greedycert import certificates as cert
 from greedycert.dictionaries import convolutive, example1, gaussian, hybrid
-from greedycert.exceptions import FormMismatchError, TooLargeError
+from greedycert.exceptions import (
+    FormMismatchError,
+    NotNormalizedError,
+    RankDeficientError,
+    TooLargeError,
+)
 from greedycert.linalg import residual, state_for
 from greedycert.tolerances import TAU_ZERO
 
@@ -159,7 +165,9 @@ class TestKernelAgainstProjectedRoute:
     @given(kernel_cases(), st.sampled_from(["omp", "ols"]))
     def test_values_and_verdicts_agree(self, case, algorithm):
         a, qstar, q, js = case
-        kernel = cert._factors(a, qstar, q, js, algorithm, False)
+        order = list(q) + [i for i in qstar if i not in q]
+        chain = cert.factor_chain(a, order, js)
+        kernel = cert._chain_factors(chain, [len(q)], (algorithm,))[algorithm][0]
         projected = cert._projected_factors(a, qstar, q, js, algorithm)
         gap = np.abs(kernel - projected) / np.maximum(1.0, np.abs(projected))
         assert gap.max() <= 1e-9
@@ -254,6 +262,12 @@ class TestCheckedModeCatchesFaultyKernel:
     def test_perturbed_least_squares_in_brc_omp(self, monkeypatch):
         solve = cert.least_squares
         monkeypatch.setattr(cert, "least_squares", lambda a, b: solve(a, b) + 1e-6)
+        with pytest.raises(FormMismatchError):
+            cert.brc_omp(self.d, self.qstar)
+
+    def test_perturbed_svd_route_in_brc_omp(self, monkeypatch):
+        table = cert._pinv_table
+        monkeypatch.setattr(cert, "_pinv_table", lambda *args: table(*args) + 1e-6)
         with pytest.raises(FormMismatchError):
             cert.brc_omp(self.d, self.qstar)
 
@@ -405,6 +419,99 @@ class TestErcOxxCardinality:
             cert.erc_oxx_cardinality(a, tuple(range(40)), 20, "omp")
 
 
+@st.composite
+def cardinality_cases(draw):
+    """A gaussian or hybrid dictionary, a support of at most 8 atoms and
+    a cardinality; when it is positive, possibly three more wrong atoms
+    tilted out of ``span(A_S)`` of one selection S to projected norms of
+    0.5, 1.5 and 4 times ``TAU_ZERO``."""
+    m = draw(st.integers(6, 30))
+    n = draw(st.integers(m + 1, 2 * m))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if draw(st.booleans()):
+        a = gaussian(m, n, seed).matrix
+    else:
+        a = hybrid(m, n, draw(st.floats(0.0, 1000.0)), seed).matrix
+    k = draw(st.integers(1, min(8, m - 1)))
+    perm = draw(st.permutations(range(n)))
+    qstar = tuple(perm[:k])
+    card = draw(st.integers(0, k - 1))
+    if card and draw(st.booleans()):
+        selection = draw(st.permutations(qstar))[:card]
+        rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+        for scale in (0.5, 1.5, 4.0):
+            a = tilted_atom(a, selection, scale * TAU_ZERO, rng)
+    return a, qstar, card
+
+
+class TestCardinalityAgainstSubsetRoute:
+    """Every subset read off one factorization of the support against one
+    kernel call per subset (``tests/cardinality_oracle.py``)."""
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    @given(cardinality_cases(), st.sampled_from(["omp", "ols"]))
+    def test_report_agrees(self, case, algorithm):
+        a, qstar, card = case
+        try:
+            js, per_atom, agg, worst_subset, tops, den = cardinality_oracle.cardinality(
+                a, qstar, card, algorithm)
+        except RankDeficientError:
+            with pytest.raises(RankDeficientError):
+                cert.erc_oxx_cardinality(a, qstar, card, algorithm)
+            return
+        report = cert.erc_oxx_cardinality(a, qstar, card, algorithm)
+        # both routes carry the rounding of a coefficient table, of order
+        # eps kappa(A_Qstar) per unit of factor; an OLS factor is divided
+        # by |P_S a_j|, which turns that rounding into order
+        # eps kappa / |P_S a_j| near span(A_S)
+        kappa = np.linalg.cond(a[:, list(qstar)])
+        tol = 1e-12 * np.maximum(1.0, per_atom) + 4 * len(qstar) * EPS * kappa * per_atom
+        if algorithm == "ols":
+            tol += np.where(den > 0.0, 16 * EPS * kappa / np.where(den > 0.0, den, 1.0), 0.0)
+        assert [j for j, _ in report.per_atom] == js
+        assert np.all(np.abs(np.array([v for _, v in report.per_atom]) - per_atom) <= tol)
+        slack = float(tol.max())
+        assert abs(report.aggregate - agg) <= slack
+        if abs(agg - 1.0) > slack:
+            assert report.verdict == (agg < 1.0)
+        # another subset only where the oracle ties it with the worst one
+        chosen = tuple(report.details["worst_subset"])
+        assert chosen == worst_subset or tops[chosen] >= agg - 2 * slack
+
+    @pytest.mark.parametrize("algorithm", ["omp", "ols"])
+    def test_dependent_support_raises(self, algorithm):
+        a = gaussian(10, 20, 0).matrix.copy()
+        a[:, 5] = a[:, 2]
+        for card in (0, 1, 2):
+            for call in (cardinality_oracle.cardinality, cert.erc_oxx_cardinality):
+                with pytest.raises(RankDeficientError):
+                    call(a, (2, 5, 7), card, algorithm)
+
+    @pytest.mark.parametrize("atom", [7, 12])
+    def test_non_unit_atom_raises(self, atom):
+        # a support atom and a wrong atom
+        a = gaussian(10, 20, 0).matrix.copy()
+        a[:, atom] *= 1.1
+        for call in (cardinality_oracle.cardinality, cert.erc_oxx_cardinality):
+            with pytest.raises(NotNormalizedError):
+                call(a, (2, 5, 7), 1, "ols")
+
+    @pytest.mark.parametrize("algorithm", ["omp", "ols"])
+    def test_peak_below_two_matrices(self, algorithm):
+        # 1820 subsets of 16 atoms; the batched subset arrays stay in
+        # chunks well below the dictionary's size
+        m, n = 200, 600
+        d = hybrid(m, n, 10.0, 7)
+        qstar = tuple(range(3, 83, 5))
+        tracemalloc.start()
+        try:
+            cert.erc_oxx_cardinality(d, qstar, 4, algorithm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * m * n * 8
+
+
 class TestBrcOmp:
     def test_two_pair_closed_forms(self):
         low = cert.brc_omp(example1(np.pi / 6, np.pi / 4), (0, 1))
@@ -421,6 +528,16 @@ class TestBrcOmp:
         fast = cert.brc_omp(a, qstar, fast=True)
         assert checked.aggregate == fast.aggregate
         assert checked.per_atom == fast.per_atom
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("spacing", [1, 2, 3, 4, 5])
+    def test_convolutive_supports_pass_the_check(self, spacing, size):
+        # coherent pulses up to sigma = 8 (condition numbers up to about
+        # 340): the QR and SVD routes stay within TAU_FORM
+        for sigma in np.linspace(0.5, 8.0, 16):
+            d = convolutive(60, float(sigma))
+            qstar = tuple(20 + spacing * i for i in range(size))
+            assert cert.brc_omp(d, qstar) == cert.brc_omp(d, qstar, fast=True)
 
     def test_report_structure(self):
         report = cert.brc_omp(example1(0.4, 0.8), (0, 1))
