@@ -93,7 +93,8 @@ def _sign_patterns(a, support, basis, eps):
     space of N_off) and directions on Q* alone (Z).  A pattern gaining
     along Z is unbounded (v = inf, witnessed there); one not gaining
     along a nonempty Z ties 0 against 0, so it is never decided below 1.
-    The others solve the bounded LP over B.  The decision is True when
+    The others solve the bounded LP over B, whose value is 0 at the
+    zero witness when B is empty.  The decision is True when
     the LP value and the ratio ``eps^T x_Q / |x_off|_1`` recomputed at
     the witness both exceed ``1 + TAU_STRICT`` and ``|A x| <= TAU_NUM``,
     False when both are below ``1 - TAU_STRICT``, None otherwise.
@@ -109,16 +110,18 @@ def _sign_patterns(a, support, basis, eps):
     gain = eps @ on_support[list(support)]
     gain_norm = np.linalg.norm(gain, axis=1)
     unbounded = gain_norm > TAU_RANK
-    values = np.full(count, np.inf)
+    values = np.where(unbounded, np.inf, 0.0)
     witnesses = np.zeros((count, n))
     witnesses[unbounded] = gain[unbounded] @ on_support.T / gain_norm[unbounded, None]
     live = np.flatnonzero(~unbounded)
-    if live.size:
-        from scipy.optimize import linprog
+    if live.size and r:
+        from scipy.optimize import Bounds, LinearConstraint, milp
         from scipy.sparse import csc_array
 
         # block variables (u, t): x = B u, -t <= x_off <= t, sum t <= 1,
-        # repeated down the diagonal once per pattern
+        # repeated down the diagonal once per pattern; milp with no
+        # integrality hands HiGHS the pure LP with the least input
+        # handling of scipy's entry points
         b_off = moving[off]
         block = np.block([[b_off, -np.eye(p)], [-b_off, -np.eye(p)],
                           [np.zeros((1, r)), np.ones((1, p))]])
@@ -129,9 +132,10 @@ def _sign_patterns(a, support, basis, eps):
                          shape=(h * live.size, w * live.size))
         objective = eps[live] @ moving[list(support)]
         cost = np.hstack([-objective, np.zeros((live.size, p))])
-        bounds = [(-np.inf, np.inf)] * r + [(0.0, np.inf)] * p
-        res = linprog(cost.ravel(), A_ub=a_ub, b_ub=np.tile(np.eye(h)[-1], live.size),
-                      bounds=np.tile(bounds, (live.size, 1)), method="highs")
+        lower = np.hstack([np.full(r, -np.inf), np.zeros(p)])
+        res = milp(cost.ravel(),
+                   constraints=LinearConstraint(a_ub, -np.inf, np.tile(np.eye(h)[-1], live.size)),
+                   bounds=Bounds(np.tile(lower, live.size), np.inf))
         if res.status != 0:
             raise GreedycertError(f"sign-pattern LP not solved: {res.message}")
         sol = res.x.reshape(live.size, w)[:, :r]

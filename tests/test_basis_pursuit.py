@@ -91,14 +91,14 @@ class TestPatternValues:
         # LP value but not the witness ratio: the two routes disagree
         import scipy.optimize
 
-        solve = scipy.optimize.linprog
+        solve = scipy.optimize.milp
 
         def scaled(*args, **kwargs):
             res = solve(*args, **kwargs)
             res.x = 1.01 * res.x
             return res
 
-        monkeypatch.setattr(scipy.optimize, "linprog", scaled)
+        monkeypatch.setattr(scipy.optimize, "milp", scaled)
         with pytest.raises(FormMismatchError):
             bp.brc_bp_check(gaussian(3, 5, 13), (0, 3))
 
@@ -182,8 +182,11 @@ class TestNsp:
         def no_lp(*args, **kwargs):
             raise AssertionError("LP built over budget")
 
-        monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+        monkeypatch.setattr(scipy.optimize, "milp", no_lp)
         d = gaussian(20, n, 0)
+        # the patched solver is the one a check in budget reaches
+        with pytest.raises(AssertionError, match="LP built"):
+            bp.nsp_check(gaussian(4, 6, 0), (0, 1))
         for check in (bp.nsp_check, bp.brc_bp_check):
             tracemalloc.start()
             try:
@@ -334,6 +337,12 @@ class TestL1Recovers:
         a = np.hstack([np.eye(3), np.eye(3)])
         assert bp.l1_recovers(a, np.eye(6)[0]) is None
 
+    def test_support_naming_every_atom(self):
+        # no off-support atom: recovered exactly when A is injective
+        assert bp.l1_recovers(np.eye(4), np.array([1.0, 2.0, -3.0, 4.0])) is True
+        a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert bp.l1_recovers(a, np.array([1.0, 2.0, 3.0])) is False
+
     def test_zero_vector_recovered(self):
         assert bp.l1_recovers(gaussian(3, 5, 1), np.zeros(5)) is True
 
@@ -391,7 +400,48 @@ def test_lp_and_l1_min_agree(m, null_dim, seed, data):
 
 
 def test_import_leaves_linprog_unloaded():
-    code = "import sys, greedycert; print('scipy.optimize' in sys.modules)"
+    # the LP solver and its sparse matrices load on the first l1 check
+    code = ("import sys, greedycert; "
+            "print([name in sys.modules for name in ('scipy.optimize', 'scipy.sparse')])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False]"
+
+
+class TestOneSolverCall:
+    """Each check solves its sign patterns in one HiGHS call, through
+    ``scipy.optimize.milp`` and never ``linprog``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import scipy.optimize
+
+        solve, count = scipy.optimize.milp, []
+
+        def counted(*args, **kwargs):
+            count.append(1)
+            return solve(*args, **kwargs)
+
+        def no_linprog(*args, **kwargs):
+            raise AssertionError("linprog reached")
+
+        monkeypatch.setattr(scipy.optimize, "milp", counted)
+        monkeypatch.setattr(scipy.optimize, "linprog", no_linprog)
+        return count
+
+    @pytest.mark.parametrize("check", [bp.nsp_check, bp.brc_bp_check, bp._l1_reports])
+    def test_one_call_per_check(self, calls, check):
+        check(gaussian(4, 7, 2), (0, 3, 5))
+        assert len(calls) == 1
+
+    def test_one_call_for_l1_recovers(self, calls):
+        x = np.zeros(7)
+        x[[1, 4]] = (2.0, -0.5)
+        assert bp.l1_recovers(gaussian(4, 7, 2), x) is not None
+        assert len(calls) == 1
+
+    def test_no_call_for_trivial_null_space(self, calls):
+        for check in (bp.nsp_check, bp.brc_bp_check, bp._l1_reports):
+            check(np.eye(4), (0, 1))
+        assert bp.l1_recovers(np.eye(4), np.array([1.0, 0.0, -2.0, 0.0])) is True
+        assert not calls

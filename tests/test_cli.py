@@ -163,10 +163,11 @@ class TestBpAndSpark:
         assert obj["nsp"]["indeterminate"] is False
         assert all(p["feasible"] is not None for p in obj["brc_bp"]["patterns"])
 
-    @pytest.mark.parametrize("m, qstar", [(5, "0,1"), (3, "0,1,2,3")])
+    @pytest.mark.parametrize("m, qstar", [(5, "0,1"), (5, "0,1,2,3,4"), (3, "0,1,2,3")])
     def test_bp_check_output_is_strict_json(self, capsys, m, qstar):
-        # square dictionary (trivial null space) and a support larger
-        # than m (unbounded patterns): no NaN or Infinity tokens
+        # square dictionary (trivial null space, also with every atom on
+        # the support) and a support larger than m (unbounded patterns):
+        # no NaN or Infinity tokens
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")
 
@@ -176,7 +177,7 @@ class TestBpAndSpark:
         assert code == 0
         sups = [p["supremum"] for p in obj["brc_bp"]["patterns"]]
         if m == 5:
-            assert obj["nsp"]["supremum"] is None and sups == [0.0] * 4
+            assert obj["nsp"]["supremum"] is None and sups == [0.0] * 2 ** len(qstar.split(","))
         else:
             assert obj["nsp"]["supremum"] is None and None in sups
 

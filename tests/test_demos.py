@@ -16,8 +16,9 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(script):
+def test_demo_runs(script, tmp_path):
+    # run where the demos' output files cannot land in the checkout
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(script)], cwd=ROOT, capture_output=True,
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
     assert done.returncode == 0, done.stderr

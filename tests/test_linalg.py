@@ -384,4 +384,10 @@ class TestSpark:
 
     def test_budget_guard(self):
         with pytest.raises(TooLargeError):
-            linalg.compute_spark(np.ones((2, 60)), 30)
+            linalg.compute_spark(gaussian(40, 60, 0), 30)
+
+    def test_search_stops_at_m_plus_one(self):
+        # sizes past m + 1 are dependent by dimension, so a request for
+        # 30 costs only the subsets of sizes 2 and 3
+        assert linalg.compute_spark(gaussian(3, 60, 0), 30) == 4
+        assert linalg.compute_spark(np.ones((2, 60)), 30) == 2
