@@ -33,10 +33,8 @@ from .linalg import _as_matrix, _scans_once
 from .tolerances import TAU_FORM, TAU_NUM, TAU_RANK, TAU_STRICT
 
 __all__ = [
-    "NullSpaceBasis",
     "NspReport",
     "BrcBpReport",
-    "null_space_basis",
     "nsp_check",
     "brc_bp_check",
     "l1_recovers",
@@ -45,17 +43,6 @@ __all__ = [
 # work budget of one check, in array entries per sign pattern: its row of
 # the pattern table (k), its witness (n) and its LP block's nonzeros
 MAX_PATTERN_WORK = 2 * 10**6
-
-
-@dataclass(frozen=True)
-class NullSpaceBasis:
-    basis: np.ndarray  # n x dim, orthonormal columns
-    dim: int
-
-
-def null_space_basis(a):
-    v = null_space(_as_matrix(a))
-    return NullSpaceBasis(basis=v, dim=v.shape[1])
 
 
 def _finite_or_none(value):
@@ -203,11 +190,11 @@ def nsp_check(a, qstar):
     Holds when v(eps) < 1 for every sign pattern eps on it."""
     a = _as_matrix(a)
     support, _ = _check_support(a.shape[1], qstar)
-    ns = null_space_basis(a)
-    if not ns.dim:  # a trivial null space needs no pattern table
+    basis = null_space(a, check_finite=False)
+    if not basis.shape[1]:  # a trivial null space needs no pattern table
         return _nsp_report(0, ())
-    return _nsp_report(ns.dim, _sign_patterns(a, support, ns.basis,
-                                              _every_pattern(len(support), a.shape[1])))
+    patterns = _sign_patterns(a, support, basis, _every_pattern(len(support), a.shape[1]))
+    return _nsp_report(basis.shape[1], patterns)
 
 
 @dataclass(frozen=True)
@@ -260,9 +247,9 @@ def _l1_reports(a, qstar):
     pattern table: one null space and one LP for both reports."""
     a = _as_matrix(a)
     support, _ = _check_support(a.shape[1], qstar)
-    ns = null_space_basis(a)
-    patterns = _sign_patterns(a, support, ns.basis, _every_pattern(len(support), a.shape[1]))
-    return _nsp_report(ns.dim, patterns), _brc_report(support, patterns)
+    basis = null_space(a, check_finite=False)
+    patterns = _sign_patterns(a, support, basis, _every_pattern(len(support), a.shape[1]))
+    return _nsp_report(basis.shape[1], patterns), _brc_report(support, patterns)
 
 
 def brc_bp_check(a, qstar):
@@ -290,7 +277,7 @@ def l1_recovers(a, xstar):
     xstar = np.asarray(xstar, dtype=np.float64)
     if xstar.shape != (n,) or not np.isfinite(xstar).all():
         raise ValueError(f"xstar must be a finite vector of length {n}")
-    basis = null_space_basis(a).basis
+    basis = null_space(a, check_finite=False)
     if _null_split(basis, xstar == 0)[1].shape[1]:
         return False
     support = tuple(np.flatnonzero(xstar).tolist())

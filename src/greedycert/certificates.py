@@ -53,11 +53,11 @@ from scipy.linalg import solve_triangular, svd
 from .exceptions import FormMismatchError, RankDeficientError, TooLargeError
 from .linalg import (
     _as_matrix,
+    _check_unit,
     _qr,
     _scans_once,
     _tail_sums,
     factor_chain,
-    least_squares,
     residual,
     state_for,
 )
@@ -133,10 +133,7 @@ class CertificateReport:
             "margin": float(self.margin),
         }
         if self.details:
-            out["details"] = {
-                k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                for k, v in self.details.items()
-            }
+            out["details"] = dict(self.details)
         return out
 
 
@@ -271,7 +268,7 @@ def _pinv_table(a, qstar, js):
     """``pinv(A_Qstar) A_js`` from one SVD ``A_Qstar = U S V.T``, as
     ``V S^-1 (U.T A)[:, js]`` with one k x n product: the cross-check of
     the leave-one-out rows in :func:`brc_omp`, sharing no factorization
-    with :func:`linalg.least_squares`."""
+    with its QR route."""
     u, s, vt = svd(a[:, qstar], full_matrices=False, check_finite=False)
     return (vt.T / s) @ (u.T @ a)[:, js]
 
@@ -395,7 +392,9 @@ def brc_omp(a, qstar, fast=False):
     atoms in k steps for any input carried by the support, whatever the
     coefficients.  The factor of wrong atom j when only support atom i
     is left is ``|C_ij|``, with ``C = pinv(A_Qstar) A_off`` from one QR
-    (:func:`linalg.least_squares`).  Unless ``fast``, every ``|C_ij|``
+    of the support and one triangular solve.  Atoms must have unit norm
+    within ``TAU_NUM`` (:class:`NotNormalizedError`), as in every other
+    certificate.  Unless ``fast``, every ``|C_ij|``
     must match the SVD route (:func:`_pinv_table`) within ``TAU_FORM``
     (:class:`FormMismatchError` otherwise); the check adds one m x k
     SVD and one k x n product.
@@ -407,7 +406,9 @@ def brc_omp(a, qstar, fast=False):
     js = _wrong_atoms(a.shape[1], qstar)
     if not js:
         raise ValueError("no wrong atom to probe")
-    c = least_squares(a[:, qstar], a[:, js])
+    _check_unit(np.sqrt(np.einsum("ij,ij->j", a, a)), range(a.shape[1]))
+    q, r = _qr(a[:, qstar])
+    c = solve_triangular(r, q.T @ a[:, js], check_finite=False)
     rowmax = np.abs(c).max(axis=1)
 
     if not fast:

@@ -9,6 +9,7 @@ byte.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -178,28 +179,6 @@ def _cmd_spark(args):
     return _emit({"config": echo, "spark": value}, args.output)
 
 
-# experiment flags default to None so an explicit setting is detectable;
-# (argument attr, config field, parser) triples drive the merge
-_FLAG_FIELDS = (
-    ("dictionary", "dictionary", None),
-    ("m", "m", None),
-    ("n", "n", None),
-    ("t_max", "t_max", None),
-    ("sigma", "sigma", None),
-    ("downsample", "downsample", None),
-    ("k", "k", None),
-    ("trials", "trials", None),
-    ("seed", "base_seed", None),
-    ("placement", "placement", None),
-    ("algorithms", "algorithms", _parse_algs),
-    ("q_values", "q_values", _parse_ints),
-    ("n_grid", "n_grid", _parse_ints),
-    ("k_grid", "k_grid", _parse_ints),
-    ("m_grid", "m_grid", _parse_ints),
-    ("sigmas", "sigmas", _parse_floats),
-    ("deltas", "deltas", _parse_ints),
-)
-
 _EXP_DEFAULTS = {
     "scatter": {"trials": 100, "placement": "contiguous"},
     "phase-curve": {"trials": 100},
@@ -215,7 +194,10 @@ def _experiment_parent():
     p.add_argument("--config",
                    help="result file whose echoed config to re-run; "
                         "excludes every other experiment setting")
-    g = p.add_argument_group("experiment")
+    # each experiment flag stores into the ExperimentConfig field of its
+    # dest, and only when given, so the given settings are the config
+    # fields among the parsed attributes
+    g = p.add_argument_group("experiment", argument_default=argparse.SUPPRESS)
     g.add_argument("--dict", dest="dictionary",
                    choices=("gaussian", "hybrid", "convolutive"),
                    help="dictionary family (default: per subcommand)")
@@ -226,17 +208,20 @@ def _experiment_parent():
     g.add_argument("--downsample", type=int, help="decimation factor (default: 1)")
     g.add_argument("--k", type=int, help="support size")
     g.add_argument("--trials", type=int, help="trial count (default: per subcommand)")
-    g.add_argument("--seed", type=int,
+    g.add_argument("--seed", dest="base_seed", type=int,
                    help=f"base seed; trial t uses base + t (default: {DEFAULT_SEED})")
     g.add_argument("--placement", choices=("random", "contiguous", "spaced"),
                    help="support placement (default: per subcommand)")
-    g.add_argument("--algorithms", help="comma list among omp,ols (default: omp,ols)")
-    g.add_argument("--q-values", help="comma list of partial-support sizes (default: 0..k-1)")
-    g.add_argument("--n-grid", help="comma list of atom counts (grids)")
-    g.add_argument("--k-grid", help="comma list of support sizes (grids)")
-    g.add_argument("--m-grid", help="comma list of row counts (grids)")
-    g.add_argument("--sigmas", help="comma list of pulse widths")
-    g.add_argument("--deltas", help="comma list of support spacings (default: 1)")
+    g.add_argument("--algorithms", type=_parse_algs,
+                   help="comma list among omp,ols (default: omp,ols)")
+    g.add_argument("--q-values", type=_parse_ints,
+                   help="comma list of partial-support sizes (default: 0..k-1)")
+    g.add_argument("--n-grid", type=_parse_ints, help="comma list of atom counts (grids)")
+    g.add_argument("--k-grid", type=_parse_ints, help="comma list of support sizes (grids)")
+    g.add_argument("--m-grid", type=_parse_ints, help="comma list of row counts (grids)")
+    g.add_argument("--sigmas", type=_parse_floats, help="comma list of pulse widths")
+    g.add_argument("--deltas", type=_parse_ints,
+                   help="comma list of support spacings (default: 1)")
     o = p.add_argument_group("execution")
     o.add_argument("--workers", type=int, default=1,
                    help="most worker processes to use; a pool starts only when the "
@@ -251,7 +236,8 @@ def _experiment_parent():
 
 
 def _resolve_experiment_config(kind, args):
-    provided = {attr for attr, _, _ in _FLAG_FIELDS if getattr(args, attr) is not None}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    provided = {name: value for name, value in vars(args).items() if name in fields}
     if args.config is not None:
         _check(not provided, "--config cannot be combined with other experiment settings")
         cfg = load_config(args.config)
@@ -259,10 +245,7 @@ def _resolve_experiment_config(kind, args):
         return cfg
     data = {"kind": kind, "base_seed": DEFAULT_SEED}
     data.update(_EXP_DEFAULTS.get(kind, {}))
-    for attr, field_name, parse in _FLAG_FIELDS:
-        value = getattr(args, attr)
-        if value is not None:
-            data[field_name] = parse(value) if parse else value
+    data.update(provided)
     return ExperimentConfig.from_dict(data)
 
 

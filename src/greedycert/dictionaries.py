@@ -31,14 +31,6 @@ class Dictionary:
     params: dict = field(default_factory=dict)
     seed: int | None = None
 
-    @property
-    def m(self):
-        return self.matrix.shape[0]
-
-    @property
-    def n(self):
-        return self.matrix.shape[1]
-
 
 def _finite(name, value):
     """``value`` as a float; NaN and infinities raise ``ValueError``."""

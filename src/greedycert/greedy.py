@@ -234,6 +234,18 @@ def run_greedy(algorithm, atoms, y, max_iters, oracle=None):
     )
 
 
+def _step_search(base, direction, verified):
+    """``base + eps * direction`` at the first step size eps = 1, 1/2,
+    ... down to ``MIN_STEP`` that ``verified`` accepts, or None."""
+    eps = 1.0
+    while eps >= MIN_STEP:
+        y = base + eps * direction
+        if verified(y):
+            return y
+        eps /= 2.0
+    return None
+
+
 def _reaches_prefix(algorithm, a, y, prefix):
     """True when the run selects exactly ``prefix``, strictly (no tie)."""
     trace = run_greedy(algorithm, a, y, len(prefix))
@@ -269,31 +281,23 @@ def construct_reaching_input(atoms, order, algorithm="ols"):
             f"atom {order[0]} is not a strict first selection of its own direction"
         )
     for p in range(1, len(order)):
-        eps = 1.0
-        while True:
-            cand = y + eps * a[:, order[p]]
-            if _reaches_prefix(algorithm, a, cand, order[: p + 1]):
-                y = cand
-                break
-            eps /= 2.0
-            if eps < MIN_STEP:
-                raise ConstructionFailedError(
-                    f"no step size reaches {order[: p + 1]} with {algorithm}"
-                )
+        prefix = order[: p + 1]
+        y = _step_search(y, a[:, order[p]],
+                         lambda cand: _reaches_prefix(algorithm, a, cand, prefix))
+        if y is None:
+            raise ConstructionFailedError(f"no step size reaches {prefix} with {algorithm}")
     return y
 
 
 @_scans_once
-def build_failure_input(atoms, qstar, q, algorithm, reaching=None):
+def build_failure_input(atoms, qstar, q, algorithm):
     """A vector on support ``qstar`` that reaches ``q`` and then fails.
 
     Returns None when the exactness certificate at ``q`` holds (no such
     input exists for this construction).  Otherwise the returned vector
     steers the run through ``q`` (in order) and makes the next selection
     wrong or adversarially tied; this is verified by re-running before
-    returning.  ``reaching`` overrides the generated on-support vector
-    that steers the run through ``q`` (useful for OMP, where reaching a
-    prescribed selection is not always constructible).
+    returning.
     """
     a = _as_matrix(atoms)
     if algorithm not in _SELECT:
@@ -336,15 +340,9 @@ def build_failure_input(atoms, qstar, q, algorithm, reaching=None):
             raise ConstructionFailedError("failure input did not verify")
         return yhat
 
-    z = np.asarray(reaching, dtype=np.float64) if reaching is not None else None
-    if z is None:
-        z = construct_reaching_input(a, q, algorithm)
-    eps = 1.0
-    while eps >= MIN_STEP:
-        y = z + eps * yhat
-        if verified(y):
-            return y
-        eps /= 2.0
-    raise ConstructionFailedError(
-        f"no step size yields a verified failure after {q} with {algorithm}"
-    )
+    y = _step_search(construct_reaching_input(a, q, algorithm), yhat, verified)
+    if y is None:
+        raise ConstructionFailedError(
+            f"no step size yields a verified failure after {q} with {algorithm}"
+        )
+    return y

@@ -1,4 +1,4 @@
-"""Least squares, the factor kernel and incremental projections.
+"""The factor kernel and incremental projections.
 
 Conventions used throughout the package:
 
@@ -52,7 +52,6 @@ from .tolerances import TAU_NUM, TAU_RANK, TAU_ZERO
 
 __all__ = [
     "ProjectionState",
-    "least_squares",
     "factor_chain",
     "init_state",
     "state_for",
@@ -130,15 +129,6 @@ def _qr(a):
     return q, r
 
 
-def least_squares(a, b):
-    """Minimum-residual solution of ``a @ x = b`` for full-rank ``a``.
-
-    ``b`` may be a vector or a matrix of stacked right-hand sides.
-    """
-    q, r = _qr(_as_matrix(a))
-    return solve_triangular(r, q.T @ np.asarray(b, dtype=np.float64))
-
-
 def _check_unit(norms, atoms):
     bad = np.flatnonzero(np.abs(norms - 1.0) > TAU_NUM)
     if bad.size:
@@ -213,10 +203,6 @@ class ProjectionState:
     basis: np.ndarray
     norms: np.ndarray
     exact_sq: np.ndarray
-
-    @property
-    def m(self):
-        return self.atoms.shape[0]
 
     @property
     def n(self):

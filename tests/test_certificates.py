@@ -24,6 +24,7 @@ from greedycert.exceptions import (
     RankDeficientError,
     TooLargeError,
 )
+from greedycert.greedy import run_greedy
 from greedycert.linalg import residual, state_for
 from greedycert.tolerances import TAU_ZERO
 
@@ -51,6 +52,10 @@ def oracle_f_ols(a, qstar, q, j):
         for pos, i in enumerate(qstar)
         if i not in q
     )
+
+
+def lstsq(a, b):
+    return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
 def rand_instance(rng):
@@ -190,7 +195,7 @@ def explicit_projection(a, qstar, q, js, algorithm):
     if algorithm == "ols":
         lhs = lhs / state.norms[remaining]
         rhs = rhs / np.where(alive, jn, 1.0)
-    vals = np.abs(cert.least_squares(lhs, rhs)).sum(axis=0)
+    vals = np.abs(lstsq(lhs, rhs)).sum(axis=0)
     return np.where(alive, vals, 0.0), jn, np.linalg.svd(lhs, compute_uv=False)[-1]
 
 
@@ -260,8 +265,10 @@ class TestCheckedModeCatchesFaultyKernel:
             cert.erc_oxx_subset(self.d, self.qstar, q, algorithm)
 
     def test_perturbed_least_squares_in_brc_omp(self, monkeypatch):
-        solve = cert.least_squares
-        monkeypatch.setattr(cert, "least_squares", lambda a, b: solve(a, b) + 1e-6)
+        # brc_omp is the only caller of the triangular solve on this path
+        solve = cert.solve_triangular
+        monkeypatch.setattr(cert, "solve_triangular",
+                            lambda *args, **kwargs: solve(*args, **kwargs) + 1e-6)
         with pytest.raises(FormMismatchError):
             cert.brc_omp(self.d, self.qstar)
 
@@ -336,8 +343,8 @@ class TestRestrictionIdentities:
             a, qstar, q, j = rand_instance(rng)
             state = state_for(a, q)
             remaining = [i for i in qstar if i not in q]
-            full = cert.least_squares(a[:, list(qstar)], a[:, j])
-            sub = cert.least_squares(residual(state, a[:, remaining]), residual(state, a[:, j]))
+            full = lstsq(a[:, list(qstar)], a[:, j])
+            sub = lstsq(residual(state, a[:, remaining]), residual(state, a[:, j]))
             rows = [list(qstar).index(i) for i in remaining]
             assert np.abs(sub - full[rows]).max() < 1e-9
 
@@ -351,8 +358,8 @@ class TestRestrictionIdentities:
             remaining = [i for i in qstar if i not in q]
             bt = residual(state, a[:, remaining]) / state.norms[remaining]
             bj = residual(state, a[:, j]) / state.norms[j]
-            beta = cert.least_squares(bt, bj)
-            full = cert.least_squares(a[:, list(qstar)], a[:, j])
+            beta = lstsq(bt, bj)
+            full = lstsq(a[:, list(qstar)], a[:, j])
             rows = [list(qstar).index(i) for i in remaining]
             lhs = state.norms[j] * beta
             rhs = state.norms[remaining] * full[rows]
@@ -545,6 +552,39 @@ class TestBrcOmp:
         assert len(report.per_atom) == 2
         assert report.details["easiest_last_atom"] in (0, 1)
 
+    def test_rows_match_normal_equations(self):
+        # row i of C = pinv(A_Qstar) A_off, solved independently, gives
+        # the worst wrong factor when atom i is left last; the last case
+        # is square (k = m), with every wrong atom inside span(A_Qstar)
+        rng = np.random.default_rng(34)
+        cases = [rand_instance(rng)[:2] for _ in range(20)]
+        for a, qstar in cases + [(gaussian(4, 6, 2).matrix, (0, 1, 2, 3))]:
+            off = [j for j in range(a.shape[1]) if j not in qstar]
+            support = a[:, list(qstar)]
+            c = np.linalg.solve(support.T @ support, support.T @ a[:, off])
+            report = cert.brc_omp(a, qstar, fast=True)
+            assert np.allclose([f for _, f in report.per_atom], np.abs(c).max(axis=1),
+                               atol=1e-9)
+
+    def test_dependent_support_raises(self):
+        v = np.sqrt(0.5)
+        a = np.array([[1.0, 0.0, v, 0.0], [0.0, 1.0, v, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(RankDeficientError):
+            cert.brc_omp(a, (0, 1, 2))
+
+    def test_support_larger_than_dimension_raises(self):
+        with pytest.raises(RankDeficientError):
+            cert.brc_omp(gaussian(3, 6, 0), (0, 1, 2, 3))
+
+    @pytest.mark.parametrize("atom", [1, 5])
+    def test_non_unit_atom_rejected(self, atom):
+        # a scaled support or wrong atom is refused, as by the other
+        # certificates, instead of deciding on the scaled matrix
+        a = np.array(gaussian(6, 10, 0).matrix)
+        a[:, atom] *= 3.0
+        with pytest.raises(NotNormalizedError, match=f"atom {atom} "):
+            cert.brc_omp(a, (0, 1))
+
 
 class TestMonotonicity:
     def test_omp_factor_never_increases(self):
@@ -619,3 +659,85 @@ class TestRecursion:
 
     def test_omp_update_is_coefficient_drop(self):
         assert cert._f_omp_update(2.5, -0.75) == pytest.approx(1.75)
+
+
+def on_support(a, qstar, seed):
+    """An input on the support with random signs and amplitudes in
+    [0.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    k = len(qstar)
+    return a[:, list(qstar)] @ (rng.choice([-1.0, 1.0], k) * rng.uniform(0.5, 1.5, k))
+
+
+def decided(report):
+    """Aggregates within 1e-6 of the decision line are left out: there
+    rounding, not the certificate, decides the greedy run."""
+    return abs(report.aggregate - 1.0) > 1e-6
+
+
+@st.composite
+def coherent_cases(draw):
+    """Few rows and many nearly collinear atoms (hybrid), where most
+    supports are unreachable for OMP."""
+    m = draw(st.integers(3, 7))
+    n = draw(st.integers(6 * m, 10 * m))
+    d = hybrid(m, n, draw(st.floats(5.0, 50.0)), draw(st.integers(0, 2**31 - 1)))
+    perm = draw(st.permutations(range(n)))
+    return d.matrix, tuple(perm[: draw(st.integers(2, 3))])
+
+
+@st.composite
+def incoherent_cases(draw):
+    """Gaussian dictionaries with supports small against the row count,
+    where most supports are certified."""
+    m = draw(st.integers(12, 40))
+    n = draw(st.integers(m + 1, 2 * m))
+    d = gaussian(m, n, draw(st.integers(0, 2**31 - 1)))
+    perm = draw(st.permutations(range(n)))
+    return d.matrix, tuple(perm[: draw(st.integers(1, 4))])
+
+
+class TestImplications:
+    """Each certificate's claim against greedy runs and against the
+    other certificates, on adversarially drawn cases."""
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+    @given(coherent_cases(), st.integers(0, 2**31 - 1))
+    def test_brc_omp_means_omp_fails(self, case, seed):
+        a, qstar = case
+        report = cert.brc_omp(a, qstar)
+        if report.verdict and decided(report):
+            trace = run_greedy("omp", a, on_support(a, qstar, seed), len(qstar), oracle=qstar)
+            assert trace.status != "success"
+            assert set(trace.selections()) != set(qstar)
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+    @given(incoherent_cases(), st.integers(0, 2**31 - 1))
+    def test_certified_at_card_zero_means_both_recover(self, case, seed):
+        a, qstar = case
+        report = cert.erc_oxx_cardinality(a, qstar, 0, "omp")
+        if report.verdict and decided(report):
+            y = on_support(a, qstar, seed)
+            for algorithm in ("omp", "ols"):
+                trace = run_greedy(algorithm, a, y, len(qstar), oracle=qstar)
+                assert trace.status == "success", algorithm
+                assert sorted(trace.selections()) == sorted(qstar)
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(coherent_cases(), incoherent_cases()))
+    def test_ols_certified_at_last_step(self, case):
+        # with one true atom left its projection correlates with the
+        # residual at least as well as any wrong atom's normalized one
+        a, qstar = case
+        report = cert.erc_oxx_cardinality(a, qstar, len(qstar) - 1, "ols")
+        assert report.aggregate <= 1.0 + 1e-9
+        if decided(report):
+            assert report.verdict
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+    @given(chain_cases())
+    def test_omp_factor_never_grows_along_a_chain(self, case):
+        a, qstar, j, order = case
+        values = [cert.f_omp(a, qstar, order[:p], j) for p in range(len(order) + 1)]
+        for prev, cur in zip(values, values[1:]):
+            assert cur <= prev + 1e-9 * max(1.0, prev)

@@ -1,5 +1,7 @@
 """Exit codes, output layout and config round trips for the CLI."""
 
+import argparse
+import dataclasses
 import json
 import math
 import subprocess
@@ -10,8 +12,9 @@ import pytest
 
 from greedycert import basis_pursuit
 from greedycert.basis_pursuit import brc_bp_check, nsp_check
-from greedycert.cli import main
+from greedycert.cli import _build_parser, main
 from greedycert.dictionaries import gaussian
+from greedycert.experiments import KINDS, ExperimentConfig
 
 
 def run_json(capsys, argv):
@@ -303,6 +306,16 @@ class TestExperiments:
 
     def test_missing_dims_rejected(self, capsys):
         assert main(["phase-curve", "--k", "4", "--trials", "2"]) == 2
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_setting_has_one_flag(self, kind):
+        # every config field but the kind is set by exactly one flag of
+        # the experiment group, which stores into that field
+        fields = sorted(f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "kind")
+        [sub] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        [group] = [g for g in sub.choices[kind]._action_groups if g.title == "experiment"]
+        assert sorted(a.dest for a in group._group_actions) == fields
+        assert all(len(a.option_strings) == 1 for a in group._group_actions)
 
     def test_io_failure_exit(self, capsys):
         assert main(["scatter", "--m", "50", "--n", "6", "--k", "5",

@@ -363,17 +363,12 @@ class TestFailureInput:
         w = np.linalg.solve(lhs.T @ pt, np.sign(coef[:, best]))
         want = a[:, remaining] @ w
         z = greedy.construct_reaching_input(a, q, alg) if q else np.zeros(a.shape[0])
-        y = greedy.build_failure_input(a, qstar, q, alg, reaching=z if q else None)
+        y = greedy.build_failure_input(a, qstar, q, alg)
         got = y - z
         # y = z + eps * direction for some step eps in (0, 1]
         eps = np.linalg.norm(got) / np.linalg.norm(want)
         assert 0.0 < eps <= 1.0 + 1e-12
         assert np.abs(got / eps - want).max() <= 1e-9 * np.abs(want).max()
-
-    def test_supplied_reaching_vector(self):
-        d = example1(np.pi / 12, np.pi / 4)
-        y = greedy.build_failure_input(d, (0, 1), (0,), "omp", reaching=d.matrix[:, 0])
-        assert y is not None
 
 
 @st.composite

@@ -18,11 +18,6 @@ from greedycert.exceptions import (
 )
 
 
-def normal_equations(a, b):
-    # independent least-squares route for full-rank a
-    return np.linalg.solve(a.T @ a, a.T @ b)
-
-
 def explicit_projector(a_q):
     # P onto the orthogonal complement of span(a_q), via pinv
     m = a_q.shape[0]
@@ -47,40 +42,6 @@ def eta_chi_steps(a, order):
         with np.errstate(invalid="ignore", divide="ignore"):
             yield new.norms / state.norms, (new.basis[:, -1] @ a) / state.norms
         state = new
-
-
-class TestLeastSquares:
-    def test_matches_normal_equations(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            m = int(rng.integers(5, 30))
-            k = int(rng.integers(1, m))
-            a = rng.standard_normal((m, k))
-            b = rng.standard_normal(m)
-            x = linalg.least_squares(a, b)
-            assert np.allclose(x, normal_equations(a, b), atol=1e-9)
-
-    def test_multi_rhs(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((12, 4))
-        b = rng.standard_normal((12, 7))
-        x = linalg.least_squares(a, b)
-        assert x.shape == (4, 7)
-        assert np.allclose(x, normal_equations(a, b), atol=1e-9)
-
-    def test_square_exact(self):
-        a = np.array([[2.0, 1.0], [0.0, 3.0]])
-        x = linalg.least_squares(a, np.array([4.0, 9.0]))
-        assert np.allclose(a @ x, [4.0, 9.0], atol=1e-12)
-
-    def test_rank_deficient_raises(self):
-        a = np.ones((5, 2))
-        with pytest.raises(RankDeficientError):
-            linalg.least_squares(a, np.ones(5))
-
-    def test_more_columns_than_rows_raises(self):
-        with pytest.raises(RankDeficientError):
-            linalg.least_squares(np.eye(3, 4), np.ones(3))
 
 
 class TestFactorChain:
@@ -164,7 +125,7 @@ class TestFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             linalg._as_matrix(a)
         with pytest.raises(ValueError, match="finite"):
-            linalg.least_squares(a, np.ones(3))
+            certificates.brc_omp(a, (0, 1))
 
     def test_entry_point_scans_its_matrix_once(self, monkeypatch):
         a = np.array(gaussian(20, 40, 3).matrix)

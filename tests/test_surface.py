@@ -18,8 +18,7 @@ PUBLIC = {
         "compute_spark", "ExperimentConfig", "ExperimentResult", "run_experiment",
     ],
     basis_pursuit: [
-        "NullSpaceBasis", "NspReport", "BrcBpReport", "null_space_basis", "nsp_check",
-        "brc_bp_check", "l1_recovers",
+        "NspReport", "BrcBpReport", "nsp_check", "brc_bp_check", "l1_recovers",
     ],
     certificates: [
         "CertificateReport", "f_omp", "f_ols", "erc_oxx_subset", "erc_oxx_cardinality",
@@ -37,8 +36,8 @@ PUBLIC = {
         "run_greedy", "construct_reaching_input", "build_failure_input",
     ],
     linalg: [
-        "ProjectionState", "least_squares", "factor_chain", "init_state", "state_for",
-        "extend_state", "residual", "compute_spark",
+        "ProjectionState", "factor_chain", "init_state", "state_for", "extend_state",
+        "residual", "compute_spark",
     ],
 }
 
@@ -50,15 +49,18 @@ def test_all_is_pinned(module):
 
 
 def test_one_keyword_option_in_numerical_layers():
-    # brc_omp(fast=) is the only option two production callers set
-    # differently: `cert --brc` checks, the brc-map and brc-sigma sweeps
-    # read the kernel alone
+    # the options left, pinned so that no test-only knob returns unseen:
+    # `cert --brc` runs brc_omp checked while the brc-map and brc-sigma
+    # sweeps read the kernel alone; the greedy subcommand and the failure
+    # inputs give run_greedy a support oracle, the reaching inputs do not;
+    # construct_reaching_input defaults to the rule it always reaches with
     options = [
         f"{name}({param.name}=)"
-        for module in (certificates, linalg)
+        for module in (certificates, linalg, greedy, basis_pursuit)
         for name in module.__all__
         if inspect.isfunction(getattr(module, name))
         for param in inspect.signature(getattr(module, name)).parameters.values()
         if param.default is not inspect.Parameter.empty
     ]
-    assert options == ["brc_omp(fast=)"]
+    assert options == ["brc_omp(fast=)", "run_greedy(oracle=)",
+                       "construct_reaching_input(algorithm=)"]
