@@ -554,17 +554,40 @@ class TestBrcOmp:
 
     def test_rows_match_normal_equations(self):
         # row i of C = pinv(A_Qstar) A_off, solved independently, gives
-        # the worst wrong factor when atom i is left last; the last case
-        # is square (k = m), with every wrong atom inside span(A_Qstar)
+        # the worst wrong factor when atom i is left last
         rng = np.random.default_rng(34)
-        cases = [rand_instance(rng)[:2] for _ in range(20)]
-        for a, qstar in cases + [(gaussian(4, 6, 2).matrix, (0, 1, 2, 3))]:
+        for _ in range(20):
+            a, qstar, _, _ = rand_instance(rng)
             off = [j for j in range(a.shape[1]) if j not in qstar]
             support = a[:, list(qstar)]
             c = np.linalg.solve(support.T @ support, support.T @ a[:, off])
             report = cert.brc_omp(a, qstar, fast=True)
             assert np.allclose([f for _, f in report.per_atom], np.abs(c).max(axis=1),
                                atol=1e-9)
+
+    def test_every_wrong_atom_solved_at_once(self):
+        # one solve covers all n - k wrong atoms: each wrong column of C
+        # is checked against its own single-column normal equations
+        a = gaussian(12, 19, 8).matrix
+        qstar = (0, 3, 7, 11)
+        off = [j for j in range(19) if j not in qstar]
+        support = a[:, list(qstar)]
+        columns = [np.linalg.solve(support.T @ support, support.T @ a[:, j]) for j in off]
+        report = cert.brc_omp(a, qstar, fast=True)
+        assert len(report.per_atom) == 4
+        assert np.allclose([f for _, f in report.per_atom],
+                           np.abs(np.column_stack(columns)).max(axis=1), atol=1e-9)
+
+    def test_square_support_exact(self):
+        # k = m: every wrong atom lies in span(A_Qstar) and C solves
+        # A_Qstar C = A_off exactly
+        a = gaussian(4, 6, 2).matrix
+        qstar = (0, 1, 2, 3)
+        c = np.linalg.solve(a[:, list(qstar)], a[:, [4, 5]])
+        assert np.allclose(a[:, list(qstar)] @ c, a[:, [4, 5]], atol=1e-12)
+        report = cert.brc_omp(a, qstar, fast=True)
+        assert np.allclose([f for _, f in report.per_atom], np.abs(c).max(axis=1),
+                           atol=1e-9)
 
     def test_dependent_support_raises(self):
         v = np.sqrt(0.5)
