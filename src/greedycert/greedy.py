@@ -179,7 +179,8 @@ def run_greedy(algorithm, atoms, y, max_iters, oracle=None):
 
     With ``oracle`` (the true support) the run stops at the first wrong
     or adversarially tied selection.  Stops early once the residual norm
-    drops below ``TAU_SUCCESS_REL * |y|``.
+    drops below ``TAU_SUCCESS_REL * |y|``.  ``y`` must be a finite vector
+    of length m (``ValueError`` otherwise).
     """
     if algorithm not in _SELECT:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -188,6 +189,8 @@ def run_greedy(algorithm, atoms, y, max_iters, oracle=None):
     select = _SELECT[algorithm]
     a = _as_matrix(atoms)
     y = np.asarray(y, dtype=np.float64)
+    if y.shape != (a.shape[0],) or not np.isfinite(y).all():
+        raise ValueError(f"y must be a finite vector of length {a.shape[0]}")
     truth = frozenset(int(i) for i in oracle) if oracle is not None else None
     state = init_state(a)
     ynorm = np.linalg.norm(y)

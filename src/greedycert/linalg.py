@@ -12,24 +12,28 @@ Conventions used throughout the package:
   projected norm exactly zero.
 
 :func:`factor_chain` is the factor kernel: one LAPACK QR of the support
-in growth order gives the coefficient table of the probe atoms, every
-projected norm along the chain and the triangular factor itself, without
-ever forming a projected matrix.  The certificate values, the failure
-inputs and the recursion chains all read it.
+in growth order and one product ``Q.T A`` give the coefficient table of
+the probe atoms, every projected norm along the chain and the triangular
+factor itself, reading the dictionary in place and without ever forming
+a projected matrix.  The certificate values, the failure inputs and the
+recursion chains all read it.
 
-A :class:`ProjectionState` holds an orthonormal basis ``U`` of the
-active span and the projected-atom norms ``|P a_i|``, and is extended one
-atom at a time.  An extension costs one product ``u.T A`` with the new
-basis direction ``u``: since ``u`` is orthogonal to ``U``, ``u.T a_i =
-u.T P a_i``, so the squared norms are downdated as ``|P a_i|^2 -
-(u.T a_i)^2``.  A downdated square that falls below
-``RECOMPUTE_FRACTION`` of the column's last exactly computed square is
-recomputed from ``a_i - U(U.T a_i)``, the norm-downdate safeguard of
-LAPACK's column-pivoted QR (xGEQP3/xLAQPS).  No m x n array is formed
-on the way; :func:`residual` projects just the columns a caller asks
-for.  The states, like the kernel, take unit atoms only; they drive the
-greedy runs and are the independent cross-check of the factor kernel in
-the checked certificates.
+A :class:`ProjectionState` holds a frozen dictionary, an orthonormal
+basis ``U`` of the active span and the projected-atom norms ``|P a_i|``,
+and is extended one atom at a time; every state extended from one
+:func:`init_state` shares its dictionary, which is the caller's own
+array when that is read-only and owns its data.  An extension costs one
+product ``u.T A`` with the new basis direction ``u``: since ``u`` is
+orthogonal to ``U``, ``u.T a_i = u.T P a_i``, so the squared norms are
+downdated as ``|P a_i|^2 - (u.T a_i)^2``.  A downdated square that falls
+below ``RECOMPUTE_FRACTION`` of the column's last exactly computed
+square is recomputed from ``a_i - U(U.T a_i)``, the norm-downdate
+safeguard of LAPACK's column-pivoted QR (xGEQP3/xLAQPS); the kernel
+applies the same rule to the probes' part off the support span.  No
+m x n array is formed on the way; :func:`residual` projects just the
+columns a caller asks for.  The states, like the kernel, take unit atoms
+only; they drive the greedy runs and are the independent cross-check of
+the factor kernel in the checked certificates.
 """
 
 from contextvars import ContextVar
@@ -146,9 +150,9 @@ def _tail_sums(x):
 def factor_chain(atoms, order, probes):
     """Coefficient table, projected norms and R along a growth order.
 
-    One economic QR ``A_order = Q R``, one product ``G = Q.T A_probes``
-    and one triangular solve give, with ``k = len(order)`` and ``p =
-    len(probes)``:
+    One economic QR ``A_order = Q R``, one product ``Q.T A`` over the
+    whole dictionary, read at the probes as ``G``, and one triangular
+    solve give, with ``k = len(order)`` and ``p = len(probes)``:
 
     * ``coef`` (k x p): ``pinv(A_order) A_probes``, rows in growth order;
     * ``probe_norms`` ((k+1) x p): row ``q`` holds ``|P_q a_j|``, the
@@ -160,9 +164,16 @@ def factor_chain(atoms, order, probes):
       ``Q[:, q:] @ r[q:, q:]``.
 
     Every squared norm is a sum of non-negative terms:
-    ``|P_q a_j|^2 = sum_{l>=q} G[l, j]^2 + |a_j - Q G_j|^2`` and
-    ``|P_q a_order[i]|^2 = sum_{q<=l<=i} R[l, i]^2``, so small norms keep
-    their relative accuracy (``1 - cumsum(G**2)`` would not).
+    ``|P_q a_j|^2 = sum_{l>=q} G[l, j]^2 + |P_k a_j|^2`` and
+    ``|P_q a_order[i]|^2 = sum_{q<=l<=i} R[l, i]^2``, so the tail sums
+    keep their relative accuracy (``1 - cumsum(G**2)`` would not).  The
+    probes' part off ``span(A_order)`` is downdated as ``|P_k a_j|^2 =
+    |a_j|^2 - sum_l G[l, j]^2`` from one column-norm pass, with the
+    safeguard of :func:`extend_state`: a square below
+    ``RECOMPUTE_FRACTION * |a_j|^2`` is recomputed as ``|a_j - Q G_j|^2``
+    for those columns only, so small norms keep their relative accuracy
+    too.  The dictionary is read in place: the probes are never gathered
+    into a copy, and no m x n array is formed.
 
     Atoms must have unit norm within ``TAU_NUM``
     (:class:`NotNormalizedError`).  :class:`RankDeficientError` is raised
@@ -173,17 +184,20 @@ def factor_chain(atoms, order, probes):
     a = _as_matrix(atoms)
     order = np.asarray(order, dtype=np.intp)
     probes = np.asarray(probes, dtype=np.intp)
-    _check_unit(np.linalg.norm(a[:, order], axis=0), order)
+    atom_sq = np.einsum("ij,ij->j", a, a)
+    sq = atom_sq[probes]
+    _check_unit(np.sqrt(atom_sq[order]), order)
+    _check_unit(np.sqrt(sq), probes)
     q, r = _qr(a[:, order])
-    x = a[:, probes]
-    g = q.T @ x
+    g = (q.T @ a)[:, probes]
     coef = solve_triangular(r, g, check_finite=False)
-    # x - Q G, the probes' part outside span(A_order); the update runs
-    # in place on the gathered copy, which numpy lays out in Fortran order
-    if x.size:  # BLAS rejects an empty output
-        x = dgemm(-1.0, q, g, beta=1.0, c=x, overwrite_c=True)
-    probe_norms = np.sqrt(_tail_sums(g * g) + np.einsum("ij,ij->j", x, x))
-    _check_unit(probe_norms[0], probes)
+    tails = _tail_sums(g * g)
+    off = sq - tails[0]
+    cols = np.flatnonzero(off < RECOMPUTE_FRACTION * sq)
+    if cols.size:
+        x = a[:, probes[cols]] - q @ g[:, cols]
+        off[cols] = np.einsum("ij,ij->j", x, x)
+    probe_norms = np.sqrt(tails + off)
     support_norms = np.sqrt(_tail_sums(r * r))  # R is upper triangular
     return coef, probe_norms, support_norms, r
 
@@ -234,9 +248,15 @@ def init_state(atoms):
     """Start a projection state with an empty active set.
 
     Column norms must be 1 within ``TAU_NUM`` (selection by projected
-    residual correlations assumes unit atoms).
+    residual correlations assumes unit atoms).  The state and every
+    state extended from it share one frozen dictionary: a read-only
+    array that owns its data, such as every :class:`Dictionary` matrix,
+    is kept as it is; a writable array or a view is copied and the copy
+    frozen, so that later writes by the caller do not reach the state.
     """
-    a = _as_matrix(atoms).copy()
+    a = _as_matrix(atoms)
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
     exact_sq = np.einsum("ij,ij->j", a, a)
     norms = np.sqrt(exact_sq)
     _check_unit(norms, range(len(norms)))

@@ -100,6 +100,23 @@ class TestRunGreedy:
         with pytest.raises(ValueError, match="max_iters"):
             greedy.run_greedy("omp", np.eye(3), np.ones(3), -2)
 
+    @pytest.mark.parametrize("alg", ["omp", "ols"])
+    @pytest.mark.parametrize(
+        "y",
+        [
+            np.where(np.arange(6) == 2, np.inf, 1.0),
+            np.where(np.arange(6) == 2, np.nan, 1.0),
+            np.ones(5),
+            np.ones(7),
+            np.ones((6, 1)),
+        ],
+        ids=["inf", "nan", "short", "long", "column"],
+    )
+    def test_bad_input_vector_rejected(self, y, alg):
+        # an inf entry used to read as success, a nan one as exhausted
+        with pytest.raises(ValueError, match="finite vector of length 6"):
+            greedy.run_greedy(alg, gaussian(6, 10, 0), y, 3)
+
     def test_orthonormal_success(self):
         a = np.eye(6)
         y = a[:, [1, 3]] @ np.array([2.0, -1.0])

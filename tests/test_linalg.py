@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import orth
+from scipy.linalg import orth, qr
 
 from greedycert import certificates, greedy, linalg
 from greedycert.dictionaries import example1, from_matrix, gaussian, hybrid
@@ -16,6 +16,7 @@ from greedycert.exceptions import (
     RankDeficientError,
     TooLargeError,
 )
+from greedycert.tolerances import TAU_ZERO
 
 
 def explicit_projector(a_q):
@@ -31,6 +32,42 @@ def random_state(rng, m, n, depth):
     for i in order:
         state = linalg.extend_state(state, int(i))
     return d.matrix, state, [int(i) for i in order]
+
+
+def near_span_case(m, n, t_max, k, seed):
+    """A hybrid dictionary with its first k atoms as the support, and as
+    probes its other atoms, two atoms 1e-3 off the support span, two
+    inside it and two gaussian ones.  Returns the matrix, the order, the
+    probes and the positions of the inside probes among them."""
+    rng = np.random.default_rng(seed)
+    a = hybrid(m, n, t_max, seed).matrix
+    order = list(range(k))
+    basis, _ = np.linalg.qr(a[:, order])
+    inside = basis @ rng.standard_normal((k, 4))
+    inside /= np.linalg.norm(inside, axis=0)
+    away = rng.standard_normal((m, 2))
+    for _ in range(2):
+        away -= basis @ (basis.T @ away)
+    away /= np.linalg.norm(away, axis=0)
+    near = np.sqrt(1.0 - 1e-6) * inside[:, :2] + 1e-3 * away
+    plain = gaussian(m, 2, seed).matrix
+    full = np.column_stack([a, near, inside[:, 2:], plain])
+    probes = list(range(k, n + 6))
+    return full, order, probes, [n - k + 2, n - k + 3]
+
+
+def two_pass_norms(a, order, probes):
+    """Row q: the probes projected twice off the first q columns of the
+    support's Q factor, then measured."""
+    q_factor = qr(a[:, order], mode="economic")[0]
+    rows = []
+    for q in range(len(order) + 1):
+        b = q_factor[:, :q]
+        x = a[:, probes]
+        x = x - b @ (b.T @ x)
+        x = x - b @ (b.T @ x)
+        rows.append(np.linalg.norm(x, axis=0))
+    return np.array(rows)
 
 
 def eta_chi_steps(a, order):
@@ -87,6 +124,49 @@ class TestFactorChain:
             x = x - basis @ (basis.T @ x)
             want = np.linalg.norm(x, axis=0)
             assert np.abs(probe_norms[q] / want - 1.0).max() < 1e-12
+
+    def test_both_norm_branches_in_one_call(self):
+        # off span(A_order) the plain probes keep about 0.9 of their
+        # norm (downdated), the near ones 1e-3 and the hybrid atoms less
+        # than 0.1 (recomputed)
+        a, order, probes, inside = near_span_case(30, 60, 1000.0, 6, 4)
+        _, probe_norms, _, _ = linalg.factor_chain(a, order, probes)
+        want = two_pass_norms(a, order, probes)
+        off_sq = want[-1] ** 2
+        assert np.any(off_sq < linalg.RECOMPUTE_FRACTION)
+        assert np.any(off_sq > linalg.RECOMPUTE_FRACTION)
+        big = want >= 1e-3
+        assert np.abs(probe_norms[big] / want[big] - 1.0).max() <= 1e-12
+        assert probe_norms[-1, inside].max() < TAU_ZERO
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(6, 30),
+        st.integers(0, 30),
+        st.floats(0.0, 1000.0),
+        st.data(),
+    )
+    def test_norm_branches_match_two_pass_projection(self, m, extra, t_max, data):
+        k = data.draw(st.integers(1, m - 2))
+        seed = data.draw(st.integers(0, 2**31 - 1))
+        a, order, probes, inside = near_span_case(m, k + extra + 1, t_max, k, seed)
+        _, probe_norms, _, _ = linalg.factor_chain(a, order, probes)
+        want = two_pass_norms(a, order, probes)
+        big = want >= 1e-3
+        assert np.abs(probe_norms[big] / want[big] - 1.0).max() <= 1e-12
+        assert probe_norms[-1, inside].max() < TAU_ZERO
+
+    def test_kernel_allocates_less_than_half_a_dictionary(self):
+        # the parent gathered the 596 probes, 0.99 of one m x n array
+        m, n = 200, 600
+        d = gaussian(m, n, 5)
+        tracemalloc.start()
+        try:
+            linalg.factor_chain(d, range(4), range(4, n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 8 * m * n
 
     def test_rank_deficient_support_raises(self):
         v = np.sqrt(0.5)
@@ -158,6 +238,28 @@ class TestProjectionState:
         assert state.active == ()
         assert np.array_equal(linalg.residual(state, d.matrix), d.matrix)
         assert np.allclose(state.norms, 1.0, atol=1e-12)
+
+    def test_state_shares_the_frozen_dictionary(self):
+        m, n = 200, 600
+        d = gaussian(m, n, 5)
+        tracemalloc.start()
+        try:
+            state = linalg.init_state(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * n
+        assert np.shares_memory(state.atoms, d.matrix)
+
+    def test_writable_input_and_views_are_copied(self):
+        d = gaussian(8, 12, 5)
+        a = d.matrix.copy()
+        state = linalg.init_state(a)
+        assert a.flags.writeable and not state.atoms.flags.writeable
+        a[:, 0] = 0.0
+        assert np.array_equal(state.atoms, d.matrix)
+        view = linalg.init_state(d.matrix[:, :]).atoms
+        assert not np.shares_memory(view, d.matrix) and not view.flags.writeable
 
     def test_matches_explicit_projector(self):
         # projected atoms vs P_perp a_i on fresh random instances
