@@ -112,10 +112,14 @@ def _sign_patterns(a, support, basis, eps):
         b_off = moving[off]
         block = np.block([[b_off, -np.eye(p)], [-b_off, -np.eye(p)],
                           [np.zeros((1, r)), np.ones((1, p))]])
-        (h, w), (rows, cols) = block.shape, np.nonzero(block)
-        shift = np.arange(live.size)[:, None]
+        # the block's nonzeros column by column, rows ascending, repeated
+        # down the diagonal: the CSC arrays themselves, with no COO step
+        (h, w), (cols, rows) = block.shape, np.nonzero(block.T)
+        nnz, shift = rows.size, np.arange(live.size)[:, None]
+        starts = np.searchsorted(cols, np.arange(w))
         a_ub = csc_array((np.tile(block[rows, cols], live.size),
-                          ((rows + h * shift).ravel(), (cols + w * shift).ravel())),
+                          (rows + h * shift).ravel(),
+                          np.append((starts + nnz * shift).ravel(), nnz * live.size)),
                          shape=(h * live.size, w * live.size))
         objective = eps[live] @ moving[list(support)]
         cost = np.hstack([-objective, np.zeros((live.size, p))])

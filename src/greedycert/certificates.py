@@ -32,9 +32,10 @@ serves as its cross-check (:func:`_cross_check`): :func:`f_omp`,
 :func:`erc_oxx_cardinality` reads the kernel alone: the route would
 multiply an enumeration of up to 1e6 subsets.  The leave-one-out rows
 of :func:`brc_omp` are the rows of one coefficient table
-``pinv(A_Qstar) A_off``; unless ``fast``, the table from one QR must
-match the table from one SVD of ``A_Qstar`` (:func:`_pinv_table`),
-which costs one m x k SVD and one k x n product.
+``pinv(A_Qstar) A_off``, from the stacked kernel :func:`_brc_table`
+that also certifies whole brc-map cells; unless ``fast``, the table
+from one QR must match the table from one SVD of ``A_Qstar``
+(:func:`_pinv_table`), which costs one m x k SVD and one k x n product.
 
 Exactness certificates say that every wrong factor stays below 1
 (selection-wise exact recovery for every reachable Q of the stated
@@ -54,6 +55,7 @@ from .exceptions import FormMismatchError, RankDeficientError, TooLargeError
 from .linalg import (
     _as_matrix,
     _check_unit,
+    _located,
     _qr,
     _scans_once,
     _tail_sums,
@@ -61,7 +63,14 @@ from .linalg import (
     residual,
     state_for,
 )
-from .tolerances import EPS, FORM_ROUNDING, TAU_FORM, TAU_RANK, TAU_ZERO
+from .tolerances import (
+    EPS,
+    FORM_ROUNDING,
+    TAU_FORM,
+    TAU_RANK,
+    TAU_STRICT,
+    TAU_ZERO,
+)
 
 __all__ = [
     "CertificateReport",
@@ -383,6 +392,34 @@ def erc_oxx_cardinality(a, qstar, card, algorithm):
     )
 
 
+def _brc_table(stack, qstar):
+    """Leave-one-out coefficient tables of a ``(T, m, n)`` stack of
+    dictionaries.
+
+    Table t is ``C = pinv(A_Qstar) A_off`` of trial t, of shape ``(k,
+    n - k)``: ``|C_ij|`` is the factor of wrong atom j when support atom
+    ``qstar[i]`` is left last.  One stacked QR of the supports, one
+    product ``Q.T A`` read at the wrong atoms in place and one stacked
+    k x k solve serve the whole stack; each trial's table depends on its
+    own matrix alone.  Every check is made per trial, and its message
+    names the trial and the atom: finite entries (``ValueError``), unit
+    atoms within ``TAU_NUM`` (:class:`NotNormalizedError`), ``k <= m``
+    and ``|R_ii| > TAU_RANK`` (:class:`RankDeficientError`).
+    """
+    n = stack.shape[2]
+    squares = np.einsum("tij,tij->tj", stack, stack)
+    # a non-finite entry makes its column's square non-finite, so the
+    # entries need a scan only when some square is
+    if not np.isfinite(squares).all():
+        bad = np.argwhere(~np.isfinite(stack).all(axis=1))
+        if bad.size:
+            raise ValueError(f"{_located(bad[0], range(n))} has non-finite entries")
+    _check_unit(np.sqrt(squares), range(n))
+    q, r = _qr(stack[:, :, list(qstar)], qstar)
+    g = (q.transpose(0, 2, 1) @ stack)[:, :, _wrong_atoms(n, qstar)]
+    return np.linalg.solve(r, g)
+
+
 @_scans_once
 def brc_omp(a, qstar, fast=False):
     """OMP badness certificate for a full support.
@@ -391,11 +428,14 @@ def brc_omp(a, qstar, fast=False):
     worst wrong factor; at least 1 means OMP cannot select all support
     atoms in k steps for any input carried by the support, whatever the
     coefficients.  The factor of wrong atom j when only support atom i
-    is left is ``|C_ij|``, with ``C = pinv(A_Qstar) A_off`` from one QR
-    of the support and one triangular solve.  Atoms must have unit norm
-    within ``TAU_NUM`` (:class:`NotNormalizedError`), as in every other
-    certificate.  Unless ``fast``, every ``|C_ij|``
-    must match the SVD route (:func:`_pinv_table`) within ``TAU_FORM``
+    is left is ``|C_ij|``, with ``C = pinv(A_Qstar) A_off`` from the
+    stacked kernel :func:`_brc_table` on this one matrix.
+    Atoms must have unit norm within ``TAU_NUM``
+    (:class:`NotNormalizedError`), as in every other certificate.
+    ``easiest_last_atom`` is the lowest atom index among the rows within
+    ``TAU_STRICT`` of the smallest, so that rounding does not pick it
+    between rows that tie.  Unless ``fast``, every ``|C_ij|`` must
+    match the SVD route (:func:`_pinv_table`) within ``TAU_FORM``
     (:class:`FormMismatchError` otherwise); the check adds one m x k
     SVD and one k x n product.
     """
@@ -406,20 +446,18 @@ def brc_omp(a, qstar, fast=False):
     js = _wrong_atoms(a.shape[1], qstar)
     if not js:
         raise ValueError("no wrong atom to probe")
-    _check_unit(np.sqrt(np.einsum("ij,ij->j", a, a)), range(a.shape[1]))
-    q, r = _qr(a[:, qstar])
-    c = solve_triangular(r, q.T @ a[:, js], check_finite=False)
-    rowmax = np.abs(c).max(axis=1)
+    c = np.abs(_brc_table(a[None], qstar)[0])
+    rowmax = c.max(axis=1)
 
     if not fast:
-        gap = np.abs(np.abs(c) - np.abs(_pinv_table(a, qstar, js))).max()
+        gap = np.abs(c - np.abs(_pinv_table(a, qstar, js))).max()
         if gap > TAU_FORM:
             raise FormMismatchError(
                 f"leave-one-out rows of the QR and SVD routes disagree by {gap:.3e}"
             )
 
-    pos = int(np.argmin(rowmax))
-    aggregate = float(rowmax[pos])
+    aggregate = float(rowmax.min())
+    easiest = min(i for i, v in zip(qstar, rowmax) if v - aggregate <= TAU_STRICT)
     return CertificateReport(
         kind="brc-omp",
         algorithm="omp",
@@ -427,7 +465,7 @@ def brc_omp(a, qstar, fast=False):
         aggregate=aggregate,
         verdict=aggregate >= 1.0,
         margin=abs(aggregate - 1.0),
-        details={"easiest_last_atom": int(qstar[pos])},
+        details={"easiest_last_atom": easiest},
     )
 
 

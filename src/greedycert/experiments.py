@@ -1,14 +1,18 @@
 """Seeded Monte Carlo studies over the recovery certificates.
 
 Every experiment is a pure function of its configuration: trial ``t``
-derives its generator from ``base_seed + t`` and nothing else, so runs
-are reproducible bit for bit regardless of how many worker processes
+derives its generator from ``base_seed + t`` (``base_seed + c * trials
++ t`` in cell ``c`` of a grid) and nothing else, so runs are
+reproducible bit for bit regardless of how many worker processes
 execute them.  Results serialize to CSV (17 significant digits, config
 echoed as a ``#`` comment on the first line) and to JSON (config first).
 
 Factor values come from the factor kernel alone
 (:func:`linalg.factor_chain`, one QR per trial); the projected route
 that cross-checks it in the certificates' checked mode is not run here.
+A task is one trial, except in brc-map: there a task is a chunk of one
+grid cell, whose dictionaries are stacked and certified by one call of
+the stacked kernel :func:`certificates._brc_table`.
 
 Tasks run in order in this process and are timed.  Once the tasks left,
 at the mean task time so far, would take longer than
@@ -32,7 +36,7 @@ from time import perf_counter
 import numpy as np
 import scipy
 
-from .certificates import _chain_factors, _wrong_atoms, brc_omp
+from .certificates import _brc_table, _chain_factors, _wrong_atoms, brc_omp
 from .dictionaries import _build, convolutive
 from .linalg import _as_matrix, _scans_once, factor_chain
 
@@ -246,8 +250,10 @@ def _worker_count(requested, tasks):
 # the two-worker figure serves every count.  The estimate counts only
 # after a prefix of a quarter of it: right after a fork the parent's
 # first task runs about 6x slower (copy-on-write faults, 1.6 ms against
-# 0.25 ms for a brc-map trial), and that one task times the 179 left
-# made every following short brc-map call start a pool of its own.
+# 0.25 ms for one brc-map trial run as a task of its own), and that one
+# task timing the 179 left made every following short brc-map call start
+# a pool of its own.  The rule counts tasks, so for brc-map it counts
+# chunks of a cell, each a stack of trials.
 _POOL_BREAK_EVEN_S = 0.06
 
 
@@ -432,31 +438,49 @@ def f_vs_q_curve(config, workers=1):
 
 # -- unreachable-support maps and sweeps --------------------------------
 
-def _brc_map_trial(task):
-    config, m, n, seed = task
-    d = _build(config, m, n, seed)
-    return bool(brc_omp(d, (0, 1), fast=True).verdict)
+# A brc-map task stacks trials of one cell, at most this many bytes of
+# dictionaries (and their list as many again while it is stacked), so
+# memory stays bounded however many trials a cell has.
+_STACK_BYTES = 2**22
+
+
+def _brc_map_task(task):
+    """Certified trials among one chunk of a brc-map cell: the chunk's
+    dictionaries, drawn one seed at a time in seed order, stacked and
+    certified by one call of :func:`certificates._brc_table`."""
+    config, m, n, seeds = task
+    stack = np.stack([_build(config, m, n, seed).matrix for seed in seeds])
+    worst = np.abs(_brc_table(stack, (0, 1))).max(axis=2).min(axis=1)
+    return int(np.count_nonzero(worst >= 1.0))
 
 
 def brc_map(config, workers=1):
-    """Rate of certified unreachable two-atom supports over (m, n)."""
+    """Rate of certified unreachable two-atom supports over (m, n).
+
+    Trial t of cell ci draws its dictionary from seed ``base_seed + ci *
+    trials + t``.  A task is a chunk of consecutive trials of one cell
+    whose stack fits ``_STACK_BYTES``, sized from the cell's first
+    dictionary (a convolutive one has more rows than m); the chunks
+    depend on the config alone, never on the worker count.
+    """
     _require(config.k == 2, "the map is defined for two-atom supports")
     _require(config.m_grid and config.n_grid, "brc-map needs m and n grids")
     cells = [(m, n) for m in config.m_grid for n in config.n_grid]
     for m, n in cells:
         _require(2 < min(m, n), f"cell (m={m}, n={n}) is too small")
     start = perf_counter()
-    tasks = []
+    tasks, owners = [], []
     for ci, (m, n) in enumerate(cells):
-        for t in range(config.trials):
-            tasks.append((config, m, n, config.base_seed + ci * config.trials + t))
-    verdicts = _map_ordered(_brc_map_trial, tasks, workers)
-    rows = []
-    for ci, (m, n) in enumerate(cells):
-        chunk = verdicts[ci * config.trials:(ci + 1) * config.trials]
-        rows.append((m, n, sum(chunk) / config.trials))
-    return ExperimentResult(config, ("m", "n", "rate"), tuple(rows),
-                            perf_counter() - start)
+        first = config.base_seed + ci * config.trials
+        size = max(1, _STACK_BYTES // _build(config, m, n, first).matrix.nbytes)
+        for lo in range(0, config.trials, size):
+            tasks.append((config, m, n, range(first + lo, first + min(lo + size, config.trials))))
+            owners.append(ci)
+    hits = [0] * len(cells)
+    for ci, count in zip(owners, _map_ordered(_brc_map_task, tasks, workers)):
+        hits[ci] += count
+    rows = tuple((m, n, hits[ci] / config.trials) for ci, (m, n) in enumerate(cells))
+    return ExperimentResult(config, ("m", "n", "rate"), rows, perf_counter() - start)
 
 
 def _sigma_task(task):

@@ -113,31 +113,50 @@ def _scans_once(func):
     return entry
 
 
-def _qr(a):
-    """Economic LAPACK QR of a full-column-rank ``a``.
+def _located(index, atoms):
+    """``"atom 7"`` for an index ``(7,)`` and ``"atom 7 of trial 2"`` for
+    an index ``(2, 7)`` into a stack; ``atoms`` labels the columns, and
+    without labels the column is named by its position."""
+    *trial, i = (int(x) for x in index)
+    name = f"column {i}" if atoms is None else f"atom {atoms[i]}"
+    return name + (f" of trial {trial[0]}" if trial else "")
+
+
+def _qr(a, atoms=None):
+    """Economic LAPACK QR of a full-column-rank ``a``, or of every matrix
+    of a ``(T, m, k)`` stack.
 
     Raises :class:`RankDeficientError` when some column lies within
     ``TAU_RANK`` of the span of its predecessors, i.e. ``|R_jj| <=
-    TAU_RANK``.
+    TAU_RANK``; the message names the column (``atoms`` labels it) and,
+    in a stack, the trial.
     """
-    m, k = a.shape
+    m, k = a.shape[-2:]
     if k > m:
         raise RankDeficientError(f"{k} columns in dimension {m} are dependent")
-    q, r = qr(a, mode="economic", check_finite=False)
-    low = np.flatnonzero(np.abs(np.diag(r)) <= TAU_RANK)
+    if a.ndim == 2:
+        q, r = qr(a, mode="economic", check_finite=False)
+    else:
+        # scipy's qr loops over a stack in Python, about 14x slower
+        q, r = np.linalg.qr(a)
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    low = np.argwhere(diag <= TAU_RANK)
     if low.size:
-        j = int(low[0])
         raise RankDeficientError(
-            f"column {j} is dependent on its predecessors (norm {abs(r[j, j]):.3e})"
+            f"{_located(low[0], atoms)} is dependent on its predecessors "
+            f"(norm {diag[tuple(low[0])]:.3e})"
         )
     return q, r
 
 
 def _check_unit(norms, atoms):
-    bad = np.flatnonzero(np.abs(norms - 1.0) > TAU_NUM)
+    """Norms of the atoms labelled ``atoms``, or a ``(T, n)`` stack of
+    them, must be 1 within ``TAU_NUM``."""
+    bad = np.argwhere(np.abs(norms - 1.0) > TAU_NUM)
     if bad.size:
-        i = int(bad[0])
-        raise NotNormalizedError(f"atom {atoms[i]} has norm {norms[i]:.12g}, expected 1")
+        raise NotNormalizedError(
+            f"{_located(bad[0], atoms)} has norm {norms[tuple(bad[0])]:.12g}, expected 1"
+        )
 
 
 def _tail_sums(x):

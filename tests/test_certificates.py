@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from greedycert import certificates as cert
-from greedycert.dictionaries import convolutive, example1, gaussian, hybrid
+from greedycert.dictionaries import convolutive, example1, from_matrix, gaussian, hybrid
 from greedycert.exceptions import (
     FormMismatchError,
     NotNormalizedError,
@@ -265,10 +265,19 @@ class TestCheckedModeCatchesFaultyKernel:
             cert.erc_oxx_subset(self.d, self.qstar, q, algorithm)
 
     def test_perturbed_least_squares_in_brc_omp(self, monkeypatch):
-        # brc_omp is the only caller of the triangular solve on this path
-        solve = cert.solve_triangular
-        monkeypatch.setattr(cert, "solve_triangular",
-                            lambda *args, **kwargs: solve(*args, **kwargs) + 1e-6)
+        # the stacked kernel holds brc_omp's least-squares solve; the
+        # fault sits on the smallest entry, below every row maximum, so
+        # only an entrywise comparison of the two tables can see it
+        table = cert._brc_table
+        clean = cert.brc_omp(self.d, self.qstar, fast=True)
+
+        def faulty(*args):
+            c = table(*args)
+            c.flat[np.argmin(np.abs(c))] += 1e-6
+            return c
+
+        monkeypatch.setattr(cert, "_brc_table", faulty)
+        assert cert.brc_omp(self.d, self.qstar, fast=True) == clean
         with pytest.raises(FormMismatchError):
             cert.brc_omp(self.d, self.qstar)
 
@@ -607,6 +616,82 @@ class TestBrcOmp:
         a[:, atom] *= 3.0
         with pytest.raises(NotNormalizedError, match=f"atom {atom} "):
             cert.brc_omp(a, (0, 1))
+
+    @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("spacing", [1, 2, 3])
+    def test_tied_rows_name_the_lower_atom(self, sigma, spacing):
+        # the Gram matrix of the pulses is Toeplitz, so on an interior
+        # pair the two rows are mirror images and tie in exact arithmetic
+        d = convolutive(200, sigma)
+        for first in (40, 68, 99, 147):
+            pair = (first, first + spacing)
+            for qstar in (pair, pair[::-1]):
+                report = cert.brc_omp(d, qstar)
+                assert report.details["easiest_last_atom"] == first
+
+
+@st.composite
+def brc_stacks(draw):
+    """Gaussian or hybrid dictionaries of one shape, stacked, and a
+    support."""
+    m = draw(st.integers(3, 30))
+    n = draw(st.integers(m + 1, 3 * m))
+    t_max = draw(st.sampled_from([0.0, 1.0, 10.0, 100.0]))
+    seeds = draw(st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=6))
+    if t_max:
+        stack = np.stack([hybrid(m, n, t_max, seed).matrix for seed in seeds])
+    else:
+        stack = np.stack([gaussian(m, n, seed).matrix for seed in seeds])
+    k = draw(st.integers(1, min(m, 5)))
+    return stack, tuple(draw(st.permutations(range(n)))[:k])
+
+
+class TestBrcTable:
+    """The stacked kernel against one ``brc_omp`` call per trial and an
+    independent least-squares solve."""
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+    @given(brc_stacks())
+    def test_matches_one_call_per_trial(self, case):
+        stack, qstar = case
+        table = cert._brc_table(stack, qstar)
+        off = [j for j in range(stack.shape[2]) if j not in qstar]
+        assert table.shape == (len(stack), len(qstar), len(off))
+        rows = np.abs(table).max(axis=2)
+        for t, a in enumerate(stack):
+            report = cert.brc_omp(a, qstar, fast=True)
+            alone = np.array([v for _, v in report.per_atom])
+            assert np.all(np.abs(rows[t] - alone) <= 1e-14 * np.maximum(1.0, alone))
+            if abs(report.aggregate - 1.0) > 1e-9:
+                assert (rows[t].min() >= 1.0) == report.verdict
+            want = lstsq(a[:, list(qstar)], a[:, off])
+            assert np.allclose(table[t], want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ("dependent", RankDeficientError, "atom 1 of trial 2 "),
+        ("scaled", NotNormalizedError, "atom 7 of trial 2 "),
+    ])
+    def test_one_faulty_trial_raises_as_alone(self, fault, error, message):
+        stack = np.stack([gaussian(6, 10, seed).matrix for seed in range(4)])
+        a = np.array(stack[2])
+        if fault == "dependent":
+            a[:, 1] = a[:, 0]
+        else:
+            a[:, 7] *= 3.0
+        faulty = from_matrix(a)
+        with pytest.raises(error):
+            cert.brc_omp(faulty, (0, 1), fast=True)
+        stack[2] = faulty.matrix
+        with pytest.raises(error, match=message):
+            cert._brc_table(stack, (0, 1))
+
+    def test_non_finite_trial_raises(self):
+        stack = np.stack([gaussian(6, 10, seed).matrix for seed in range(3)])
+        stack[1, 4, 3] = np.nan
+        with pytest.raises(ValueError):
+            cert.brc_omp(stack[1], (0, 1), fast=True)
+        with pytest.raises(ValueError, match="atom 3 of trial 1 "):
+            cert._brc_table(stack, (0, 1))
 
 
 class TestMonotonicity:

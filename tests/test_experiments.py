@@ -11,7 +11,7 @@ import scipy
 
 from greedycert import experiments as ex
 from greedycert.certificates import brc_omp, erc_oxx_subset
-from greedycert.dictionaries import gaussian
+from greedycert.dictionaries import convolutive, gaussian, hybrid
 from greedycert.greedy import select_ols, select_omp
 from greedycert.linalg import extend_state, residual, state_for
 
@@ -167,7 +167,6 @@ class TestFVsQ:
         cfg = ex.ExperimentConfig(kind="f-vs-q", dictionary="convolutive", n=60,
                                   k=4, sigma=3.0, placement="contiguous")
         res = ex.f_vs_q_curve(cfg)
-        from greedycert.dictionaries import convolutive
         d = convolutive(60, 3.0)
         for q, f_omp_val, f_ols_val in res.rows:
             assert f_omp_val == pytest.approx(
@@ -206,6 +205,51 @@ class TestBrcMap:
         with pytest.raises(ValueError):
             ex.brc_map(cfg)
 
+    def test_chunked_cells_match_one_certificate_per_trial(self, monkeypatch):
+        # three 8 x 20 trials per stack: cells split into 4 and 5 chunks
+        monkeypatch.setattr(ex, "_STACK_BYTES", 3 * 8 * 8 * 20)
+        cfg = ex.ExperimentConfig(kind="brc-map", dictionary="hybrid", t_max=10.0,
+                                  m_grid=(8, 12), n_grid=(20,), k=2, trials=10,
+                                  base_seed=5)
+        rows = ex.brc_map(cfg).rows
+        for ci, m in enumerate(cfg.m_grid):
+            seeds = range(5 + 10 * ci, 15 + 10 * ci)
+            hits = sum(brc_omp(hybrid(m, 20, 10.0, s), (0, 1), fast=True).verdict
+                       for s in seeds)
+            assert rows[ci] == (m, 20, hits / 10)
+        assert 0 < sum(row[2] for row in rows) < 2
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        # the shape of every stack brc-map hands to the kernel
+        shapes = []
+        kernel = ex._brc_table
+
+        def recorded(stack, qstar):
+            shapes.append(stack.shape)
+            return kernel(stack, qstar)
+
+        monkeypatch.setattr(ex, "_brc_table", recorded)
+        return shapes
+
+    def test_stacks_stay_within_the_byte_budget(self, stacks):
+        cfg = ex.ExperimentConfig(kind="brc-map", m_grid=(40,), n_grid=(120,), k=2,
+                                  trials=250, base_seed=1)
+        ex.brc_map(cfg)
+        assert stacks == [(109, 40, 120), (109, 40, 120), (32, 40, 120)]
+        assert 109 * 40 * 120 * 8 <= ex._STACK_BYTES
+
+    def test_convolutive_chunks_are_sized_from_the_dictionary(self, stacks, monkeypatch):
+        # three pulse dictionaries of 40 + 12 - 1 rows at sigma 2 fill the
+        # budget; sized for m x n = 3 x 40 atoms, one stack would take all 7
+        monkeypatch.setattr(ex, "_STACK_BYTES", 3 * 8 * 51 * 40)
+        cfg = ex.ExperimentConfig(kind="brc-map", dictionary="convolutive", sigma=2.0,
+                                  m_grid=(3,), n_grid=(40,), k=2, trials=7)
+        rows = ex.brc_map(cfg).rows
+        assert stacks == [(3, 51, 40), (3, 51, 40), (1, 51, 40)]
+        want = brc_omp(convolutive(40, 2.0), (0, 1), fast=True).verdict
+        assert rows == ((3, 40, float(want)),)
+
 
 class TestBrcSigma:
     def test_threshold_at_narrow_widths(self):
@@ -220,7 +264,6 @@ class TestBrcSigma:
     def test_agrees_with_checked_certificate(self):
         res = ex.brc_sigma_sweep(ex.ExperimentConfig(
             kind="brc-sigma", dictionary="convolutive", n=60, k=2, sigmas=(2.0,)))
-        from greedycert.dictionaries import convolutive
         report = brc_omp(convolutive(60, 2.0), (0, 1))
         assert res.rows[0][2] == pytest.approx(report.aggregate, abs=1e-12)
         assert res.rows[0][3] == report.verdict
@@ -371,6 +414,18 @@ class TestAdaptivePool:
         assert forced == [3]
         single = ex.run_experiment(cfg, workers=1)
         assert forced == [3]
+        assert pooled.to_csv() == single.to_csv()
+        assert pooled.to_json() == single.to_json()
+
+    def test_chunked_brc_map_matches_one_worker(self, forced, monkeypatch):
+        # trials above the chunk size: each cell runs as several tasks
+        monkeypatch.setattr(ex, "_STACK_BYTES", 3 * 8 * 8 * 20)
+        cfg = ex.ExperimentConfig(kind="brc-map", dictionary="hybrid", t_max=10.0,
+                                  m_grid=(8, 12), n_grid=(20,), k=2, trials=10,
+                                  base_seed=7)
+        pooled = ex.run_experiment(cfg, workers=3)
+        assert forced == [3]
+        single = ex.run_experiment(cfg, workers=1)
         assert pooled.to_csv() == single.to_csv()
         assert pooled.to_json() == single.to_json()
 

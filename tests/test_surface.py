@@ -1,7 +1,10 @@
-"""The public surface: each module's ``__all__`` and the keyword options
-left in the numerical layers."""
+"""The public surface: each module's ``__all__``, the keyword options
+left in the numerical layers, and what the benchmark in ``bench/``
+reaches of them."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +67,61 @@ def test_one_keyword_option_in_numerical_layers():
     ]
     assert options == ["brc_omp(fast=)", "run_greedy(oracle=)",
                        "construct_reaching_input(algorithm=)"]
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _api_chain(node):
+    """``("x", "y")`` for the expression ``api.x.y``, else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id == "api" and names:
+        return tuple(reversed(names))
+    return None
+
+
+def _bench_uses():
+    """Every ``api.<name>[.<attr>]`` the benchmark reaches, and the
+    keywords it passes to each callable: directly, or through its
+    ``Recorder.call(kind, units, fn, *args, expected=..., **kwargs)``."""
+    chains, keywords = set(), []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            chain = _api_chain(node)
+            if chain:
+                chains.add(chain)
+            if not isinstance(node, ast.Call):
+                continue
+            target = _api_chain(node.func)
+            names = [kw.arg for kw in node.keywords if kw.arg]
+            if (target is None and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "call" and len(node.args) >= 3):
+                target = _api_chain(node.args[2])
+                names = [name for name in names if name != "expected"]
+            if target:
+                keywords.extend((target, name) for name in names)
+    return chains, keywords
+
+
+def _resolve(chain):
+    """``greedycert.<chain>``, or None when some name on it is gone."""
+    obj = greedycert
+    for name in chain:
+        obj = getattr(obj, name, None)
+    return obj
+
+
+def test_benchmark_api_still_resolves():
+    # bench/ is edited only with the benchmark itself: a src/ change that
+    # removes or renames what it reaches must fail here first
+    chains, keywords = _bench_uses()
+    assert ("exceptions", "DimensionTooLargeError") in chains
+    assert (("brc_omp",), "fast") in keywords
+    missing = [".".join(chain) for chain in sorted(chains) if _resolve(chain) is None]
+    assert not missing
+    refused = [f"{'.'.join(chain)}({name}=)" for chain, name in keywords
+               if name not in inspect.signature(_resolve(chain)).parameters]
+    assert not refused
