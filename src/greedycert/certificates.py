@@ -32,10 +32,11 @@ serves as its cross-check (:func:`_cross_check`): :func:`f_omp`,
 :func:`erc_oxx_cardinality` reads the kernel alone: the route would
 multiply an enumeration of up to 1e6 subsets.  The leave-one-out rows
 of :func:`brc_omp` are the rows of one coefficient table
-``pinv(A_Qstar) A_off``, from the stacked kernel :func:`_brc_table`
-that also certifies whole brc-map cells; unless ``fast``, the table
-from one QR must match the table from one SVD of ``A_Qstar``
-(:func:`_pinv_table`), which costs one m x k SVD and one k x n product.
+``pinv(A_Qstar) A_off``, from the same kernel, which also takes the
+stacked dictionaries of a brc-map cell; :func:`_brc_rule` reads the
+verdict off the table in both.  Unless ``fast``, the table from one QR
+must match the table from one SVD of ``A_Qstar`` (:func:`_pinv_table`),
+which costs one m x k SVD and one k x n product.
 
 Exactness certificates say that every wrong factor stays below 1
 (selection-wise exact recovery for every reachable Q of the stated
@@ -54,8 +55,7 @@ from scipy.linalg import solve_triangular, svd
 from .exceptions import FormMismatchError, RankDeficientError, TooLargeError
 from .linalg import (
     _as_matrix,
-    _check_unit,
-    _located,
+    _check_rank,
     _qr,
     _scans_once,
     _tail_sums,
@@ -67,7 +67,6 @@ from .tolerances import (
     EPS,
     FORM_ROUNDING,
     TAU_FORM,
-    TAU_RANK,
     TAU_STRICT,
     TAU_ZERO,
 )
@@ -200,13 +199,7 @@ def _subset_factors(chain, subsets, algorithm):
     rest = np.nonzero(outside)[1].reshape(b, k - card)
     order = np.concatenate([subsets, rest], axis=1)
     rp = np.linalg.qr(r[:, order].transpose(1, 0, 2), mode="r")
-    diag = np.abs(np.diagonal(rp, axis1=1, axis2=2))
-    low = np.argwhere(diag <= TAU_RANK)
-    if low.size:
-        i, j = low[0]
-        raise RankDeficientError(
-            f"column {j} is dependent on its predecessors (norm {diag[i, j]:.3e})"
-        )
+    _check_rank(rp, None)
     tail = rp[:, card:, card:]
     c = coef[rest]
     g = tail @ c
@@ -342,7 +335,9 @@ def erc_oxx_cardinality(a, qstar, card, algorithm):
     True means: whatever ``card`` true atoms were selected first, the
     next selection is again a true atom.  ``card = 0`` coincides with
     the plain l1 certificate.  ``worst_subset`` is the first subset, in
-    :func:`itertools.combinations` order, that attains the aggregate.
+    :func:`itertools.combinations` order, whose largest factor lies within
+    ``TAU_STRICT`` of the aggregate, so that rounding does not pick it
+    between subsets that tie.
 
     One kernel call (:func:`linalg.factor_chain`) in support order gives
     the coefficient table; each subset costs a k x k QR and a
@@ -368,8 +363,10 @@ def erc_oxx_cardinality(a, qstar, card, algorithm):
     js = _wrong_atoms(a.shape[1], qstar)
     chain = factor_chain(a, qstar, js)
     worst = np.full(len(js), -np.inf)
-    worst_subset = ()
     aggregate = -np.inf
+    # (largest factor, subset) of each subset above all earlier ones and
+    # within TAU_STRICT of the aggregate so far; the answer is among them
+    records = []
     subsets = combinations(range(k), card)
     size = max(1, _CHUNK_ENTRIES // ((k - card) * max(1, len(js))))
     while chunk := list(islice(subsets, size)):
@@ -377,10 +374,11 @@ def erc_oxx_cardinality(a, qstar, card, algorithm):
         vals = _subset_factors(chain, positions, algorithm)
         np.maximum(worst, vals.max(axis=0), out=worst)
         tops = vals.max(axis=1, initial=0.0)  # factors are >= 0
-        best = int(np.argmax(tops))
-        if tops[best] > aggregate:
-            aggregate = float(tops[best])
-            worst_subset = tuple(qstar[i] for i in chunk[best])
+        highs = np.maximum.accumulate(np.concatenate([[aggregate], tops]))
+        records += [(tops[i], chunk[i]) for i in np.flatnonzero(tops > highs[:-1])]
+        aggregate = float(highs[-1])
+        records = [rec for rec in records if rec[0] >= aggregate - TAU_STRICT]
+    worst_subset = tuple(qstar[i] for i in records[0][1])
     return CertificateReport(
         kind="erc-oxx-cardinality",
         algorithm=algorithm,
@@ -392,32 +390,13 @@ def erc_oxx_cardinality(a, qstar, card, algorithm):
     )
 
 
-def _brc_table(stack, qstar):
-    """Leave-one-out coefficient tables of a ``(T, m, n)`` stack of
-    dictionaries.
-
-    Table t is ``C = pinv(A_Qstar) A_off`` of trial t, of shape ``(k,
-    n - k)``: ``|C_ij|`` is the factor of wrong atom j when support atom
-    ``qstar[i]`` is left last.  One stacked QR of the supports, one
-    product ``Q.T A`` read at the wrong atoms in place and one stacked
-    k x k solve serve the whole stack; each trial's table depends on its
-    own matrix alone.  Every check is made per trial, and its message
-    names the trial and the atom: finite entries (``ValueError``), unit
-    atoms within ``TAU_NUM`` (:class:`NotNormalizedError`), ``k <= m``
-    and ``|R_ii| > TAU_RANK`` (:class:`RankDeficientError`).
-    """
-    n = stack.shape[2]
-    squares = np.einsum("tij,tij->tj", stack, stack)
-    # a non-finite entry makes its column's square non-finite, so the
-    # entries need a scan only when some square is
-    if not np.isfinite(squares).all():
-        bad = np.argwhere(~np.isfinite(stack).all(axis=1))
-        if bad.size:
-            raise ValueError(f"{_located(bad[0], range(n))} has non-finite entries")
-    _check_unit(np.sqrt(squares), range(n))
-    q, r = _qr(stack[:, :, list(qstar)], qstar)
-    g = (q.transpose(0, 2, 1) @ stack)[:, :, _wrong_atoms(n, qstar)]
-    return np.linalg.solve(r, g)
+def _brc_rule(coef):
+    """Row maxima of ``|C|``, their minimum (the aggregate) and whether it
+    is at least 1, for a table ``C = pinv(A_Qstar) A_off`` or a stack of
+    them: row i holds the worst wrong factor when ``qstar[i]`` is left last."""
+    rows = np.abs(coef).max(axis=-1)
+    aggregate = rows.min(axis=-1)
+    return rows, aggregate, aggregate >= 1.0
 
 
 @_scans_once
@@ -428,8 +407,8 @@ def brc_omp(a, qstar, fast=False):
     worst wrong factor; at least 1 means OMP cannot select all support
     atoms in k steps for any input carried by the support, whatever the
     coefficients.  The factor of wrong atom j when only support atom i
-    is left is ``|C_ij|``, with ``C = pinv(A_Qstar) A_off`` from the
-    stacked kernel :func:`_brc_table` on this one matrix.
+    is left is ``|C_ij|``, with ``C = pinv(A_Qstar) A_off`` from one
+    kernel call (:func:`linalg.factor_chain`), read by :func:`_brc_rule`.
     Atoms must have unit norm within ``TAU_NUM``
     (:class:`NotNormalizedError`), as in every other certificate.
     ``easiest_last_atom`` is the lowest atom index among the rows within
@@ -446,24 +425,24 @@ def brc_omp(a, qstar, fast=False):
     js = _wrong_atoms(a.shape[1], qstar)
     if not js:
         raise ValueError("no wrong atom to probe")
-    c = np.abs(_brc_table(a[None], qstar)[0])
-    rowmax = c.max(axis=1)
+    coef = factor_chain(a, qstar, js)[0]
+    rowmax, aggregate, verdict = _brc_rule(coef)
 
     if not fast:
-        gap = np.abs(c - np.abs(_pinv_table(a, qstar, js))).max()
+        gap = np.abs(np.abs(coef) - np.abs(_pinv_table(a, qstar, js))).max()
         if gap > TAU_FORM:
             raise FormMismatchError(
                 f"leave-one-out rows of the QR and SVD routes disagree by {gap:.3e}"
             )
 
-    aggregate = float(rowmax.min())
+    aggregate = float(aggregate)
     easiest = min(i for i, v in zip(qstar, rowmax) if v - aggregate <= TAU_STRICT)
     return CertificateReport(
         kind="brc-omp",
         algorithm="omp",
         per_atom=tuple(zip(qstar, rowmax.tolist())),
         aggregate=aggregate,
-        verdict=aggregate >= 1.0,
+        verdict=bool(verdict),
         margin=abs(aggregate - 1.0),
         details={"easiest_last_atom": easiest},
     )

@@ -11,8 +11,8 @@ Factor values come from the factor kernel alone
 (:func:`linalg.factor_chain`, one QR per trial); the projected route
 that cross-checks it in the certificates' checked mode is not run here.
 A task is one trial, except in brc-map: there a task is a chunk of one
-grid cell, whose dictionaries are stacked and certified by one call of
-the stacked kernel :func:`certificates._brc_table`.
+grid cell, whose dictionaries are stacked and certified by one kernel
+call on the stack.
 
 Tasks run in order in this process and are timed.  Once the tasks left,
 at the mean task time so far, would take longer than
@@ -36,7 +36,7 @@ from time import perf_counter
 import numpy as np
 import scipy
 
-from .certificates import _brc_table, _chain_factors, _wrong_atoms, brc_omp
+from .certificates import _brc_rule, _chain_factors, _wrong_atoms, brc_omp
 from .dictionaries import _build, convolutive
 from .linalg import _as_matrix, _scans_once, factor_chain
 
@@ -447,11 +447,11 @@ _STACK_BYTES = 2**22
 def _brc_map_task(task):
     """Certified trials among one chunk of a brc-map cell: the chunk's
     dictionaries, drawn one seed at a time in seed order, stacked and
-    certified by one call of :func:`certificates._brc_table`."""
+    certified by one :func:`linalg.factor_chain` call."""
     config, m, n, seeds = task
     stack = np.stack([_build(config, m, n, seed).matrix for seed in seeds])
-    worst = np.abs(_brc_table(stack, (0, 1))).max(axis=2).min(axis=1)
-    return int(np.count_nonzero(worst >= 1.0))
+    coef = factor_chain(stack, (0, 1), np.arange(2, stack.shape[2]))[0]
+    return int(np.count_nonzero(_brc_rule(coef)[2]))
 
 
 def brc_map(config, workers=1):

@@ -15,8 +15,9 @@ Conventions used throughout the package:
 in growth order and one product ``Q.T A`` give the coefficient table of
 the probe atoms, every projected norm along the chain and the triangular
 factor itself, reading the dictionary in place and without ever forming
-a projected matrix.  The certificate values, the failure inputs and the
-recursion chains all read it.
+a projected matrix; it also takes a ``(T, m, n)`` stack of dictionaries.
+The certificate values, the BRC-OMP tables of one support or a brc-map
+cell, the failure inputs and the recursion chains all read it.
 
 A :class:`ProjectionState` holds a frozen dictionary, an orthonormal
 basis ``U`` of the active span and the projected-atom norms ``|P a_i|``,
@@ -43,7 +44,7 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dgemm
 
 from .exceptions import (
@@ -124,46 +125,47 @@ def _located(index, atoms):
 
 def _qr(a, atoms=None):
     """Economic LAPACK QR of a full-column-rank ``a``, or of every matrix
-    of a ``(T, m, k)`` stack.
-
-    Raises :class:`RankDeficientError` when some column lies within
-    ``TAU_RANK`` of the span of its predecessors, i.e. ``|R_jj| <=
-    TAU_RANK``; the message names the column (``atoms`` labels it) and,
-    in a stack, the trial.
-    """
+    of a ``(T, m, k)`` stack, checked by :func:`_check_rank`."""
     m, k = a.shape[-2:]
     if k > m:
         raise RankDeficientError(f"{k} columns in dimension {m} are dependent")
-    if a.ndim == 2:
-        q, r = qr(a, mode="economic", check_finite=False)
-    else:
-        # scipy's qr loops over a stack in Python, about 14x slower
-        q, r = np.linalg.qr(a)
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    low = np.argwhere(diag <= TAU_RANK)
-    if low.size:
-        raise RankDeficientError(
-            f"{_located(low[0], atoms)} is dependent on its predecessors "
-            f"(norm {diag[tuple(low[0])]:.3e})"
-        )
+    q, r = np.linalg.qr(a)
+    _check_rank(r, atoms)
     return q, r
+
+
+def _check_rank(r, atoms):
+    """Raise :class:`RankDeficientError` when some ``|R_jj| <= TAU_RANK``
+    in the triangular factor ``r`` or a stack of them; the message names
+    the column (``atoms`` labels it) and, in a stack, the trial."""
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    low = diag <= TAU_RANK
+    if low.any():
+        i = tuple(np.argwhere(low)[0])
+        raise RankDeficientError(
+            f"{_located(i, atoms)} is dependent on its predecessors (norm {diag[i]:.3e})"
+        )
 
 
 def _check_unit(norms, atoms):
     """Norms of the atoms labelled ``atoms``, or a ``(T, n)`` stack of
     them, must be 1 within ``TAU_NUM``."""
-    bad = np.argwhere(np.abs(norms - 1.0) > TAU_NUM)
-    if bad.size:
-        raise NotNormalizedError(
-            f"{_located(bad[0], atoms)} has norm {norms[tuple(bad[0])]:.12g}, expected 1"
-        )
+    bad = np.abs(norms - 1.0) > TAU_NUM
+    if bad.any():
+        i = tuple(np.argwhere(bad)[0])
+        raise NotNormalizedError(f"{_located(i, atoms)} has norm {norms[i]:.12g}, expected 1")
 
 
 def _tail_sums(x):
-    """Row ``q`` of the result is ``x[q:].sum(axis=0)``, for ``q = 0 ..
-    len(x)``; the last row is the empty sum."""
-    tails = np.cumsum(x[::-1], axis=0)[::-1]
-    return np.concatenate([tails, np.zeros((1,) + x.shape[1:])])
+    """Row ``q`` of the result is ``x[..., q:, :].sum(axis=-2)``, for ``q
+    = 0 .. x.shape[-2]``; the last row is the empty sum.  Summed one row
+    at a time, in ``np.cumsum``'s order, which on a stack runs its slow
+    inner loop along the short summed axis."""
+    k = x.shape[-2]
+    tails = np.zeros(x.shape[:-2] + (k + 1, x.shape[-1]))
+    for q in range(k - 1, -1, -1):
+        np.add(tails[..., q + 1, :], x[..., q, :], out=tails[..., q, :])
+    return tails
 
 
 def factor_chain(atoms, order, probes):
@@ -182,6 +184,10 @@ def factor_chain(atoms, order, probes):
       ``A_order[:, q:]`` projected off ``span(A_order[:q])`` is
       ``Q[:, q:] @ r[q:, q:]``.
 
+    ``atoms`` may also be a ``(T, m, n)`` stack of dictionaries: one
+    stacked QR, product and solve serve every trial, each output gains a
+    leading T axis, and trial t's outputs depend on ``atoms[t]`` alone.
+
     Every squared norm is a sum of non-negative terms:
     ``|P_q a_j|^2 = sum_{l>=q} G[l, j]^2 + |P_k a_j|^2`` and
     ``|P_q a_order[i]|^2 = sum_{q<=l<=i} R[l, i]^2``, so the tail sums
@@ -190,33 +196,47 @@ def factor_chain(atoms, order, probes):
     |a_j|^2 - sum_l G[l, j]^2`` from one column-norm pass, with the
     safeguard of :func:`extend_state`: a square below
     ``RECOMPUTE_FRACTION * |a_j|^2`` is recomputed as ``|a_j - Q G_j|^2``
-    for those columns only, so small norms keep their relative accuracy
-    too.  The dictionary is read in place: the probes are never gathered
-    into a copy, and no m x n array is formed.
+    for those columns of that trial only, so small norms keep their
+    relative accuracy too.  The dictionary is read in place: the probes
+    are never gathered into a copy, and no m x n array is formed.
 
-    Atoms must have unit norm within ``TAU_NUM``
-    (:class:`NotNormalizedError`).  :class:`RankDeficientError` is raised
-    when some ``|R_ii| <= TAU_RANK``; otherwise every support atom keeps
-    a projected norm ``|P_q a_order[i]| >= |R_ii| > TAU_RANK > TAU_ZERO``
+    Each check is made per trial, and its message names the atom and, in
+    a stack, the trial: entries must be finite (``ValueError``), every
+    atom must have unit norm within ``TAU_NUM`` (:class:`NotNormalizedError`),
+    and :class:`RankDeficientError` is raised when ``k > m`` or some
+    ``|R_ii| <= TAU_RANK``; otherwise every support atom keeps a
+    projected norm ``|P_q a_order[i]| >= |R_ii| > TAU_RANK > TAU_ZERO``
     at every depth ``q <= i`` where it is still unselected.
     """
-    a = _as_matrix(atoms)
+    a = np.asarray(getattr(atoms, "matrix", atoms), dtype=np.float64)
+    if a.ndim not in (2, 3):
+        raise ValueError("expected a matrix or a stack of matrices of column atoms")
     order = np.asarray(order, dtype=np.intp)
     probes = np.asarray(probes, dtype=np.intp)
-    atom_sq = np.einsum("ij,ij->j", a, a)
-    sq = atom_sq[probes]
-    _check_unit(np.sqrt(atom_sq[order]), order)
-    _check_unit(np.sqrt(sq), probes)
-    q, r = _qr(a[:, order])
-    g = (q.T @ a)[:, probes]
-    coef = solve_triangular(r, g, check_finite=False)
+    atom_sq = np.einsum("...ij,...ij->...j", a, a)
+    # a non-finite entry makes its column's square non-finite, so the
+    # entries need a scan only when some square is
+    if not np.isfinite(atom_sq).all():
+        bad = np.argwhere(~np.isfinite(a).all(axis=-2))
+        if bad.size:
+            raise ValueError(f"{_located(bad[0], range(a.shape[-1]))} has non-finite entries")
+    _check_unit(np.sqrt(atom_sq), range(a.shape[-1]))
+    sq = atom_sq[..., probes]
+    q, r = _qr(a[..., order], order)
+    g = (q.swapaxes(-1, -2) @ a)[..., probes]
+    # scipy's triangular solve is the faster on one matrix, numpy's
+    # batched solve on a stack, over which scipy loops in Python
+    coef = solve_triangular(r, g, check_finite=False) if a.ndim == 2 else np.linalg.solve(r, g)
     tails = _tail_sums(g * g)
-    off = sq - tails[0]
-    cols = np.flatnonzero(off < RECOMPUTE_FRACTION * sq)
-    if cols.size:
-        x = a[:, probes[cols]] - q @ g[:, cols]
-        off[cols] = np.einsum("ij,ij->j", x, x)
-    probe_norms = np.sqrt(tails + off)
+    off = sq - tails[..., 0, :]
+    flagged = off < RECOMPUTE_FRACTION * sq
+    trials = np.argwhere(flagged.any(axis=-1)) if flagged.any() else ()
+    for t in map(tuple, trials):  # t == () for one matrix
+        cols = np.flatnonzero(flagged[t])
+        x = a[t][:, probes[cols]] - q[t] @ g[t][:, cols]
+        off[t][cols] = np.einsum("ij,ij->j", x, x)
+    tails += off[..., None, :]
+    probe_norms = np.sqrt(tails, out=tails)
     support_norms = np.sqrt(_tail_sums(r * r))  # R is upper triangular
     return coef, probe_norms, support_norms, r
 

@@ -223,13 +223,13 @@ class TestBrcMap:
     def stacks(self, monkeypatch):
         # the shape of every stack brc-map hands to the kernel
         shapes = []
-        kernel = ex._brc_table
+        kernel = ex.factor_chain
 
-        def recorded(stack, qstar):
+        def recorded(stack, order, probes):
             shapes.append(stack.shape)
-            return kernel(stack, qstar)
+            return kernel(stack, order, probes)
 
-        monkeypatch.setattr(ex, "_brc_table", recorded)
+        monkeypatch.setattr(ex, "factor_chain", recorded)
         return shapes
 
     def test_stacks_stay_within_the_byte_budget(self, stacks):

@@ -1,9 +1,12 @@
 """The public surface: each module's ``__all__``, the keyword options
-left in the numerical layers, and what the benchmark in ``bench/``
-reaches of them."""
+left in the numerical layers, what the benchmark in ``bench/`` reaches
+of them, and what ``import greedycert`` loads."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,3 +128,15 @@ def test_benchmark_api_still_resolves():
     refused = [f"{'.'.join(chain)}({name}=)" for chain, name in keywords
                if name not in inspect.signature(_resolve(chain)).parameters]
     assert not refused
+
+
+def test_import_leaves_the_lp_solver_unloaded():
+    # scipy.optimize and scipy.sparse load only when an l1 check runs,
+    # so that every other entry point starts without them
+    src = str(Path(greedycert.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, greedycert; "
+            "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
