@@ -106,10 +106,11 @@ def _check_support(n, qstar, q=(), j=None):
 
 
 def _wrong_atoms(n, qstar):
-    """The atoms outside the support, in index order, as Python ints."""
+    """The atoms outside the support, in index order, as an ``intp``
+    array, which the factor kernel takes as it is."""
     outside = np.ones(n, dtype=bool)
     outside[list(qstar)] = False
-    return np.flatnonzero(outside).tolist()
+    return np.flatnonzero(outside)
 
 
 @dataclass(frozen=True)
@@ -145,31 +146,45 @@ class CertificateReport:
         return out
 
 
-def _chain_factors(chain, depths, algorithms):
+def _rows(depths):
+    """``depths`` as a slice when they are consecutive, so that the rows
+    they pick are read as a view, not copied; otherwise as a list."""
+    depths = list(depths)
+    if depths and depths == list(range(depths[0], depths[0] + len(depths))):
+        return slice(depths[0], depths[0] + len(depths))
+    return depths
+
+
+def _chain_factors(chain, depths, algorithm):
     """Factors of the probes after each prefix ``order[:q]``, q in ``depths``.
 
     ``chain`` is the result of :func:`linalg.factor_chain` on the whole
-    support in growth order.  Returns ``{algorithm: array of shape
-    (len(depths), len(probes))}``; the OMP row at depth q is the tail
-    row sum of ``|C|``, the OLS row the same tail weighted by the
-    support norms at q and divided by the probe norms.  A probe inside
-    the selected span scores 0 under both rules.
+    support in growth order.  Returns an array of shape ``(len(depths),
+    len(probes))``: the OMP row at depth q is the tail row sum of
+    ``|C|``, the OLS row the same tail weighted by the support norms at
+    q and divided by the probe norms.  A probe inside the selected span
+    scores 0 under both rules.
+
+    The coefficient table of ``chain`` is replaced by its absolute
+    values, in place: a caller that needs the signs of ``C`` reads them
+    first.  With that, consecutive depths read as slices and the values
+    divided and zeroed in place, the scratch stays near one table.
     """
     coef, probe_norms, support_norms, _ = chain
-    c = np.abs(coef)
-    depths = list(depths)
-    den = probe_norms[depths]
-    alive = den > TAU_ZERO
-    out = {}
-    for alg in algorithms:
-        if alg == "omp":
-            vals = _tail_sums(c)[depths]
-        else:
-            # support_norms[q, l] vanishes for l < q, so the product
-            # only weighs the rows still to be selected
-            vals = (support_norms[depths] @ c) / np.where(alive, den, 1.0)
-        out[alg] = np.where(alive, vals, 0.0)
-    return out
+    c = np.abs(coef, out=coef)
+    rows = _rows(depths)
+    if algorithm == "omp":
+        vals = _tail_sums(c, np.positive)[rows]
+    else:
+        # support_norms[q, l] vanishes for l < q, so the product only
+        # weighs the rows still to be selected
+        vals = support_norms[rows] @ c
+    den = probe_norms[rows]
+    dead = den <= TAU_ZERO
+    if algorithm == "ols":
+        np.divide(vals, den, out=vals, where=~dead)
+    np.copyto(vals, 0.0, where=dead)
+    return vals
 
 
 def _subset_factors(chain, subsets, algorithm):
@@ -286,7 +301,7 @@ def _factors(a, qstar, q, js, algorithm):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     order = list(q) + [i for i in qstar if i not in q]
     chain = factor_chain(a, order, js)
-    vals = _chain_factors(chain, [len(q)], (algorithm,))[algorithm][0]
+    vals = _chain_factors(chain, [len(q)], algorithm)[0]
     _cross_check(a, qstar, q, js, algorithm, vals, chain[1][len(q)])
     return vals
 
@@ -316,11 +331,11 @@ def erc_oxx_subset(a, qstar, q, algorithm):
     qstar, q = _check_support(a.shape[1], qstar, q)
     js = _wrong_atoms(a.shape[1], qstar)
     vals = _factors(a, qstar, q, js, algorithm)
-    aggregate = float(vals.max()) if js else 0.0
+    aggregate = float(vals.max(initial=0.0))  # factors are >= 0
     return CertificateReport(
         kind="erc-oxx-subset",
         algorithm=algorithm,
-        per_atom=tuple(zip(js, vals.tolist())),
+        per_atom=tuple(zip(js.tolist(), vals.tolist())),
         aggregate=aggregate,
         verdict=aggregate < 1.0,
         margin=abs(aggregate - 1.0),
@@ -382,7 +397,7 @@ def erc_oxx_cardinality(a, qstar, card, algorithm):
     return CertificateReport(
         kind="erc-oxx-cardinality",
         algorithm=algorithm,
-        per_atom=tuple(zip(js, worst.tolist())),
+        per_atom=tuple(zip(js.tolist(), worst.tolist())),
         aggregate=float(aggregate),
         verdict=float(aggregate) < 1.0,
         margin=abs(float(aggregate) - 1.0),
@@ -423,7 +438,7 @@ def brc_omp(a, qstar, fast=False):
     if len(qstar) < 1:
         raise ValueError("support must not be empty")
     js = _wrong_atoms(a.shape[1], qstar)
-    if not js:
+    if not js.size:
         raise ValueError("no wrong atom to probe")
     coef = factor_chain(a, qstar, js)[0]
     rowmax, aggregate, verdict = _brc_rule(coef)
@@ -498,10 +513,9 @@ def recursion_chain(a, qstar, j, order, algorithm):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     depth = len(order)
     chain = factor_chain(a, order + tuple(i for i in qstar if i not in order), [j])
-    direct = _chain_factors(chain, range(depth + 1), (algorithm,))[algorithm]
-    direct = [float(v) for v in direct[:, 0]]
     coef, probe_norms, support_norms, r = chain
-    c = coef[:, 0]
+    c = coef[:, 0].copy()  # read first: _chain_factors leaves |C| in coef
+    direct = [float(v) for v in _chain_factors(chain, range(depth + 1), algorithm)[:, 0]]
 
     if algorithm == "omp":
         values = [direct[0]]

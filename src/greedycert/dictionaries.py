@@ -2,7 +2,11 @@
 
 All generators return a :class:`Dictionary` whose matrix has unit-norm
 columns.  Randomized generators take an explicit integer seed and are
-bit-reproducible (PCG64 generator).  The command line and the
+bit-reproducible (PCG64 generator).  Each generator builds its matrix
+in one array and normalizes it in place (:func:`_normalize`), so
+generation holds about one matrix of memory: a larger peak would make
+the allocator hand the pages back after every trial of an experiment
+and fault them in again for the next.  The command line and the
 experiments name a family and build it through one registry,
 :func:`_build`.
 """
@@ -40,17 +44,30 @@ def _finite(name, value):
     return value
 
 
-def _normalized(a):
-    norms = np.linalg.norm(a, axis=0)
+def _normalize(a):
+    """Divide the columns of ``a`` by their norms, in place.
+
+    The norms are the bits of ``np.linalg.norm(a, axis=0)``.  On a
+    C-ordered matrix of several columns, which every generator draws,
+    ``norm`` adds the squares row by row, and one ``einsum`` pass adds
+    them in that order without forming the squared copy of ``a``; a
+    single column or another layout is summed pairwise, so it keeps
+    ``norm``.
+    """
+    if a.flags.c_contiguous and a.shape[1] > 1:
+        norms = np.sqrt(np.einsum("ij,ij->j", a, a))
+    else:
+        norms = np.linalg.norm(a, axis=0)
     if np.any(norms == 0.0):
         raise EmptyAtomError(f"column {int(np.argmin(norms))} is identically zero")
-    return a / norms
+    a /= norms
+    return a
 
 
 def gaussian(m, n, seed):
     """Columns drawn i.i.d. N(0, I) and normalized."""
     rng = np.random.default_rng(seed)
-    a = _normalized(rng.standard_normal((m, n)))
+    a = _normalize(rng.standard_normal((m, n)))
     a.setflags(write=False)
     return Dictionary(a, "gaussian", {"m": m, "n": n}, seed)
 
@@ -66,9 +83,9 @@ def hybrid(m, n, t_max, seed):
     """
     _finite("t_max", t_max)
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((m, n))
-    t = rng.uniform(0.0, t_max, n)
-    a = _normalized(g + t)
+    a = rng.standard_normal((m, n))
+    a += rng.uniform(0.0, t_max, n)
+    _normalize(a)
     a.setflags(write=False)
     return Dictionary(a, "hybrid", {"m": m, "n": n, "t_max": t_max}, seed)
 
@@ -95,15 +112,13 @@ def convolutive(n, sigma, downsample=1):
     grid = np.arange(length) - length // 2
     pulse = np.exp(-(grid**2) / (2.0 * sigma**2))
 
+    # sample o of atom j sits on full-matrix row j + o, which is kept
+    # when d divides it
     m_full = n + length - 1
-    kept = range(0, m_full, d)
-    a = np.zeros((len(kept), n))
-    for j in range(n):
-        # kept rows hitting the pulse occupying full-matrix rows j .. j+L-1
-        first = -(-j // d) * d
-        rows = np.arange(first, min(j + length, m_full), d)
-        a[rows // d, j] = pulse[rows - j]
-    a = _normalized(a)
+    a = np.zeros((-(-m_full // d), n))
+    o, j = np.nonzero((np.arange(length)[:, None] + np.arange(n)) % d == 0)
+    a[(j + o) // d, j] = pulse[o]
+    _normalize(a)
     a.setflags(write=False)
     return Dictionary(
         a, "convolutive", {"n": n, "sigma": sigma, "downsample": d}, None
@@ -143,7 +158,7 @@ def from_matrix(matrix, kind="custom", params=None, normalize=False):
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     if normalize:
-        a = _normalized(a)
+        _normalize(a)
     a.setflags(write=False)
     return Dictionary(a, kind, dict(params or {}), None)
 

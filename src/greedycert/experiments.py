@@ -212,7 +212,8 @@ def _factor_curves(atoms, qstar, order, q_values, algorithms):
     One factor-kernel call (:func:`linalg.factor_chain`) in growth order
     gives the coefficient table and the projected norms at every depth;
     the partial-selection values are its tail row sums, plain for OMP
-    and norm-weighted for OLS.  Returns
+    and norm-weighted for OLS, and only one rule's table of values is
+    held at a time.  Returns
     ``{algorithm: [aggregate at q for q in q_values]}``.
     """
     a = _as_matrix(atoms)
@@ -224,10 +225,13 @@ def _factor_curves(atoms, qstar, order, q_values, algorithms):
     if not q_values or any(not 0 <= q < len(qstar) for q in q_values):
         raise ValueError("partial supports must be proper subsets of the support")
     chain = factor_chain(a, order, _wrong_atoms(a.shape[1], qstar))
-    values = _chain_factors(chain, q_values, algorithms)
+    # each rule is reduced to its maxima before the next one runs; the
     # factors are non-negative, so the empty probe set aggregates to 0
-    return {alg: [float(v) for v in values[alg].max(axis=1, initial=0.0)]
-            for alg in algorithms}
+    curves = {}
+    for alg in algorithms:
+        top = _chain_factors(chain, q_values, alg).max(axis=1, initial=0.0)
+        curves[alg] = [float(v) for v in top]
+    return curves
 
 
 def _worker_count(requested, tasks):

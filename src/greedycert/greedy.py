@@ -316,11 +316,12 @@ def build_failure_input(atoms, qstar, q, algorithm):
     t = len(q)
     remaining = [i for i in qstar if i not in q]
     chain = factor_chain(a, q + remaining, _wrong_atoms(a.shape[1], qstar))
-    factors = _chain_factors(chain, [t], (algorithm,))[algorithm][0]
+    coef, _, support_norms, r = chain
+    signs = np.sign(coef[t:])  # read first: _chain_factors leaves |C| in coef
+    factors = _chain_factors(chain, [t], algorithm)[0]
     if factors.max(initial=0.0) < 1.0:
         return None
-    coef, _, support_norms, r = chain
-    v = np.sign(coef[t:, int(np.argmax(factors))])
+    v = signs[:, int(np.argmax(factors))]
     v[v == 0.0] = 1.0
     if algorithm == "ols":
         # OLS correlates with the normalized projected atoms: the system

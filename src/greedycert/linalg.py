@@ -17,7 +17,12 @@ the probe atoms, every projected norm along the chain and the triangular
 factor itself, reading the dictionary in place and without ever forming
 a projected matrix; it also takes a ``(T, m, n)`` stack of dictionaries.
 The certificate values, the BRC-OMP tables of one support or a brc-map
-cell, the failure inputs and the recursion chains all read it.
+cell, the failure inputs and the recursion chains all read it.  It
+holds little scratch besides its outputs: at 200 x 600 with k = 40 a
+call peaks near 0.6 of the dictionary's size (gaussian, or hybrid with
+t_max = 10), so a phase-curve trial stays well below two dictionaries
+and reuses the pages the previous trial freed instead of faulting them
+in again.
 
 A :class:`ProjectionState` holds a frozen dictionary, an orthonormal
 basis ``U`` of the active span and the projected-atom norms ``|P a_i|``,
@@ -156,15 +161,19 @@ def _check_unit(norms, atoms):
         raise NotNormalizedError(f"{_located(i, atoms)} has norm {norms[i]:.12g}, expected 1")
 
 
-def _tail_sums(x):
-    """Row ``q`` of the result is ``x[..., q:, :].sum(axis=-2)``, for ``q
-    = 0 .. x.shape[-2]``; the last row is the empty sum.  Summed one row
-    at a time, in ``np.cumsum``'s order, which on a stack runs its slow
-    inner loop along the short summed axis."""
+def _tail_sums(x, term):
+    """Row ``q`` of the result is ``term(x[..., q:, :]).sum(axis=-2)``, for
+    ``q = 0 .. x.shape[-2]``, with ``term`` a ufunc such as ``np.square``;
+    the last row is the empty sum.  The terms are written straight into
+    the result, which is then summed in place from the bottom row up,
+    one row at a time in ``np.cumsum``'s order (on a stack, ``cumsum``
+    runs its slow inner loop along the short summed axis)."""
     k = x.shape[-2]
-    tails = np.zeros(x.shape[:-2] + (k + 1, x.shape[-1]))
-    for q in range(k - 1, -1, -1):
-        np.add(tails[..., q + 1, :], x[..., q, :], out=tails[..., q, :])
+    tails = np.empty(x.shape[:-2] + (k + 1, x.shape[-1]))
+    term(x, out=tails[..., :k, :])
+    tails[..., k, :] = 0.0
+    for q in range(k - 2, -1, -1):
+        np.add(tails[..., q, :], tails[..., q + 1, :], out=tails[..., q, :])
     return tails
 
 
@@ -198,7 +207,12 @@ def factor_chain(atoms, order, probes):
     ``RECOMPUTE_FRACTION * |a_j|^2`` is recomputed as ``|a_j - Q G_j|^2``
     for those columns of that trial only, so small norms keep their
     relative accuracy too.  The dictionary is read in place: the probes
-    are never gathered into a copy, and no m x n array is formed.
+    are never gathered into a copy, and no m x n array is formed.  The
+    scratch is ``Q``, the k x n product ``Q.T A``, ``G`` and two
+    m x (recomputed columns) arrays: the squares of ``G`` go straight
+    into the buffer that becomes ``probe_norms``, the recomputation runs
+    before the solve, and on one matrix the solve writes ``coef`` over
+    ``G``.
 
     Each check is made per trial, and its message names the atom and, in
     a stack, the trial: entries must be finite (``ValueError``), every
@@ -224,20 +238,22 @@ def factor_chain(atoms, order, probes):
     sq = atom_sq[..., probes]
     q, r = _qr(a[..., order], order)
     g = (q.swapaxes(-1, -2) @ a)[..., probes]
-    # scipy's triangular solve is the faster on one matrix, numpy's
-    # batched solve on a stack, over which scipy loops in Python
-    coef = solve_triangular(r, g, check_finite=False) if a.ndim == 2 else np.linalg.solve(r, g)
-    tails = _tail_sums(g * g)
+    tails = _tail_sums(g, np.square)
     off = sq - tails[..., 0, :]
     flagged = off < RECOMPUTE_FRACTION * sq
     trials = np.argwhere(flagged.any(axis=-1)) if flagged.any() else ()
     for t in map(tuple, trials):  # t == () for one matrix
         cols = np.flatnonzero(flagged[t])
-        x = a[t][:, probes[cols]] - q[t] @ g[t][:, cols]
+        x = np.take(a[t], probes[cols], axis=1)  # C order like q @ g: -= needs no buffer
+        x -= q[t] @ g[t][:, cols]
         off[t][cols] = np.einsum("ij,ij->j", x, x)
     tails += off[..., None, :]
     probe_norms = np.sqrt(tails, out=tails)
-    support_norms = np.sqrt(_tail_sums(r * r))  # R is upper triangular
+    # scipy's triangular solve is the faster on one matrix, numpy's
+    # batched solve on a stack, over which scipy loops in Python
+    coef = (solve_triangular(r, g, overwrite_b=True, check_finite=False) if a.ndim == 2
+            else np.linalg.solve(r, g))
+    support_norms = np.sqrt(_tail_sums(r, np.square))  # R is upper triangular
     return coef, probe_norms, support_norms, r
 
 

@@ -34,11 +34,11 @@ def cardinality(a, qstar, card, algorithm):
     for q in combinations(qstar, card):
         order = list(q) + [i for i in qstar if i not in q]
         chain = factor_chain(a, order, js)
-        vals = cert._chain_factors(chain, [card], (algorithm,))[algorithm][0]
+        vals = cert._chain_factors(chain, [card], algorithm)[0]
         np.maximum(per_atom, vals, out=per_atom)
         norms = chain[1][card]
         den = np.minimum(den, np.where(norms > cert.TAU_ZERO, norms, np.inf))
-        tops[q] = float(vals.max()) if js else 0.0
+        tops[q] = float(vals.max()) if len(js) else 0.0
     worst_subset = max(tops, key=tops.get)  # the first maximal subset
     den[np.isinf(den)] = 0.0
-    return js, per_atom, tops[worst_subset], worst_subset, tops, den
+    return js.tolist(), per_atom, tops[worst_subset], worst_subset, tops, den

@@ -172,12 +172,75 @@ class TestKernelAgainstProjectedRoute:
         a, qstar, q, js = case
         order = list(q) + [i for i in qstar if i not in q]
         chain = cert.factor_chain(a, order, js)
-        kernel = cert._chain_factors(chain, [len(q)], (algorithm,))[algorithm][0]
+        kernel = cert._chain_factors(chain, [len(q)], algorithm)[0]
         projected = cert._projected_factors(a, qstar, q, js, algorithm)
         gap = np.abs(kernel - projected) / np.maximum(1.0, np.abs(projected))
         assert gap.max() <= 1e-9
         decided = np.abs(projected - 1.0) > 1e-6
         assert np.array_equal((kernel < 1.0)[decided], (projected < 1.0)[decided])
+
+
+def dense_chain_factors(chain, depths, algorithms):
+    """The factors of every rule as they were computed before the rules
+    read ``|C|`` in place and consecutive depths as slices: the
+    bit-for-bit oracle of ``_chain_factors``."""
+    coef, probe_norms, support_norms, _ = chain
+    c = np.abs(coef)
+    depths = list(depths)
+    den = probe_norms[depths]
+    alive = den > TAU_ZERO
+    out = {}
+    for alg in algorithms:
+        if alg == "omp":
+            tails = np.zeros((len(c) + 1, c.shape[1]))
+            for q in range(len(c) - 1, -1, -1):
+                tails[q] = tails[q + 1] + c[q]
+            vals = tails[depths]
+        else:
+            vals = (support_norms[depths] @ c) / np.where(alive, den, 1.0)
+        out[alg] = np.where(alive, vals, 0.0)
+    return out
+
+
+@st.composite
+def chain_factor_cases(draw):
+    """A growth order, probes and depths.  Some probes lie inside the
+    span of a prefix of the order, so they are dead from that depth on;
+    one may repeat a support atom.  Depths are consecutive or not."""
+    m = draw(st.integers(3, 25))
+    k = draw(st.integers(1, m - 1))
+    n = k + draw(st.integers(0, 20))
+    seed = draw(st.integers(0, 2**31 - 1))
+    a = hybrid(m, n, draw(st.sampled_from([0.0, 1.0, 10.0, 1000.0])), seed).matrix
+    order = [int(i) for i in draw(st.permutations(range(n)))[:k]]
+    rng = np.random.default_rng(seed)
+    extra = []
+    for s in draw(st.lists(st.integers(1, k), max_size=4)):
+        x = a[:, order[:s]] @ rng.standard_normal(s)
+        extra.append(x / np.linalg.norm(x))
+    if draw(st.booleans()):
+        extra.append(a[:, order[draw(st.integers(0, k - 1))]])
+    full = np.column_stack([a] + extra) if extra else a
+    probes = [j for j in range(full.shape[1]) if j not in order]
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, k))
+        depths = range(lo, draw(st.integers(lo + 1, k + 1)))
+    else:
+        depths = draw(st.lists(st.integers(0, k), min_size=1, max_size=k + 2))
+    return full, order, probes, depths
+
+
+class TestChainFactors:
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+    @given(chain_factor_cases(), st.sampled_from(["omp", "ols"]))
+    def test_matches_the_dense_formulas(self, case, algorithm):
+        a, order, probes, depths = case
+        chain = factor_chain(a, order, probes)
+        signed = chain[0].copy()
+        want = dense_chain_factors(chain, depths, (algorithm,))[algorithm]
+        got = cert._chain_factors(chain, depths, algorithm)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert chain[0].tobytes() == np.abs(signed).tobytes()  # |C| stays in the chain
 
 
 def explicit_projection(a, qstar, q, js, algorithm):
@@ -394,6 +457,18 @@ class TestErcOxxSubset:
         report = cert.erc_oxx_subset(a, qstar, (), "omp")
         for j, f in report.per_atom:
             assert abs(f - cert.f_omp(a, qstar, (), j)) < 1e-12
+
+    def test_per_atom_pairs_python_numbers(self):
+        # the wrong atoms travel as an intp array; reports still pair
+        # Python ints with Python floats
+        d = hybrid(12, 30, 10.0, 4)
+        js = cert._wrong_atoms(30, (3, 7, 20))
+        assert js.dtype == np.intp and js.tolist() == [j for j in range(30) if j not in (3, 7, 20)]
+        reports = [cert.erc_oxx_subset(d, (3, 7, 20), (7,), "omp"),
+                   cert.erc_oxx_cardinality(d, (3, 7, 20), 1, "ols")]
+        for report in reports:
+            assert [j for j, _ in report.per_atom] == js.tolist()
+            assert all(type(j) is int and type(f) is float for j, f in report.per_atom)
 
     def test_json_round_trip_fields(self):
         report = cert.erc_oxx_subset(example1(0.5, 0.9), (0, 1), (), "ols")

@@ -1,5 +1,7 @@
 """Dictionary generators: determinism, normalization, structure."""
 
+from math import ceil
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,84 @@ class TestSerialization:
         a = np.array([[3.0, 0.0], [4.0, 2.0]])
         d = from_matrix(a, normalize=True)
         assert np.allclose(np.linalg.norm(d.matrix, axis=0), 1.0, atol=1e-15)
+
+
+def reference_gaussian(m, n, seed):
+    g = np.random.default_rng(seed).standard_normal((m, n))
+    return g / np.linalg.norm(g, axis=0)
+
+
+def reference_hybrid(m, n, t_max, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((m, n))
+    t = rng.uniform(0.0, t_max, n)
+    return (g + t) / np.linalg.norm(g + t, axis=0)
+
+
+def reference_convolutive(n, sigma, d):
+    """The pulse matrix built one column at a time."""
+    length = ceil(6 * sigma)
+    grid = np.arange(length) - length // 2
+    pulse = np.exp(-(grid**2) / (2.0 * sigma**2))
+    m_full = n + length - 1
+    a = np.zeros((len(range(0, m_full, d)), n))
+    for j in range(n):
+        first = -(-j // d) * d
+        rows = np.arange(first, min(j + length, m_full), d)
+        a[rows // d, j] = pulse[rows - j]
+    norms = np.linalg.norm(a, axis=0)
+    if np.any(norms == 0.0):
+        raise EmptyAtomError("zero column")
+    return a / norms
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (3, 40), (20, 60), (200, 600)]
+
+
+class TestBitPins:
+    """The generators normalize in place; every matrix keeps the bits of
+    the plain formula."""
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("seed", [0, 1, 11, 2**31 - 1])
+    def test_gaussian(self, m, n, seed):
+        assert same_bits(gaussian(m, n, seed).matrix, reference_gaussian(m, n, seed))
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+    @pytest.mark.parametrize("t_max", [0.0, 0.5, 10.0, 1000.0])
+    def test_hybrid(self, m, n, seed, t_max):
+        assert same_bits(hybrid(m, n, t_max, seed).matrix, reference_hybrid(m, n, t_max, seed))
+
+    @pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0, 1.5, 2.0, 3.3, 5.0, 10.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 7, 60, 200])
+    def test_convolutive(self, n, sigma, d):
+        try:
+            want = reference_convolutive(n, sigma, d)
+        except EmptyAtomError:
+            with pytest.raises(EmptyAtomError):
+                convolutive(n, sigma, d)
+            return
+        assert same_bits(convolutive(n, sigma, d).matrix, want)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(5, 1), (5, 4)])
+    def test_from_matrix_keeps_its_input(self, order, shape):
+        x = np.asarray(np.random.default_rng(3).standard_normal(shape), order=order)
+        before = x.copy()
+        d = from_matrix(x, normalize=True)
+        assert same_bits(x, before) and x.flags.writeable
+        assert same_bits(d.matrix, before / np.linalg.norm(before, axis=0))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 3)])
+    def test_zero_column_raises(self, order, shape):
+        x = np.asarray(np.ones(shape), order=order)
+        x[:, -1] = 0.0
+        with pytest.raises(EmptyAtomError, match=f"column {shape[1] - 1}"):
+            from_matrix(x, normalize=True)

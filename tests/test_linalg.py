@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import orth, qr
 
 from greedycert import certificates, greedy, linalg
 from greedycert.dictionaries import example1, from_matrix, gaussian, hybrid
+from greedycert.experiments import ExperimentConfig, run_experiment
 from greedycert.exceptions import (
     DegenerateAtomError,
     NotNormalizedError,
@@ -68,6 +70,26 @@ def two_pass_norms(a, order, probes):
         x = x - b @ (b.T @ x)
         rows.append(np.linalg.norm(x, axis=0))
     return np.array(rows)
+
+
+def row_loop_tail_sums(x):
+    """The tail sums as summed before the terms went into the result:
+    zeros, then one row added at a time from the bottom up."""
+    k = x.shape[-2]
+    tails = np.zeros(x.shape[:-2] + (k + 1, x.shape[-1]))
+    for q in range(k - 1, -1, -1):
+        np.add(tails[..., q + 1, :], x[..., q, :], out=tails[..., q, :])
+    return tails
+
+
+def traced_peak(fn, *args):
+    """Largest traced allocation of ``fn(*args)``, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def eta_chi_steps(a, order):
@@ -168,6 +190,21 @@ class TestFactorChain:
             tracemalloc.stop()
         assert peak < 0.5 * 8 * m * n
 
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(1, 4), max_size=2), st.integers(0, 9), st.integers(0, 12),
+           st.sampled_from(["square", "absolute"]), st.booleans(), st.data())
+    def test_tail_sums_match_the_row_loop(self, stack, k, p, term, fortran, data):
+        # matrices and stacks of them, C or F ordered like the kernel's
+        # G and C tables; the floats include signed zeros and subnormals
+        shape = tuple(stack) + (k, p)
+        x = data.draw(arrays(np.float64, shape, elements=st.floats(-1e150, 1e150)))
+        if fortran:
+            x = np.asfortranarray(x)
+        ufunc = np.square if term == "square" else np.abs
+        got = linalg._tail_sums(x, ufunc)
+        assert got.shape == shape[:-2] + (k + 1, p)
+        assert got.tobytes() == row_loop_tail_sums(ufunc(x)).tobytes()
+
     @settings(max_examples=100)
     @given(st.integers(6, 30), st.integers(0, 30), st.data())
     def test_stack_matches_one_call_per_trial(self, m, extra, data):
@@ -230,6 +267,28 @@ class TestFactorChain:
         assert coef.shape == (2, 0) and probe_norms.shape == (3, 0)
         assert np.allclose(support_norms[0], 1.0, atol=1e-12)
         assert np.all(support_norms[2] == 0.0)
+
+
+class TestTrialMemory:
+    """A 200 x 600 phase-curve trial holds well under two dictionaries of
+    memory.  Past about two, the allocator gives the trial's pages back
+    to the system when it ends, and the next trial faults them in again."""
+
+    M, N = 200, 600
+    DICTIONARY = 8 * M * N
+
+    def test_gaussian_generation(self):
+        assert traced_peak(gaussian, self.M, self.N, 5) <= 1.1 * self.DICTIONARY
+
+    def test_hybrid_generation(self):
+        assert traced_peak(hybrid, self.M, self.N, 10.0, 5) <= 1.1 * self.DICTIONARY
+
+    @pytest.mark.parametrize("dictionary", ["gaussian", "hybrid"])
+    def test_phase_curve_trial(self, dictionary):
+        config = ExperimentConfig(kind="phase-curve", dictionary=dictionary, t_max=10.0,
+                                  m=self.M, n=self.N, k=40, trials=1, base_seed=11)
+        run_experiment(config)  # lazy imports and first-call set-up
+        assert traced_peak(run_experiment, config) <= 1.75 * self.DICTIONARY
 
 
 class TestFiniteInput:
