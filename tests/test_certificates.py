@@ -180,26 +180,23 @@ class TestKernelAgainstProjectedRoute:
         assert np.array_equal((kernel < 1.0)[decided], (projected < 1.0)[decided])
 
 
-def dense_chain_factors(chain, depths, algorithms):
-    """The factors of every rule as they were computed before the rules
-    read ``|C|`` in place and consecutive depths as slices: the
-    bit-for-bit oracle of ``_chain_factors``."""
+def dense_chain_factors(chain, depths, algorithm):
+    """The factors as they were computed before the rules read ``|C|`` in
+    place and consecutive depths as slices: the bit-for-bit oracle of
+    ``_chain_factors``."""
     coef, probe_norms, support_norms, _ = chain
     c = np.abs(coef)
     depths = list(depths)
     den = probe_norms[depths]
     alive = den > TAU_ZERO
-    out = {}
-    for alg in algorithms:
-        if alg == "omp":
-            tails = np.zeros((len(c) + 1, c.shape[1]))
-            for q in range(len(c) - 1, -1, -1):
-                tails[q] = tails[q + 1] + c[q]
-            vals = tails[depths]
-        else:
-            vals = (support_norms[depths] @ c) / np.where(alive, den, 1.0)
-        out[alg] = np.where(alive, vals, 0.0)
-    return out
+    if algorithm == "omp":
+        tails = np.zeros((len(c) + 1, c.shape[1]))
+        for q in range(len(c) - 1, -1, -1):
+            tails[q] = tails[q + 1] + c[q]
+        vals = tails[depths]
+    else:
+        vals = (support_norms[depths] @ c) / np.where(alive, den, 1.0)
+    return np.where(alive, vals, 0.0)
 
 
 @st.composite
@@ -237,7 +234,7 @@ class TestChainFactors:
         a, order, probes, depths = case
         chain = factor_chain(a, order, probes)
         signed = chain[0].copy()
-        want = dense_chain_factors(chain, depths, (algorithm,))[algorithm]
+        want = dense_chain_factors(chain, depths, algorithm)
         got = cert._chain_factors(chain, depths, algorithm)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert chain[0].tobytes() == np.abs(signed).tobytes()  # |C| stays in the chain
