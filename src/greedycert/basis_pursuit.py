@@ -29,7 +29,7 @@ from scipy.linalg import null_space
 
 from .certificates import _check_support
 from .exceptions import FormMismatchError, GreedycertError, TooLargeError
-from .linalg import _as_matrix, _scans_once
+from .linalg import _finite_matrix
 from .tolerances import TAU_FORM, TAU_NUM, TAU_RANK, TAU_STRICT
 
 __all__ = [
@@ -188,11 +188,10 @@ def _nsp_report(dim, patterns):
                      indeterminate=not verdict and not any(f is True for f in decisions))
 
 
-@_scans_once
 def nsp_check(a, qstar):
     """Does every nonzero null vector carry less l1 mass on the support?
     Holds when v(eps) < 1 for every sign pattern eps on it."""
-    a = _as_matrix(a)
+    a = _finite_matrix(a)
     support, _ = _check_support(a.shape[1], qstar)
     basis = null_space(a, check_finite=False)
     if not basis.shape[1]:  # a trivial null space needs no pattern table
@@ -245,11 +244,10 @@ def _brc_report(support, solved):
     return BrcBpReport(verdict=verdict, support=support, patterns=tuple(patterns))
 
 
-@_scans_once
 def _l1_reports(a, qstar):
     """``(nsp_check(a, qstar), brc_bp_check(a, qstar))`` from one
     pattern table: one null space and one LP for both reports."""
-    a = _as_matrix(a)
+    a = _finite_matrix(a)
     support, _ = _check_support(a.shape[1], qstar)
     basis = null_space(a, check_finite=False)
     patterns = _sign_patterns(a, support, basis, _every_pattern(len(support), a.shape[1]))
@@ -266,7 +264,6 @@ def brc_bp_check(a, qstar):
     return _l1_reports(a, qstar)[1]
 
 
-@_scans_once
 def l1_recovers(a, xstar):
     """Is ``xstar`` the unique l1 minimizer of its own measurements?
 
@@ -276,7 +273,7 @@ def l1_recovers(a, xstar):
     vector z lives on S alone (A_S not injective: xstar + t z is another
     minimizer for small t); None when v lies within ``TAU_STRICT`` of 1.
     """
-    a = _as_matrix(a)
+    a = _finite_matrix(a)
     n = a.shape[1]
     xstar = np.asarray(xstar, dtype=np.float64)
     if xstar.shape != (n,) or not np.isfinite(xstar).all():

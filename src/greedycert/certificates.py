@@ -57,7 +57,6 @@ from .linalg import (
     _as_matrix,
     _check_rank,
     _qr,
-    _scans_once,
     _tail_sums,
     factor_chain,
     residual,
@@ -92,6 +91,8 @@ def _check_support(n, qstar, q=(), j=None):
     q = tuple(int(i) for i in q)
     if len(set(qstar)) != len(qstar):
         raise ValueError("duplicate indices in the support")
+    if len(set(q)) != len(q):
+        raise ValueError("duplicate indices in the partial selection")
     if not all(0 <= i < n for i in qstar):
         raise ValueError(f"support {qstar} outside 0..{n - 1}")
     if not set(q) <= set(qstar):
@@ -306,7 +307,6 @@ def _factors(a, qstar, q, js, algorithm):
     return vals
 
 
-@_scans_once
 def f_omp(a, qstar, q, j):
     """OMP interference factor of atom ``j`` for partial selection ``q``;
     at ``q = ()`` it is Tropp's ERC factor (l1 norm of the support
@@ -316,7 +316,6 @@ def f_omp(a, qstar, q, j):
     return float(_factors(a, qstar, q, [int(j)], "omp")[0])
 
 
-@_scans_once
 def f_ols(a, qstar, q, j):
     """OLS interference factor of atom ``j`` for partial selection ``q``."""
     a = _as_matrix(a)
@@ -324,7 +323,6 @@ def f_ols(a, qstar, q, j):
     return float(_factors(a, qstar, q, [int(j)], "ols")[0])
 
 
-@_scans_once
 def erc_oxx_subset(a, qstar, q, algorithm):
     """Exactness certificate at one explicit partial selection."""
     a = _as_matrix(a)
@@ -343,7 +341,6 @@ def erc_oxx_subset(a, qstar, q, algorithm):
     )
 
 
-@_scans_once
 def erc_oxx_cardinality(a, qstar, card, algorithm):
     """Exactness certificate over every partial selection of one size.
 
@@ -414,7 +411,6 @@ def _brc_rule(coef):
     return rows, aggregate, aggregate >= 1.0
 
 
-@_scans_once
 def brc_omp(a, qstar, fast=False):
     """OMP badness certificate for a full support.
 
@@ -488,7 +484,6 @@ def _f_ols_recursive(beta, eta_j, chi_j, etas, chis):
     return abs(float(chi_j) - float(eta_j) * cross) + float(eta_j) * mass
 
 
-@_scans_once
 def recursion_chain(a, qstar, j, order, algorithm):
     """Factors of atom ``j`` along a nested selection chain.
 

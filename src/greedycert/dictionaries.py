@@ -52,7 +52,7 @@ def _normalize(a):
     ``norm`` adds the squares row by row, and one ``einsum`` pass adds
     them in that order without forming the squared copy of ``a``; a
     single column or another layout is summed pairwise, so it keeps
-    ``norm``.
+    ``norm``.  Zero and overflowing norms raise.
     """
     if a.flags.c_contiguous and a.shape[1] > 1:
         norms = np.sqrt(np.einsum("ij,ij->j", a, a))
@@ -60,6 +60,9 @@ def _normalize(a):
         norms = np.linalg.norm(a, axis=0)
     if np.any(norms == 0.0):
         raise EmptyAtomError(f"column {int(np.argmin(norms))} is identically zero")
+    if not np.isfinite(norms).all():
+        i = int(np.argmin(np.isfinite(norms)))
+        raise ValueError(f"column {i} has a norm that overflows float64")
     a /= norms
     return a
 

@@ -38,7 +38,7 @@ import scipy
 
 from .certificates import _brc_rule, _chain_factors, _wrong_atoms, brc_omp
 from .dictionaries import _build, convolutive
-from .linalg import _as_matrix, _scans_once, factor_chain
+from .linalg import _as_matrix, factor_chain
 
 __all__ = [
     "ExperimentConfig",
@@ -205,7 +205,6 @@ def _support(placement, n, k, delta, rng):
     raise ValueError(f"unknown placement policy: {placement!r}")
 
 
-@_scans_once
 def _factor_curves(atoms, qstar, order, q_values, algorithms):
     """Aggregate certificate values along a growth order, one pass.
 

@@ -33,7 +33,6 @@ from .certificates import _chain_factors, _check_support, _wrong_atoms
 from .exceptions import ConstructionFailedError, DegenerateAtomError, ZeroResidualError
 from .linalg import (
     _as_matrix,
-    _scans_once,
     extend_state,
     factor_chain,
     init_state,
@@ -173,7 +172,6 @@ class GreedyTrace:
         }
 
 
-@_scans_once
 def run_greedy(algorithm, atoms, y, max_iters, oracle=None):
     """Run OMP or OLS for up to ``max_iters`` selections.
 
@@ -187,12 +185,12 @@ def run_greedy(algorithm, atoms, y, max_iters, oracle=None):
     if max_iters < 0:
         raise ValueError(f"max_iters must be non-negative, got {max_iters}")
     select = _SELECT[algorithm]
-    a = _as_matrix(atoms)
+    state = init_state(atoms)  # checks the matrix before y
+    m = state.atoms.shape[0]
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (a.shape[0],) or not np.isfinite(y).all():
-        raise ValueError(f"y must be a finite vector of length {a.shape[0]}")
+    if y.shape != (m,) or not np.isfinite(y).all():
+        raise ValueError(f"y must be a finite vector of length {m}")
     truth = frozenset(int(i) for i in oracle) if oracle is not None else None
-    state = init_state(a)
     ynorm = np.linalg.norm(y)
     records = []
     status, fail_it, wrong = None, None, None
@@ -260,7 +258,6 @@ def _reaches_prefix(algorithm, a, y, prefix):
     )
 
 
-@_scans_once
 def construct_reaching_input(atoms, order, algorithm="ols"):
     """A vector making the algorithm select ``order``, in order.
 
@@ -292,7 +289,6 @@ def construct_reaching_input(atoms, order, algorithm="ols"):
     return y
 
 
-@_scans_once
 def build_failure_input(atoms, qstar, q, algorithm):
     """A vector on support ``qstar`` that reaches ``q`` and then fails.
 

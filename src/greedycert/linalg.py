@@ -3,9 +3,9 @@
 Conventions used throughout the package:
 
 * matrices are 2-D ``numpy.float64`` arrays (C order), columns are atoms;
-* a public call scans its matrix for non-finite entries once: the
-  package calls nested in an entry point marked :func:`_scans_once`
-  skip the scan of that same array;
+* the kernels check their matrix for finite entries where they form
+  the column squares of the unit-norm check (:func:`_unit_squares`); a
+  public call that reaches no kernel scans its matrix itself;
 * an "active set" Q is an ordered tuple of distinct column indices;
 * the projected atom of ``a_i`` w.r.t. Q is ``P a_i`` where ``P`` projects
   onto the orthogonal complement of ``span(A_Q)``; active atoms have
@@ -42,9 +42,7 @@ only; they drive the greedy runs and are the independent cross-check of
 the factor kernel in the checked certificates.
 """
 
-from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import wraps
 from itertools import combinations
 from math import comb
 
@@ -75,48 +73,21 @@ __all__ = [
 RECOMPUTE_FRACTION = 1e-2
 
 
-# The matrix scanned for finite entries by the outermost running
-# :func:`_scans_once` call, in a one-slot list; None outside such calls.
-_scanned = ContextVar("scanned", default=None)
-
-
 def _as_matrix(a):
-    """Accept a plain array or anything with a ``matrix`` attribute.
-
-    Entries are scanned for finite values, except on the array already
-    scanned within the running :func:`_scans_once` call.
-    """
+    """Accept a plain array or anything with a ``matrix`` attribute."""
     a = getattr(a, "matrix", a)
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("expected a 2-D array of column atoms")
-    scanned = _scanned.get()
-    if scanned and a is scanned[0]:
-        return a
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    if scanned is not None and not scanned:
-        scanned.append(a)
     return a
 
 
-def _scans_once(func):
-    """Mark an entry point that hands its matrix on to other package
-    functions: within its call the first matrix :func:`_as_matrix`
-    accepts is scanned for finite entries once, and the calls nested in
-    it skip the scan of that same array."""
-
-    @wraps(func)
-    def entry(*args, **kwargs):
-        if _scanned.get() is not None:
-            return func(*args, **kwargs)
-        token = _scanned.set([])
-        try:
-            return func(*args, **kwargs)
-        finally:
-            _scanned.reset(token)
-
-    return entry
+def _finite_matrix(a):
+    """:func:`_as_matrix`, scanned for finite entries: for calls that reach no kernel."""
+    a = _as_matrix(a)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
 
 
 def _located(index, atoms):
@@ -159,6 +130,21 @@ def _check_unit(norms, atoms):
     if bad.any():
         i = tuple(np.argwhere(bad)[0])
         raise NotNormalizedError(f"{_located(i, atoms)} has norm {norms[i]:.12g}, expected 1")
+
+
+def _unit_squares(a):
+    """Column squares of ``a`` or of a ``(T, m, n)`` stack, whose entries
+    must be finite (``ValueError``) and columns unit within ``TAU_NUM``;
+    messages name the atom and, in a stack, the trial."""
+    sq = np.einsum("...ij,...ij->...j", a, a)
+    # a non-finite entry makes its column's square non-finite, so the
+    # entries need a scan only when some square is
+    if not np.isfinite(sq).all():
+        bad = np.argwhere(~np.isfinite(a).all(axis=-2))
+        if bad.size:
+            raise ValueError(f"{_located(bad[0], range(a.shape[-1]))} has non-finite entries")
+    _check_unit(np.sqrt(sq), range(a.shape[-1]))
+    return sq
 
 
 def _tail_sums(x, term):
@@ -227,15 +213,7 @@ def factor_chain(atoms, order, probes):
         raise ValueError("expected a matrix or a stack of matrices of column atoms")
     order = np.asarray(order, dtype=np.intp)
     probes = np.asarray(probes, dtype=np.intp)
-    atom_sq = np.einsum("...ij,...ij->...j", a, a)
-    # a non-finite entry makes its column's square non-finite, so the
-    # entries need a scan only when some square is
-    if not np.isfinite(atom_sq).all():
-        bad = np.argwhere(~np.isfinite(a).all(axis=-2))
-        if bad.size:
-            raise ValueError(f"{_located(bad[0], range(a.shape[-1]))} has non-finite entries")
-    _check_unit(np.sqrt(atom_sq), range(a.shape[-1]))
-    sq = atom_sq[..., probes]
+    sq = _unit_squares(a)[..., probes]
     q, r = _qr(a[..., order], order)
     g = (q.swapaxes(-1, -2) @ a)[..., probes]
     tails = _tail_sums(g, np.square)
@@ -302,19 +280,18 @@ def _project(basis, x):
 def init_state(atoms):
     """Start a projection state with an empty active set.
 
-    Column norms must be 1 within ``TAU_NUM`` (selection by projected
-    residual correlations assumes unit atoms).  The state and every
+    Entries must be finite and column norms 1 within ``TAU_NUM`` (selection
+    by projected residual correlations assumes unit atoms).  The state and every
     state extended from it share one frozen dictionary: a read-only
     array that owns its data, such as every :class:`Dictionary` matrix,
     is kept as it is; a writable array or a view is copied and the copy
     frozen, so that later writes by the caller do not reach the state.
     """
     a = _as_matrix(atoms)
+    exact_sq = _unit_squares(a)
     if a.flags.writeable or not a.flags.owndata:
         a = a.copy()
-    exact_sq = np.einsum("ij,ij->j", a, a)
     norms = np.sqrt(exact_sq)
-    _check_unit(norms, range(len(norms)))
     basis = np.empty((a.shape[0], 0))
     _freeze(a, basis, norms, exact_sq)
     return ProjectionState(
@@ -399,7 +376,7 @@ def compute_spark(a, max_size):
     per subset of size 2..min(max_size, m), counted before the search;
     larger requests raise :class:`TooLargeError`.
     """
-    a = _as_matrix(a)
+    a = _finite_matrix(a)
     m, n = a.shape
     max_size = min(int(max_size), n, m + 1)
     total = sum(comb(n, s) for s in range(2, min(max_size, m) + 1))

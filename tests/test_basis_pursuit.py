@@ -1,8 +1,6 @@
 """Null-space conditions and ``l1_recovers`` vs sampled-null-vector,
 closed-form, basic-solution and l1-LP oracles."""
 
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -387,15 +385,6 @@ def test_lp_and_l1_min_agree(m, null_dim, seed, data):
     nsp = bp.nsp_check(d, support)
     brc = bp.brc_bp_check(d, support)
     round_trip(d, support, nsp, brc, np.random.default_rng(seed), draws=2)
-
-
-def test_import_leaves_linprog_unloaded():
-    # the LP solver and its sparse matrices load on the first l1 check
-    code = ("import sys, greedycert; "
-            "print([name in sys.modules for name in ('scipy.optimize', 'scipy.sparse')])")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
-    assert done.stdout.strip() == "[False, False]"
 
 
 class TestOneSolverCall:

@@ -98,6 +98,18 @@ class TestErcFactor:
             with pytest.raises(ValueError, match="outside"):
                 call()
 
+    @pytest.mark.parametrize("q", [(5, 5), (1, 1, 5)], ids=["5,5", "1,1,5"])
+    @pytest.mark.parametrize("entry", ["f_omp", "f_ols", "erc_oxx_subset", "recursion_chain"])
+    def test_rejects_repeated_selection(self, entry, q):
+        # the caller's repeated index, not a dependent dictionary atom
+        d = gaussian(20, 40, 3)
+        call = {"f_omp": lambda: cert.f_omp(d, (1, 5, 9), q, 0),
+                "f_ols": lambda: cert.f_ols(d, (1, 5, 9), q, 0),
+                "erc_oxx_subset": lambda: cert.erc_oxx_subset(d, (1, 5, 9), q, "omp"),
+                "recursion_chain": lambda: cert.recursion_chain(d, (1, 5, 9), 0, q, "omp")}[entry]
+        with pytest.raises(ValueError, match="duplicate indices in the partial selection"):
+            call()
+
 
 class TestFactorClosedForms:
     @pytest.mark.parametrize(

@@ -4,12 +4,15 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import greedycert
 from greedycert import basis_pursuit
 from greedycert.basis_pursuit import brc_bp_check, nsp_check
 from greedycert.cli import _build_parser, main
@@ -83,6 +86,16 @@ class TestCert:
         if flag.startswith("--theta"):
             assert f"{flag[2:]} must be finite" in err
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_repeated_selection_rejected(self, capsys):
+        assert main(["cert", "--dict", "gaussian", "--m", "20", "--n", "40", "--seed", "3",
+                     "--qstar", "1,5,9", "--q", "5,5"]) == 2
+        assert "duplicate indices in the partial selection" in capsys.readouterr().err
+
+    def test_overflowing_dictionary_rejected(self, capsys):
+        assert main(["cert", "--dict", "hybrid", "--m", "5", "--n", "8", "--t-max", "1e200",
+                     "--qstar", "0,1"]) == 2
+        assert "overflows" in capsys.readouterr().err
 
     def test_q_and_card_exclusive(self, capsys):
         assert main(["cert", "--dict", "example1", "--qstar", "0,1",
@@ -332,8 +345,11 @@ class TestHelpAndEntry:
         assert main([]) == 2
 
     def test_module_entry_point(self):
+        # the subprocess imports this checkout's package, not an installed one
+        src = str(Path(greedycert.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-m", "greedycert.cli", "spark", "--dict",
-             "example1"], capture_output=True, text=True)
+             "example1"], env=env, capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["spark"] == 4

@@ -100,6 +100,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="finite"):
             from_matrix(a)
 
+    @pytest.mark.parametrize("make", [
+        lambda: hybrid(5, 8, 1e200, 0),
+        lambda: from_matrix(np.full((3, 2), 1e300), normalize=True),
+    ], ids=["hybrid", "from_matrix"])
+    def test_overflowing_norm_rejected(self, make):
+        # the squares overflow, and dividing by an infinite norm would
+        # return zero columns
+        with pytest.raises(ValueError, match="column 0 has a norm that overflows"):
+            make()
+
     def test_from_matrix_normalizes_on_request(self):
         a = np.array([[3.0, 0.0], [4.0, 2.0]])
         d = from_matrix(a, normalize=True)

@@ -335,6 +335,11 @@ class TestFailureInput:
         with pytest.raises(ValueError):
             greedy.build_failure_input(gaussian(10, 20, 0), qstar, q, "omp")
 
+    @pytest.mark.parametrize("q", [(5, 5), (1, 1, 5)], ids=["5,5", "1,1,5"])
+    def test_repeated_selection_rejected(self, q):
+        with pytest.raises(ValueError, match="duplicate indices in the partial selection"):
+            greedy.build_failure_input(gaussian(20, 40, 3), (1, 5, 9), q, "omp")
+
     def test_two_pair_second_step_omp(self):
         d = example1(np.pi / 12, np.pi / 4)
         y = greedy.build_failure_input(d, (0, 1), (0,), "omp")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import orth, qr
 
-from greedycert import certificates, greedy, linalg
+from greedycert import basis_pursuit, certificates, experiments, greedy, linalg
 from greedycert.dictionaries import example1, from_matrix, gaussian, hybrid
 from greedycert.experiments import ExperimentConfig, run_experiment
 from greedycert.exceptions import (
@@ -291,17 +291,46 @@ class TestTrialMemory:
         assert traced_peak(run_experiment, config) <= 1.75 * self.DICTIONARY
 
 
+# every public call that takes a matrix, on a 6 x 12 dictionary with
+# support (0, 1, 2): column 11 lies outside every support, order and
+# probe set the call lets its caller choose
+MATRIX_CALLS = {
+    "f_omp": lambda a: certificates.f_omp(a, (0, 1, 2), (0,), 3),
+    "f_ols": lambda a: certificates.f_ols(a, (0, 1, 2), (0,), 3),
+    "erc_oxx_subset": lambda a: certificates.erc_oxx_subset(a, (0, 1, 2), (0,), "ols"),
+    "erc_oxx_cardinality": lambda a: certificates.erc_oxx_cardinality(a, (0, 1, 2), 1, "omp"),
+    "brc_omp": lambda a: certificates.brc_omp(a, (0, 1, 2)),
+    "recursion_chain": lambda a: certificates.recursion_chain(a, (0, 1, 2), 3, (0,), "ols"),
+    "run_greedy": lambda a: greedy.run_greedy("omp", a, a[:, 0] - a[:, 1], 2),
+    "construct_reaching_input": lambda a: greedy.construct_reaching_input(a, (0, 1), "ols"),
+    "build_failure_input": lambda a: greedy.build_failure_input(a, (0, 1, 2), (0,), "omp"),
+    "nsp_check": lambda a: basis_pursuit.nsp_check(a, (0, 1)),
+    "brc_bp_check": lambda a: basis_pursuit.brc_bp_check(a, (0, 1)),
+    "_l1_reports": lambda a: basis_pursuit._l1_reports(a, (0, 1)),
+    "l1_recovers": lambda a: basis_pursuit.l1_recovers(a, np.eye(12)[0] - np.eye(12)[1]),
+    "_factor_curves": lambda a: experiments._factor_curves(a, (0, 1, 2), (2, 0, 1), (0, 1),
+                                                           ("omp", "ols")),
+    "compute_spark": lambda a: linalg.compute_spark(a, 2),
+    "init_state": lambda a: linalg.init_state(a),
+    "state_for": lambda a: linalg.state_for(a, (0, 1)),
+    "factor_chain": lambda a: linalg.factor_chain(a, (0, 1, 2), (3, 4)),
+}
+# the calls that reach neither kernel and scan their matrix themselves
+SCANNING_CALLS = ("nsp_check", "brc_bp_check", "_l1_reports", "l1_recovers", "compute_spark")
+
+
 class TestFiniteInput:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_rejected(self, bad):
-        a = np.eye(3)
-        a[1, 2] = bad
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("call", MATRIX_CALLS)
+    def test_non_finite_rejected(self, call, bad):
+        a = np.array(gaussian(6, 12, 3).matrix)
+        a[4, 11] = bad
         with pytest.raises(ValueError, match="finite"):
-            linalg._as_matrix(a)
-        with pytest.raises(ValueError, match="finite"):
-            certificates.brc_omp(a, (0, 1))
+            MATRIX_CALLS[call](a)
 
     def test_entry_point_scans_its_matrix_once(self, monkeypatch):
+        # the kernels read finiteness off the column squares they form
+        # for the unit-norm check, so no full-matrix scan runs
         a = np.array(gaussian(20, 40, 3).matrix)
         scans = []
         isfinite = np.isfinite
@@ -315,7 +344,11 @@ class TestFiniteInput:
         certificates.erc_oxx_subset(a, (1, 5, 9), (5,), "ols")
         # and so does each greedy rerun that verifies the failure input
         greedy.build_failure_input(a, (1, 5, 9), (), "omp")
-        assert scans.count(a.shape) == 2
+        b = np.array(gaussian(6, 12, 3).matrix)
+        for name, call in MATRIX_CALLS.items():
+            if name not in SCANNING_CALLS:
+                call(b)
+        assert scans and a.shape not in scans and b.shape not in scans
 
     def test_scan_repeats_on_the_next_call(self):
         a = np.array(gaussian(20, 40, 3).matrix)
@@ -323,6 +356,14 @@ class TestFiniteInput:
         a[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             certificates.erc_oxx_subset(a, (1, 5, 9), (5,), "ols")
+
+    def test_construction_blames_the_matrix(self):
+        # the reaching input is built from atom 0, so a non-finite atom 0
+        # reaches run_greedy inside y too; the matrix is checked first
+        a = np.array(gaussian(6, 12, 3).matrix)
+        a[2, 0] = np.nan
+        with pytest.raises(ValueError, match="atom 0 has non-finite entries"):
+            greedy.construct_reaching_input(a, (0, 1), "ols")
 
 
 class TestProjectionState:
