@@ -66,6 +66,7 @@ from .tolerances import (
     EPS,
     FORM_ROUNDING,
     TAU_FORM,
+    TAU_RECURSION,
     TAU_STRICT,
     TAU_ZERO,
 )
@@ -495,7 +496,7 @@ def recursion_chain(a, qstar, j, order, algorithm):
     of the atom activated at that step (:func:`_f_omp_update`), the OLS
     factor at depth p follows from depth p+1 and the norm-reduction and
     alignment pairs of that step (:func:`_f_ols_recursive`).  Recursion
-    and direct values must agree within 1e-8
+    and direct values must agree within ``TAU_RECURSION``
     (:class:`FormMismatchError` otherwise).  Both come from the same QR,
     so this check guards the recursion algebra only, not the kernel; the
     independent comparison with the projected route is the test suite's
@@ -546,6 +547,6 @@ def recursion_chain(a, qstar, j, order, algorithm):
             )
 
     gap = max(abs(v - d) for v, d in zip(values, direct))
-    if gap > 1e-8:
+    if gap > TAU_RECURSION:
         raise FormMismatchError(f"recursion and direct factors differ by {gap:.3e}")
     return values

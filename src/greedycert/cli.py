@@ -139,11 +139,10 @@ def _cmd_construct(args):
         _check(args.order, "--order is required for --goal reach")
         order = _parse_ints(args.order)
         alg = args.alg or "ols"
+        # returned only once a rerun selected exactly `order`, with no tie
         y = construct_reaching_input(d, order, alg)
-        trace = run_greedy(alg, d, y, len(order))
         echo = _echo("construct", d, goal="reach", order=list(order), alg=alg)
-        out = {"config": echo, "input": [float(v) for v in y],
-               "selections": trace.selections()}
+        out = {"config": echo, "input": [float(v) for v in y], "selections": list(order)}
         return _emit(out, args.output)
     _check(args.qstar, "--qstar is required for --goal failure")
     qstar = _parse_ints(args.qstar)

@@ -17,10 +17,6 @@ class DegenerateAtomError(GreedycertError):
     """Attempt to extend an active set by an atom already in its span."""
 
 
-class ZeroResidualError(GreedycertError):
-    """Selection was asked for but the residual is already (numerically) zero."""
-
-
 class TooLargeError(GreedycertError):
     """A combinatorial enumeration exceeds its budget."""
 

@@ -7,12 +7,15 @@ norm).  The residual ``r`` is already orthogonal to the active span, so
 ``(P A).T r = A.T r``: OMP scores ``|A.T r|`` and OLS divides the same
 correlations by the projected norms ``|P a_j|`` that the
 :class:`linalg.ProjectionState` keeps, and no projected matrix is
-formed.  A run stops as ``exhausted`` when ``r`` is orthogonal to every
-inactive atom (no score above ``TAU_ZERO * |r|``).  A selection is
-"tied" when the runner-up score is within a relative ``TAU_TIE`` of the
-leader; against a known support, a tie that mixes true and wrong atoms
-counts as a failure (the adversarial tie convention), while ties among
-true atoms are broken by lowest index and only flagged.
+formed.  A selection step returns the :class:`IterationRecord` the run
+stores, or None when ``r`` is orthogonal to every inactive atom (no
+score above ``TAU_ZERO * |r|``, ``r = 0`` included), and the run stops
+as ``exhausted``.  Every stopping rule is relative to ``|y|`` or
+``|r|``, so a run does not depend on the scale of ``y``.  A selection
+is "tied" when the runner-up score is within a relative ``TAU_TIE`` of
+the leader; against a known support, a tie that mixes true and wrong
+atoms counts as a failure (the adversarial tie convention), while ties
+among true atoms are broken by lowest index and only flagged.
 
 The constructive half builds inputs that provably steer a run: a vector
 reaching a prescribed selection sequence (always possible for OLS, by
@@ -30,18 +33,11 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .certificates import _chain_factors, _check_support, _wrong_atoms
-from .exceptions import ConstructionFailedError, DegenerateAtomError, ZeroResidualError
-from .linalg import (
-    _as_matrix,
-    extend_state,
-    factor_chain,
-    init_state,
-    residual,
-)
+from .exceptions import ConstructionFailedError, DegenerateAtomError
+from .linalg import extend_state, factor_chain, init_state, residual
 from .tolerances import TAU_SUCCESS_REL, TAU_TIE, TAU_ZERO
 
 __all__ = [
-    "Selection",
     "IterationRecord",
     "GreedyTrace",
     "select_omp",
@@ -55,49 +51,44 @@ MIN_STEP = 1e-14  # smallest perturbation size tried by the constructions
 
 
 @dataclass(frozen=True)
-class Selection:
-    """One selection decision: chosen index, full score vector (NaN at
-    active positions), tie flag and the tied index set."""
+class IterationRecord:
+    """One selection: chosen index, full score vector (NaN at active
+    positions), tie flag, the tied index set and the norm of the
+    residual it was made on."""
 
-    index: int
+    selected: int
     scores: np.ndarray
     tie: bool
     tied: tuple
+    residual_norm: float
 
 
-def _pick(state, scores, rnorm):
-    """The top-scoring inactive atom, or None when no inactive score
-    exceeds ``TAU_ZERO * rnorm``."""
-    scores = np.array(scores, dtype=np.float64)
+def _pick(state, r, scores):
+    """The record of the top-scoring inactive atom, or None when no
+    inactive score exceeds ``TAU_ZERO * |r|``.  ``scores`` is a fresh
+    array, which the record keeps, frozen."""
+    rnorm = float(np.linalg.norm(r))
     scores[list(state.active)] = np.nan
     live = scores[~np.isnan(scores)]
     if not live.size or live.max() <= TAU_ZERO * rnorm:
         return None
     with np.errstate(invalid="ignore"):
         tied = np.flatnonzero(scores >= live.max() * (1.0 - TAU_TIE))
-    tie = len(tied) > 1
     scores.setflags(write=False)
-    return Selection(
-        index=int(tied[0]), scores=scores, tie=tie, tied=tuple(int(t) for t in tied)
+    return IterationRecord(
+        selected=int(tied[0]), scores=scores, tie=len(tied) > 1,
+        tied=tuple(int(t) for t in tied), residual_norm=rnorm,
     )
-
-
-def _correlations(state, r):
-    rnorm = np.linalg.norm(r)
-    if rnorm <= TAU_ZERO:
-        raise ZeroResidualError("residual is already zero")
-    return np.abs(state.atoms.T @ r), rnorm
 
 
 def select_omp(state, r):
     """Pick the inactive atom maximizing |<r, projected atom>|.
 
     ``r`` must be orthogonal to the active span (a :func:`residual`), so
-    the scores are ``|A.T r|``.  Returns None when ``r`` is orthogonal
-    to every inactive atom.
+    the scores are ``|A.T r|``.  Returns the step's :class:`IterationRecord`,
+    or None when ``r`` is orthogonal to every inactive atom (``r = 0`` too).
     """
-    corr, rnorm = _correlations(state, r)
-    return _pick(state, corr, rnorm)
+    return _pick(state, r, np.abs(state.atoms.T @ r))
 
 
 def select_ols(state, r):
@@ -106,24 +97,15 @@ def select_ols(state, r):
     Equivalent to minimizing the residual norm after the candidate
     extension.  ``r`` must be orthogonal to the active span, so the
     scores are ``|A.T r| / |P a_j|``; atoms inside the active span score
-    zero.  Returns None when ``r`` is orthogonal to every inactive atom.
+    zero.  Returns the step's :class:`IterationRecord`, or None when ``r``
+    is orthogonal to every inactive atom (``r = 0`` too).
     """
-    corr, rnorm = _correlations(state, r)
+    corr = np.abs(state.atoms.T @ r)
     alive = state.norms > TAU_ZERO
-    scores = np.divide(corr, state.norms, out=np.zeros(state.n), where=alive)
-    return _pick(state, scores, rnorm)
+    return _pick(state, r, np.divide(corr, state.norms, out=np.zeros(state.n), where=alive))
 
 
 _SELECT = {"omp": select_omp, "ols": select_ols}
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    selected: int
-    scores: np.ndarray
-    tie: bool
-    tied: tuple
-    residual_norm: float
 
 
 @dataclass(frozen=True)
@@ -134,10 +116,8 @@ class GreedyTrace:
     atoms selected when a support oracle was given), ``wrong_atom``,
     ``tie_failure`` (true/wrong tie), ``rank_abort`` (selected atom
     degenerate), or ``exhausted``: either the iteration budget was hit
-    with residual left, or the residual is orthogonal to every inactive
-    atom (no inactive score above ``TAU_ZERO * |r|``, every atom active
-    included), in which case the run stops without recording a
-    selection.
+    with residual left, or a selection step returned None (the residual
+    is orthogonal to every inactive atom), which records nothing.
     """
 
     algorithm: str
@@ -197,27 +177,24 @@ def run_greedy(algorithm, atoms, y, max_iters, oracle=None):
 
     for it in range(max_iters):
         r = residual(state, y)
-        rnorm = np.linalg.norm(r)
-        if rnorm <= TAU_SUCCESS_REL * ynorm:
+        if np.linalg.norm(r) <= TAU_SUCCESS_REL * ynorm:
             status = "success"
             break
         sel = select(state, r)
         if sel is None:
             status = "exhausted"
             break
-        records.append(
-            IterationRecord(sel.index, sel.scores, sel.tie, sel.tied, float(rnorm))
-        )
+        records.append(sel)
         if truth is not None:
             tied_wrong = [t for t in sel.tied if t not in truth]
             if sel.tie and tied_wrong and len(tied_wrong) < len(sel.tied):
                 status, fail_it, wrong = "tie_failure", it, min(tied_wrong)
                 break
-            if sel.index not in truth:
-                status, fail_it, wrong = "wrong_atom", it, sel.index
+            if sel.selected not in truth:
+                status, fail_it, wrong = "wrong_atom", it, sel.selected
                 break
         try:
-            state = extend_state(state, sel.index)
+            state = extend_state(state, sel.selected)
         except DegenerateAtomError:
             status, fail_it = "rank_abort", it
             break
@@ -250,12 +227,7 @@ def _step_search(base, direction, verified):
 def _reaches_prefix(algorithm, a, y, prefix):
     """True when the run selects exactly ``prefix``, strictly (no tie)."""
     trace = run_greedy(algorithm, a, y, len(prefix))
-    if len(trace.records) < len(prefix):
-        return False
-    return all(
-        rec.selected == want and not rec.tie
-        for rec, want in zip(trace.records, prefix)
-    )
+    return trace.selections() == prefix and not any(rec.tie for rec in trace.records)
 
 
 def construct_reaching_input(atoms, order, algorithm="ols"):
@@ -269,7 +241,7 @@ def construct_reaching_input(atoms, order, algorithm="ols"):
     Raises :class:`ConstructionFailedError` when no step size down to
     1e-14 verifies.
     """
-    a = _as_matrix(atoms)
+    a = init_state(atoms).atoms  # frozen once: the reruns share it uncopied
     order = [int(i) for i in order]
     if len(set(order)) != len(order) or not order:
         raise ValueError("order must be a non-empty sequence of distinct indices")
@@ -298,7 +270,7 @@ def build_failure_input(atoms, qstar, q, algorithm):
     wrong or adversarially tied; this is verified by re-running before
     returning.
     """
-    a = _as_matrix(atoms)
+    a = init_state(atoms).atoms  # frozen once: the reruns share it uncopied
     if algorithm not in _SELECT:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     qstar, q = _check_support(a.shape[1], qstar, q)

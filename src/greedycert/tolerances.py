@@ -4,16 +4,22 @@ All comparisons against "zero", "rank deficient", "tied" and so on go
 through these constants so that every module draws the same lines.
 """
 
-# Generic agreement tolerance for algebraic identities (dual-form checks,
-# Pythagoras on extension coefficients, recursion vs direct evaluation).
+# Agreement tolerance for exact identities on the inputs: unit column
+# norms, and A x = 0 for an l1 null-space witness.
 TAU_NUM = 1e-9
+
+# recursion_chain's one-step recursion must reproduce the factors read
+# directly off the same QR to this, otherwise a FormMismatchError is raised.
+TAU_RECURSION = 1e-8
 
 # A column of an orthogonalized system whose remaining norm falls below
 # this is treated as linearly dependent on the previous ones.
 TAU_RANK = 1e-8
 
-# Vector norms below this count as exactly zero (projected atom inside
-# the current span, residual exhausted, null-space component absent).
+# Norms of unit-scale vectors below this count as exactly zero (projected
+# atom inside the current span, null-space component absent).  A greedy
+# residual is never compared with it alone: selection stops when no
+# inactive score exceeds TAU_ZERO * |r|, a bound relative to the residual.
 TAU_ZERO = 1e-10
 
 # Two selection scores within this relative distance of the leader are

@@ -273,13 +273,15 @@ class TestExperiments:
         assert first.read_bytes() == again.read_bytes()
 
     def test_config_round_trip_from_json(self, tmp_path, capsys):
-        first = tmp_path / "a.json"
-        assert main(["brc-sigma", "--n", "40", "--sigmas", "1.0,2.0",
-                     "--output", str(first)]) == 0
-        again = tmp_path / "b.json"
-        assert main(["brc-sigma", "--config", str(first),
-                     "--output", str(again)]) == 0
-        assert first.read_bytes() == again.read_bytes()
+        # the CSV writes brc-sigma's boolean verdict column as 0/1
+        for suffix in (".json", ".csv"):
+            first = tmp_path / f"a{suffix}"
+            assert main(["brc-sigma", "--n", "40", "--sigmas", "1.0,2.0",
+                         "--output", str(first)]) == 0
+            again = tmp_path / f"b{suffix}"
+            assert main(["brc-sigma", "--config", str(first),
+                         "--output", str(again)]) == 0
+            assert first.read_bytes() == again.read_bytes()
 
     def test_config_conflicts_with_flags(self, tmp_path, capsys):
         first = tmp_path / "a.csv"

@@ -90,7 +90,8 @@ class TestPhaseCurve:
     def test_identity_like_dictionary_rate_one(self):
         # sigma small enough that the pulse is a single spike
         cfg = ex.ExperimentConfig(kind="phase-curve", dictionary="convolutive",
-                                  sigma=0.01, n=30, k=4, trials=10)
+                                  sigma=0.01, n=30, k=4, trials=10,
+                                  placement="contiguous")
         res = ex.phase_curve(cfg)
         for row in res.rows:
             assert row[1] == 1.0 and row[2] == 1.0
@@ -133,9 +134,9 @@ class TestPhaseCurve:
                 taken = set(order[:q])
                 while len(taken) < 5:
                     sel = select(state, residual(state, y))
-                    assert sel.index in qstar
-                    state = extend_state(state, sel.index)
-                    taken.add(sel.index)
+                    assert sel.selected in qstar
+                    state = extend_state(state, sel.selected)
+                    taken.add(sel.selected)
         assert checked >= 10
 
 

@@ -1,5 +1,7 @@
 """Selection rules against brute-force oracles; run loop; constructions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -9,8 +11,8 @@ from scipy.linalg import orth
 from greedycert import greedy
 from greedycert.certificates import erc_oxx_subset
 from greedycert.dictionaries import example1, gaussian, hybrid
-from greedycert.exceptions import ConstructionFailedError, ZeroResidualError
-from greedycert.linalg import residual, state_for
+from greedycert.exceptions import ConstructionFailedError, DegenerateAtomError
+from greedycert.linalg import extend_state, init_state, residual, state_for
 from greedycert.tolerances import TAU_SUCCESS_REL, TAU_ZERO
 
 
@@ -33,7 +35,7 @@ class TestSelectOmp:
             scores = np.abs((p @ a).T @ r)
             scores[active] = -np.inf
             if not sel.tie:
-                assert sel.index == int(np.argmax(scores))
+                assert sel.selected == int(np.argmax(scores))
 
     def test_two_pair_cone_never_picks_second_atom(self):
         # with the first atom active and theta1 small, every direction
@@ -47,12 +49,19 @@ class TestSelectOmp:
         for phi in rng.uniform(0.0, 2 * np.pi, 300):
             r = np.cos(phi) * u1 + np.sin(phi) * u2
             sel = greedy.select_omp(state, r)
-            assert sel.index in (2, 3)
+            assert sel.selected in (2, 3)
 
-    def test_zero_residual_raises(self):
+    @pytest.mark.parametrize("alg", ["omp", "ols"])
+    def test_zero_residual_selects_nothing(self, alg):
+        # a zero residual is orthogonal to every atom; a tiny one still
+        # selects, since the stopping rule is relative to |r|
         state = state_for(gaussian(5, 8, 0), [])
-        with pytest.raises(ZeroResidualError):
-            greedy.select_omp(state, np.zeros(5))
+        select = greedy._SELECT[alg]
+        assert select(state, np.zeros(5)) is None
+        r = 1e-13 * state.atoms[:, 3]
+        rec = select(state, r)
+        assert rec.selected == 3 and not rec.tie
+        assert rec.residual_norm == np.linalg.norm(r)
 
 
 class TestSelectOls:
@@ -75,7 +84,7 @@ class TestSelectOls:
                 c, *_ = np.linalg.lstsq(a[:, cols], y, rcond=None)
                 norms.append(np.linalg.norm(y - a[:, cols] @ c))
             if not sel.tie:
-                assert sel.index == int(np.argmin(norms))
+                assert sel.selected == int(np.argmin(norms))
 
     def test_always_finishes_with_last_true_atom(self):
         # one missing atom: the OLS step picks it, whatever the input
@@ -88,7 +97,7 @@ class TestSelectOls:
             y = a[:, qstar] @ t
             state = state_for(a, qstar[:-1])
             sel = greedy.select_ols(state, residual(state, y))
-            assert sel.index == qstar[-1]
+            assert sel.selected == qstar[-1]
 
 
 class TestRunGreedy:
@@ -189,6 +198,56 @@ class TestRunGreedy:
         assert trace.selections() == [0, 1]
         assert not any(rec.tie for rec in trace.records)
         assert trace.final_residual == pytest.approx(1.0)
+
+    def test_record_is_the_selection_step(self):
+        # run_greedy stores the record a selection step returns, as it is
+        d = gaussian(8, 12, 2)
+        y = d.matrix[:, [1, 2]] @ np.array([1.0, 0.5])
+        trace = greedy.run_greedy("omp", d, y, 1)
+        state = init_state(d)
+        rec = greedy.select_omp(state, residual(state, y))
+        got = trace.records[0]
+        assert (got.selected, got.tie, got.tied, got.residual_norm) == (
+            rec.selected, rec.tie, rec.tied, rec.residual_norm)
+        assert np.array_equal(got.scores, rec.scores, equal_nan=True)
+        assert not got.scores.flags.writeable
+
+    @pytest.mark.parametrize("alg", ["omp", "ols"])
+    def test_scale_free(self, alg):
+        # selections depend on the direction of y only: power-of-two
+        # scales are exact, so every step, tie and status is the same
+        cases = [(gaussian(40, 90, seed), seed) for seed in range(3)]
+        cases += [(hybrid(40, 90, 10.0, seed), seed) for seed in range(3)]
+        for d, seed in cases:
+            rng = np.random.default_rng(seed)
+            support = [int(i) for i in rng.permutation(90)[:6]]
+            y = d.matrix[:, support] @ rng.uniform(0.5, 1.5, 6)
+            want = greedy.run_greedy(alg, d, y, 6, oracle=support)
+            for scale in (2.0**-60, 2.0**-40, 2.0**30):
+                got = greedy.run_greedy(alg, d, scale * y, 6, oracle=support)
+                assert got.selections() == want.selections()
+                assert [(r.tie, r.tied) for r in got.records] == [
+                    (r.tie, r.tied) for r in want.records]
+                assert (got.status, got.failure_iteration, got.wrong_index) == (
+                    want.status, want.failure_iteration, want.wrong_index)
+
+    def test_rank_abort_when_extension_degenerates(self, monkeypatch):
+        # a selected atom inside the active span stops the run after its
+        # record; no selection rule picks one on its own, so the second
+        # extension is made to refuse
+        def second_refused(state, index):
+            if state.active:
+                raise DegenerateAtomError("inside the active span")
+            return extend_state(state, index)
+
+        monkeypatch.setattr(greedy, "extend_state", second_refused)
+        d = gaussian(20, 40, 1)
+        y = d.matrix[:, [3, 7, 11]] @ np.array([1.0, -0.8, 0.6])
+        trace = greedy.run_greedy("ols", d, y, 3, oracle=(3, 7, 11))
+        assert trace.status == "rank_abort"
+        assert trace.failure_iteration == 1
+        assert trace.wrong_index is None
+        assert len(trace.records) == 2
 
     def test_zero_input_is_immediate_success(self):
         trace = greedy.run_greedy("omp", gaussian(5, 8, 0), np.zeros(5), 3)
@@ -298,6 +357,37 @@ class TestReachingInput:
         with pytest.raises(ValueError, match="outside"):
             greedy.construct_reaching_input(np.eye(5), order, "ols")
 
+    @pytest.mark.parametrize("order", [[], [2, 2]], ids=["empty", "repeated"])
+    def test_order_distinct_and_non_empty(self, order):
+        with pytest.raises(ValueError, match="non-empty sequence of distinct"):
+            greedy.construct_reaching_input(np.eye(5), order, "ols")
+
+
+@pytest.mark.parametrize("construct", [
+    lambda a: greedy.construct_reaching_input(a, [5, 0, 9], "ols"),
+    lambda a: greedy.build_failure_input(a, range(12), (0, 1, 2), "ols"),
+], ids=["reaching", "failure"])
+def test_constructions_freeze_the_dictionary_once(construct, monkeypatch):
+    # a writable caller array is copied and frozen once; every verifying
+    # rerun then reads that one array instead of copying it again
+    d = gaussian(30, 60, 3)
+    want = construct(d)
+    received = []
+
+    def recording(atoms):
+        received.append(atoms)
+        return init_state(atoms)
+
+    monkeypatch.setattr(greedy, "init_state", recording)
+    writable = np.array(d.matrix)
+    got = construct(writable)
+    assert received[0] is writable
+    reruns = received[1:]
+    assert len(reruns) >= 3
+    assert all(not a.flags.writeable and a.flags.owndata for a in reruns)
+    assert all(a is reruns[0] for a in reruns)
+    assert np.array_equal(got, want)
+
 
 class TestFailureInput:
     def test_first_selection_failure_both_algorithms(self):
@@ -339,6 +429,26 @@ class TestFailureInput:
     def test_repeated_selection_rejected(self, q):
         with pytest.raises(ValueError, match="duplicate indices in the partial selection"):
             greedy.build_failure_input(gaussian(20, 40, 3), (1, 5, 9), q, "omp")
+
+    @pytest.mark.parametrize("d,qstar,q,message", [
+        (gaussian(100, 11, 1), tuple(range(10)), (), "did not verify"),
+        (hybrid(20, 60, 5.0, 0), tuple(range(6)), (0,), "no step size yields"),
+    ], ids=["first-step", "after-prefix"])
+    def test_unverified_failure_input_raises(self, d, qstar, q, message, monkeypatch):
+        # every verifying rerun (the ones given the support oracle) is
+        # made to report success: the construction must give up, not
+        # return an unverified input
+        run = greedy.run_greedy
+
+        def never_failing(algorithm, atoms, y, max_iters, oracle=None):
+            trace = run(algorithm, atoms, y, max_iters, oracle)
+            if oracle is None:
+                return trace
+            return dataclasses.replace(trace, status="success", failure_iteration=None)
+
+        monkeypatch.setattr(greedy, "run_greedy", never_failing)
+        with pytest.raises(ConstructionFailedError, match=message):
+            greedy.build_failure_input(d, qstar, q, "ols")
 
     def test_two_pair_second_step_omp(self):
         d = example1(np.pi / 12, np.pi / 4)

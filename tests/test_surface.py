@@ -38,8 +38,8 @@ PUBLIC = {
         "phase_trial_state",
     ],
     greedy: [
-        "Selection", "IterationRecord", "GreedyTrace", "select_omp", "select_ols",
-        "run_greedy", "construct_reaching_input", "build_failure_input",
+        "IterationRecord", "GreedyTrace", "select_omp", "select_ols", "run_greedy",
+        "construct_reaching_input", "build_failure_input",
     ],
     linalg: [
         "ProjectionState", "factor_chain", "init_state", "state_for", "extend_state",
