@@ -20,23 +20,21 @@ kernel call in support order and re-orders it for each subset with a
 k x k QR of the triangular factor, O(k^2 p) per subset for p wrong
 atoms instead of a QR of the m x k support.
 
-Both factors also admit an equivalent "projected" evaluation through
-the pseudo-inverse of the projected (OMP) or normalized-projected (OLS)
-remaining true atoms.  It is built on a :class:`linalg.ProjectionState`
-for Q, one small QR of those k projected atoms and one k x n product
-with the dictionary (the wrong atoms need no projection), and forms no
-projected m x n matrix.  It shares no factorization with the kernel and
-serves as its cross-check (:func:`_cross_check`): :func:`f_omp`,
-:func:`f_ols` and :func:`erc_oxx_subset` raise
+The leave-one-out rows of :func:`brc_omp` are the rows of one
+coefficient table ``pinv(A_Qstar) A_off``, from the same kernel, which
+also takes the stacked dictionaries of a brc-map cell; :func:`_brc_rule`
+reads the verdict off the table in both.
+
+Checked mode compares the kernel with one second route that shares no
+factorization with it: the table ``pinv(A_Qstar) A_js`` from one SVD of
+``A_Qstar`` (:func:`_pinv_table`), one m x k SVD and one k x n product.
+Its rows Q* \\ Q give the OMP factors at Q, and weighted by the
+projected norms of a :class:`linalg.ProjectionState` for Q the OLS
+factors (:func:`_cross_check`); :func:`f_omp`, :func:`f_ols`,
+:func:`erc_oxx_subset` and, unless ``fast``, :func:`brc_omp` raise
 :class:`FormMismatchError` when the routes disagree.
 :func:`erc_oxx_cardinality` reads the kernel alone: the route would
-multiply an enumeration of up to 1e6 subsets.  The leave-one-out rows
-of :func:`brc_omp` are the rows of one coefficient table
-``pinv(A_Qstar) A_off``, from the same kernel, which also takes the
-stacked dictionaries of a brc-map cell; :func:`_brc_rule` reads the
-verdict off the table in both.  Unless ``fast``, the table from one QR
-must match the table from one SVD of ``A_Qstar`` (:func:`_pinv_table`),
-which costs one m x k SVD and one k x n product.
+multiply an enumeration of up to 1e6 subsets.
 
 Exactness certificates say that every wrong factor stays below 1
 (selection-wise exact recovery for every reachable Q of the stated
@@ -50,18 +48,10 @@ from itertools import combinations, islice
 from math import comb
 
 import numpy as np
-from scipy.linalg import solve_triangular, svd
+from scipy.linalg import svd
 
-from .exceptions import FormMismatchError, RankDeficientError, TooLargeError
-from .linalg import (
-    _as_matrix,
-    _check_rank,
-    _qr,
-    _tail_sums,
-    factor_chain,
-    residual,
-    state_for,
-)
+from .exceptions import FormMismatchError, TooLargeError
+from .linalg import _as_matrix, _check_rank, _tail_sums, factor_chain, state_for
 from .tolerances import (
     EPS,
     FORM_ROUNDING,
@@ -231,72 +221,49 @@ def _subset_factors(chain, subsets, algorithm):
     return np.where(alive, vals, 0.0)
 
 
-def _projected_factors(a, qstar, q, js, algorithm):
-    """Factors through the projected system at ``q``: the cross-check
-    route, built on a :class:`ProjectionState` and a QR of the projected
-    remaining true atoms, never of ``A_Qstar``.
-
-    With ``Qp R`` the QR of the projected (OMP) or normalized-projected
-    (OLS) remaining true atoms, ``Qp`` lies in the complement of
-    ``span(A_q)``, so ``Qp.T P a_j = Qp.T a_j``: the wrong atoms enter
-    unprojected, through one k x n product ``Qp.T A``.  ``Qp`` is
-    projected off the span once more, so that the rounding of the QR
-    does not carry the selected part of ``a_j`` into the coefficients.
-    For OLS the l1 sum is divided by ``|P a_j|``, which normalizes the
-    wrong atom.  The cost is one state, one m x k QR and the k x n
-    product; no projected m x n matrix is formed.
-    """
-    state = state_for(a, q)
-    remaining = [i for i in qstar if i not in q]
-    lhs = residual(state, a[:, remaining])
-    if algorithm == "ols":
-        tn = state.norms[remaining]
-        if np.any(tn <= TAU_ZERO):
-            raise RankDeficientError("a support atom lies in the selected span")
-        lhs = lhs / tn
-    qp, r = _qr(lhs)
-    qp = residual(state, qp)
-    coef = solve_triangular(r, (qp.T @ a)[:, js], check_finite=False)
-    proj = np.abs(coef).sum(axis=0)
-    jn = state.norms[js]
-    alive = jn > TAU_ZERO
-    if algorithm == "ols":
-        proj /= np.where(alive, jn, 1.0)
-    proj[~alive] = 0.0
-    return proj
+def _pinv_table(a, qstar, js):
+    """``pinv(A_Qstar) A_js`` from one SVD ``A_Qstar = U S V.T``, as
+    ``V S^-1 (U.T A)[:, js]`` with one k x n product, rows in support
+    order: the cross-check route of checked mode, sharing no
+    factorization with the kernel's QR."""
+    u, s, vt = svd(a[:, qstar], full_matrices=False, check_finite=False)
+    return (vt.T / s) @ (u.T @ a)[:, js]
 
 
 def _cross_check(a, qstar, q, js, algorithm, vals, probe_norms):
-    """Raise :class:`FormMismatchError` unless the projected route gives
-    the kernel values ``vals`` of the atoms ``js`` at ``q``, within
-    ``TAU_FORM`` each.  An OLS factor is divided by ``|P_q a_j|``
+    """Raise :class:`FormMismatchError` unless the SVD route gives the
+    kernel values ``vals`` of the atoms ``js`` at ``q``, within
+    ``TAU_FORM`` each: the l1 mass of the rows ``Qstar \\ q`` of
+    :func:`_pinv_table` (OMP), or those rows weighted by ``|P_q a_i| /
+    |P_q a_j|`` from :func:`linalg.state_for` (OLS; 0 when ``|P_q a_j|
+    <= TAU_ZERO``).  An OLS factor is divided by ``|P_q a_j|``
     (``probe_norms``), so its bound adds the rounding both routes carry
     near the selected span, ``FORM_ROUNDING * eps / |P_q a_j|``.
     """
+    rows = [p for p, i in enumerate(qstar) if i not in q]
+    table = np.abs(_pinv_table(a, qstar, js)[rows])
     bound = TAU_FORM
-    if algorithm == "ols":
+    if algorithm == "omp":
+        want = table.sum(axis=0)
+    else:
+        norms = state_for(a, q).norms
+        jn = norms[js]
+        dead = jn <= TAU_ZERO
+        want = norms[[qstar[p] for p in rows]] @ table / np.where(dead, 1.0, jn)
+        want[dead] = 0.0
         bound = bound + FORM_ROUNDING * EPS / np.maximum(probe_norms, TAU_ZERO)
-    excess = np.abs(vals - _projected_factors(a, qstar, q, js, algorithm)) - bound
+    excess = np.abs(vals - want) - bound
     if len(js) and excess.max() > 0:
         raise FormMismatchError(
             f"factor routes at q={tuple(q)} disagree by {excess.max():.3e} beyond their bound"
         )
 
 
-def _pinv_table(a, qstar, js):
-    """``pinv(A_Qstar) A_js`` from one SVD ``A_Qstar = U S V.T``, as
-    ``V S^-1 (U.T A)[:, js]`` with one k x n product: the cross-check of
-    the leave-one-out rows in :func:`brc_omp`, sharing no factorization
-    with its QR route."""
-    u, s, vt = svd(a[:, qstar], full_matrices=False, check_finite=False)
-    return (vt.T / s) @ (u.T @ a)[:, js]
-
-
 def _factors(a, qstar, q, js, algorithm):
     """Factors of the atoms ``js`` given partial selection ``q``.
 
     Returns the kernel values, read at depth ``|q|`` of the growth order
-    ``q + (qstar \\ q)``, once the projected route has reproduced them
+    ``q + (qstar \\ q)``, once the SVD route has reproduced them
     (:func:`_cross_check`).
     """
     if algorithm not in ("omp", "ols"):
@@ -426,9 +393,9 @@ def brc_omp(a, qstar, fast=False):
     ``easiest_last_atom`` is the lowest atom index among the rows within
     ``TAU_STRICT`` of the smallest, so that rounding does not pick it
     between rows that tie.  Unless ``fast``, every ``|C_ij|`` must
-    match the SVD route (:func:`_pinv_table`) within ``TAU_FORM``
-    (:class:`FormMismatchError` otherwise); the check adds one m x k
-    SVD and one k x n product.
+    match the SVD route of checked mode (:func:`_pinv_table`) within
+    ``TAU_FORM`` (:class:`FormMismatchError` otherwise); the check adds
+    one m x k SVD and one k x n product.
     """
     a = _as_matrix(a)
     qstar, _ = _check_support(a.shape[1], qstar)
@@ -499,8 +466,8 @@ def recursion_chain(a, qstar, j, order, algorithm):
     and direct values must agree within ``TAU_RECURSION``
     (:class:`FormMismatchError` otherwise).  Both come from the same QR,
     so this check guards the recursion algebra only, not the kernel; the
-    independent comparison with the projected route is the test suite's
-    ``TestRecursion``.
+    independent comparison with the projected route of
+    ``tests/projected_oracle.py`` is the test suite's ``TestRecursion``.
     """
     a = _as_matrix(a)
     qstar, order = _check_support(a.shape[1], qstar, order, j)

@@ -8,8 +8,8 @@ execute them.  Results serialize to CSV (17 significant digits, config
 echoed as a ``#`` comment on the first line) and to JSON (config first).
 
 Factor values come from the factor kernel alone
-(:func:`linalg.factor_chain`, one QR per trial); the projected route
-that cross-checks it in the certificates' checked mode is not run here.
+(:func:`linalg.factor_chain`, one QR per trial); the SVD route that
+cross-checks it in the certificates' checked mode is not run here.
 A task is one trial, except in brc-map: there a task is a chunk of one
 grid cell, whose dictionaries are stacked and certified by one kernel
 call on the stack.

@@ -38,8 +38,8 @@ safeguard of LAPACK's column-pivoted QR (xGEQP3/xLAQPS); the kernel
 applies the same rule to the probes' part off the support span.  No
 m x n array is formed on the way; :func:`residual` projects just the
 columns a caller asks for.  The states, like the kernel, take unit atoms
-only; they drive the greedy runs and are the independent cross-check of
-the factor kernel in the checked certificates.
+only; they drive the greedy runs and give the projected norms of the
+OLS factors in the SVD route that checks the certificates.
 """
 
 from dataclasses import dataclass

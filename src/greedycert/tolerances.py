@@ -30,8 +30,8 @@ TAU_TIE = 1e-9
 # TAU_SUCCESS_REL * ||y||.
 TAU_SUCCESS_REL = 1e-8
 
-# Dual-route certificate evaluations (definition vs projected form) must
-# agree to this, otherwise a FormMismatchError is raised.
+# Checked certificates must agree with their SVD route (pseudo-inverse
+# table of the support) to this, otherwise a FormMismatchError is raised.
 TAU_FORM = 1e-7
 
 # OLS factors (divided by |P a_j|) may disagree by TAU_FORM plus

@@ -12,11 +12,13 @@ import tracemalloc
 
 import cardinality_oracle
 import numpy as np
+import projected_oracle
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from greedycert import certificates as cert
+from greedycert import linalg
 from greedycert.dictionaries import convolutive, example1, from_matrix, gaussian, hybrid
 from greedycert.exceptions import (
     FormMismatchError,
@@ -24,7 +26,7 @@ from greedycert.exceptions import (
     RankDeficientError,
     TooLargeError,
 )
-from greedycert.greedy import run_greedy
+from greedycert.greedy import build_failure_input, run_greedy
 from greedycert.linalg import factor_chain, residual, state_for
 from greedycert.tolerances import TAU_STRICT, TAU_ZERO
 
@@ -185,7 +187,7 @@ class TestKernelAgainstProjectedRoute:
         order = list(q) + [i for i in qstar if i not in q]
         chain = cert.factor_chain(a, order, js)
         kernel = cert._chain_factors(chain, [len(q)], algorithm)[0]
-        projected = cert._projected_factors(a, qstar, q, js, algorithm)
+        projected = projected_oracle.projected_factors(a, qstar, q, js, algorithm)
         gap = np.abs(kernel - projected) / np.maximum(1.0, np.abs(projected))
         assert gap.max() <= 1e-9
         decided = np.abs(projected - 1.0) > 1e-6
@@ -303,7 +305,7 @@ class TestProjectedRouteIdentity:
     @given(near_span_cases(), st.sampled_from(["omp", "ols"]))
     def test_matches_explicit_projection(self, case, algorithm):
         a, qstar, q, js = case
-        got = cert._projected_factors(a, qstar, q, js, algorithm)
+        got = projected_oracle.projected_factors(a, qstar, q, js, algorithm)
         want, jn, smin = explicit_projection(a, qstar, q, js, algorithm)
         tol = 1e-9 * np.maximum(1.0, np.abs(want))
         if algorithm == "ols":
@@ -354,10 +356,39 @@ class TestCheckedModeCatchesFaultyKernel:
             cert.brc_omp(self.d, self.qstar)
 
     def test_perturbed_svd_route_in_brc_omp(self, monkeypatch):
+        # the same table checks erc_oxx_subset under both rules
         table = cert._pinv_table
         monkeypatch.setattr(cert, "_pinv_table", lambda *args: table(*args) + 1e-6)
         with pytest.raises(FormMismatchError):
             cert.brc_omp(self.d, self.qstar)
+        for algorithm in ("omp", "ols"):
+            with pytest.raises(FormMismatchError):
+                cert.erc_oxx_subset(self.d, self.qstar, (9,), algorithm)
+
+    def test_scaled_triangular_factor(self, monkeypatch):
+        # every QR of the package returns R off by a relative 1e-5, patched
+        # in each module that holds the routine: the OMP factors move with
+        # 1 / R and must be refused, while the scale cancels in the OLS
+        # norm ratios, which must pass unchanged
+        qs = [(), (9,), (9, 33)]
+        clean = {q: cert.erc_oxx_subset(self.d, self.qstar, q, "ols").per_atom for q in qs}
+        qr = linalg._qr
+
+        def scaled(*args):
+            q, r = qr(*args)
+            return q, r * (1 + 1e-5)
+
+        for module in (linalg, cert):
+            if hasattr(module, "_qr"):
+                monkeypatch.setattr(module, "_qr", scaled)
+        for q in qs:
+            with pytest.raises(FormMismatchError):
+                cert.erc_oxx_subset(self.d, self.qstar, q, "omp")
+            with pytest.raises(FormMismatchError):
+                cert.f_omp(self.d, self.qstar, q, 0)
+            got = cert.erc_oxx_subset(self.d, self.qstar, q, "ols").per_atom
+            assert [j for j, _ in got] == [j for j, _ in clean[q]]
+            assert max(abs(f - g) for (_, f), (_, g) in zip(got, clean[q])) <= 1e-12
 
 
 class TestCrossCheckNearSpan:
@@ -846,7 +877,7 @@ class TestRecursion:
         values = cert.recursion_chain(a, qstar, j, order, algorithm)
         assert len(values) == len(order) + 1
         for p, got in enumerate(values):
-            want = cert._projected_factors(a, qstar, order[:p], [j], algorithm)[0]
+            want = projected_oracle.projected_factors(a, qstar, order[:p], [j], algorithm)[0]
             assert abs(got - want) / max(1.0, abs(want)) <= 1e-9, f"depth {p}"
 
     def test_two_pair_omp_chain(self):
@@ -868,6 +899,34 @@ class TestRecursion:
 
     def test_omp_update_is_coefficient_drop(self):
         assert cert._f_omp_update(2.5, -0.75) == pytest.approx(1.75)
+
+    def test_probe_swallowed_by_a_deeper_span(self):
+        # the probe lies in span(a_0, a_1) but not in span(a_0): from depth
+        # 2 on it scores 0, and the OLS value at depth 1 is the direct one
+        a = gaussian(20, 30, 5).matrix
+        probe = a[:, 0] + 0.8 * a[:, 1]
+        a = np.column_stack([a, probe / np.linalg.norm(probe)])
+        qstar, order = (0, 1, 2), (0, 1)
+        values = cert.recursion_chain(a, qstar, 30, order, "ols")
+        assert values[-1] == 0.0 and values[1] > 0.0
+        for p, got in enumerate(values):
+            want = projected_oracle.projected_factors(a, qstar, order[:p], [30], "ols")[0]
+            assert abs(got - want) <= 1e-9, f"depth {p}"
+
+
+class TestUnknownAlgorithm:
+    d = gaussian(20, 30, 5)
+
+    @pytest.mark.parametrize("call", [
+        lambda d, alg: cert.erc_oxx_subset(d, (0, 1, 2), (0,), alg),
+        lambda d, alg: cert.erc_oxx_cardinality(d, (0, 1, 2), 1, alg),
+        lambda d, alg: cert.recursion_chain(d, (0, 1, 2), 7, (0,), alg),
+        lambda d, alg: build_failure_input(d, (0, 1, 2), (0,), alg),
+    ], ids=["erc_oxx_subset", "erc_oxx_cardinality", "recursion_chain",
+            "build_failure_input"])
+    def test_rejected(self, call):
+        with pytest.raises(ValueError, match="unknown algorithm 'mp'"):
+            call(self.d, "mp")
 
 
 def on_support(a, qstar, seed):

@@ -322,6 +322,44 @@ class TestExperiments:
     def test_missing_dims_rejected(self, capsys):
         assert main(["phase-curve", "--k", "4", "--trials", "2"]) == 2
 
+    def test_algorithms_flag(self, tmp_path, capsys):
+        both, ols = tmp_path / "both.csv", tmp_path / "ols.csv"
+        base = ["phase-curve", "--m", "20", "--n", "40", "--k", "4", "--trials", "5"]
+        assert main(base + ["--output", str(both)]) == 0
+        assert main(base + ["--algorithms", "ols", "--output", str(ols)]) == 0
+        lines = ols.read_text().splitlines()
+        assert json.loads(lines[0][2:])["algorithms"] == ["ols"]
+        assert lines[1] == "q,rate_ols"
+        # the rule's column does not depend on the rules run beside it
+        assert [row.split(",")[-1] for row in lines[2:]] == \
+            [row.split(",")[-1] for row in both.read_text().splitlines()[2:]]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cert", "--dict", "gaussian", "--n", "10", "--qstar", "0"],
+         "gaussian needs --m and --n positive"),
+        (["cert", "--dict", "convolutive", "--qstar", "0"], "convolutive needs --n positive"),
+        (["phase-curve", {"dictionary": "example1"}], "unknown dictionary kind: 'example1'"),
+        (["brc-sigma", "--n", "2", "--sigmas", "1"],
+         "support size 2 must satisfy 1 <= k < n = 2"),
+        (["brc-sigma", "--n", "10", "--sigmas", "1", "--deltas", "0"],
+         "spacing 0 puts atom 0 outside n = 10"),
+        (["phase-curve", "--m", "20", "--n", "40", "--k", "4", "--trials", "1",
+          "--placement", "spaced", "--deltas", "20"], "spacing 20 puts atom 60 outside n = 40"),
+        (["phase-curve", {"placement": "first"}], "unknown placement policy: 'first'"),
+    ], ids=["gaussian-sizes", "convolutive-size", "dictionary-kind", "support-size",
+            "spacing-below-one", "spacing-past-n", "placement"])
+    def test_refusals(self, tmp_path, capsys, argv, message):
+        # a dict stands for a config file: the names it sets cannot be
+        # given as flags, whose choices would refuse them first
+        if isinstance(argv[1], dict):
+            config = ExperimentConfig(kind=argv[0], m=20, n=40, k=4).as_dict()
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({**config, **argv[1]}))
+            argv = [argv[0], "--config", str(path)]
+        assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_setting_has_one_flag(self, kind):
         # every config field but the kind is set by exactly one flag of

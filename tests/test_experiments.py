@@ -3,6 +3,8 @@
 import ctypes
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +375,46 @@ def _blas_threads_task(task):
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 counts[symbol] = getter()
     return os.getpid(), counts
+
+
+# Runs the pool initializer in a fresh interpreter and prints how many
+# OpenBLAS libraries numpy bundles, whether the first one has the setter
+# the initializer calls, and the thread count its getter then reports.
+_BLAS_INITIALIZER_PROBE = """
+import ctypes, json
+from pathlib import Path
+import numpy as np
+from greedycert.experiments import _one_blas_thread
+
+libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"))
+_one_blas_thread()
+setter = threads = None
+if libs:
+    lib = ctypes.CDLL(str(libs[0]))
+    setter = hasattr(lib, "scipy_openblas_set_num_threads64_")
+    getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if getter is not None:
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        threads = getter()
+print(json.dumps([len(libs), setter, threads]))
+"""
+
+
+def test_pool_initializer_sets_one_blas_thread():
+    # the initializer runs only inside pool workers, so it is called here
+    # in a subprocess whose OpenBLAS starts at its default thread count
+    src = str(Path(ex.__file__).resolve().parent.parent)
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _BLAS_INITIALIZER_PROBE], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    libs, setter, threads = json.loads(proc.stdout)
+    if not libs:
+        pytest.skip("numpy bundles no OpenBLAS")
+    assert setter, "numpy's OpenBLAS has no thread-count setter the initializer knows"
+    assert threads == 1
 
 
 class TestAdaptivePool:

@@ -248,6 +248,12 @@ class TestFactorChain:
         with pytest.raises(RankDeficientError):
             linalg.factor_chain(np.eye(2), [0, 1, 0], [])
 
+    @pytest.mark.parametrize("index", [-1, 8])
+    def test_extend_out_of_range_raises(self, index):
+        state = linalg.init_state(gaussian(6, 8, 1))
+        with pytest.raises(IndexError, match=f"atom index {index} out of range"):
+            linalg.extend_state(state, index)
+
     def test_not_normalized_raises(self):
         a = np.eye(4) * np.array([1.0, 1.0, 2.0, 1.0])
         with pytest.raises(NotNormalizedError):
@@ -340,7 +346,8 @@ class TestFiniteInput:
             return isfinite(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "isfinite", recording)
-        # the kernel and the projected route both take the matrix
+        # the kernel and the projection state of the SVD route both take
+        # the matrix
         certificates.erc_oxx_subset(a, (1, 5, 9), (5,), "ols")
         # and so does each greedy rerun that verifies the failure input
         greedy.build_failure_input(a, (1, 5, 9), (), "omp")
