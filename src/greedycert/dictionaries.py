@@ -9,6 +9,13 @@ the allocator hand the pages back after every trial of an experiment
 and fault them in again for the next.  The command line and the
 experiments name a family and build it through one registry,
 :func:`_build`.
+
+The random families draw through one helper, :func:`_draw`, which fills
+a given buffer from one seed.  :func:`_stack` uses it to draw many
+seeds straight into one ``(T, m, n)`` array, normalized in one pass,
+for the kernel's stacked call in brc-map: every slice has the bits of
+the single-matrix generator, and no per-seed :class:`Dictionary` or
+copy into the stack is made.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +24,7 @@ from math import ceil
 import numpy as np
 
 from .exceptions import EmptyAtomError
+from .linalg import _located
 
 __all__ = [
     "Dictionary",
@@ -45,32 +53,46 @@ def _finite(name, value):
 
 
 def _normalize(a):
-    """Divide the columns of ``a`` by their norms, in place.
+    """Divide the columns of ``a``, or of every matrix of a ``(T, m, n)``
+    stack, by their norms, in place.
 
-    The norms are the bits of ``np.linalg.norm(a, axis=0)``.  On a
-    C-ordered matrix of several columns, which every generator draws,
-    ``norm`` adds the squares row by row, and one ``einsum`` pass adds
-    them in that order without forming the squared copy of ``a``; a
-    single column or another layout is summed pairwise, so it keeps
-    ``norm``.  Zero and overflowing norms raise.
+    The norms are the bits of ``np.linalg.norm(a, axis=0)`` on each
+    matrix.  On a C-ordered matrix of several columns, which every
+    generator draws, ``norm`` adds the squares row by row, and one
+    ``einsum`` pass adds them in that order without forming the squared
+    copy of ``a``, for a whole stack at once; a single column or another
+    layout is summed pairwise, so it keeps ``norm``.  Zero and
+    overflowing norms raise, naming the column and, in a stack, the
+    trial.
     """
-    if a.flags.c_contiguous and a.shape[1] > 1:
-        norms = np.sqrt(np.einsum("ij,ij->j", a, a))
+    if a.flags.c_contiguous and a.shape[-1] > 1:
+        norms = np.sqrt(np.einsum("...ij,...ij->...j", a, a))
     else:
-        norms = np.linalg.norm(a, axis=0)
+        norms = np.linalg.norm(a, axis=-2)
     if np.any(norms == 0.0):
-        raise EmptyAtomError(f"column {int(np.argmin(norms))} is identically zero")
+        where = _located(np.argwhere(norms == 0.0)[0], None)
+        raise EmptyAtomError(f"{where} is identically zero")
     if not np.isfinite(norms).all():
-        i = int(np.argmin(np.isfinite(norms)))
-        raise ValueError(f"column {i} has a norm that overflows float64")
-    a /= norms
+        where = _located(np.argwhere(~np.isfinite(norms))[0], None)
+        raise ValueError(f"{where} has a norm that overflows float64")
+    a /= norms[..., None, :]
     return a
+
+
+def _draw(out, seed, t_max=None):
+    """Fill the m x n array ``out`` from ``seed``: standard normals in C
+    order, plus one offset ``U[0, t_max]`` per column when ``t_max`` is
+    given (the hybrid family).  ``out`` may be a slice of a stack."""
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(out=out)
+    if t_max is not None:
+        out += rng.uniform(0.0, t_max, out.shape[1])
+    return out
 
 
 def gaussian(m, n, seed):
     """Columns drawn i.i.d. N(0, I) and normalized."""
-    rng = np.random.default_rng(seed)
-    a = _normalize(rng.standard_normal((m, n)))
+    a = _normalize(_draw(np.empty((m, n)), seed))
     a.setflags(write=False)
     return Dictionary(a, "gaussian", {"m": m, "n": n}, seed)
 
@@ -84,13 +106,21 @@ def hybrid(m, n, t_max, seed):
     ``t_max = 0`` reproduces :func:`gaussian` exactly (same draw order).
     A non-finite ``t_max`` raises ``ValueError``.
     """
-    _finite("t_max", t_max)
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, n))
-    a += rng.uniform(0.0, t_max, n)
-    _normalize(a)
+    a = _normalize(_draw(np.empty((m, n)), seed, _finite("t_max", t_max)))
     a.setflags(write=False)
     return Dictionary(a, "hybrid", {"m": m, "n": n, "t_max": t_max}, seed)
+
+
+def _pulse_shape(n, sigma, downsample):
+    """Pulse length ``ceil(6 sigma)``, decimation and row count of
+    ``convolutive(n, sigma, downsample)``, its parameters checked."""
+    if _finite("sigma", sigma) <= 0:
+        raise ValueError("sigma must be positive")
+    d = int(downsample)
+    if d < 1:
+        raise ValueError("downsample must be >= 1")
+    length = ceil(6 * sigma)
+    return length, d, -(-(n + length - 1) // d)
 
 
 def convolutive(n, sigma, downsample=1):
@@ -106,19 +136,13 @@ def convolutive(n, sigma, downsample=1):
     :class:`EmptyAtomError`.  A non-finite ``sigma`` raises
     ``ValueError``.
     """
-    if _finite("sigma", sigma) <= 0:
-        raise ValueError("sigma must be positive")
-    d = int(downsample)
-    if d < 1:
-        raise ValueError("downsample must be >= 1")
-    length = ceil(6 * sigma)
+    length, d, rows = _pulse_shape(n, sigma, downsample)
     grid = np.arange(length) - length // 2
     pulse = np.exp(-(grid**2) / (2.0 * sigma**2))
 
     # sample o of atom j sits on full-matrix row j + o, which is kept
     # when d divides it
-    m_full = n + length - 1
-    a = np.zeros((-(-m_full // d), n))
+    a = np.zeros((rows, n))
     o, j = np.nonzero((np.arange(length)[:, None] + np.arange(n)) % d == 0)
     a[(j + o) // d, j] = pulse[o]
     _normalize(a)
@@ -166,6 +190,14 @@ def from_matrix(matrix, kind="custom", params=None, normalize=False):
     return Dictionary(a, kind, dict(params or {}), None)
 
 
+_RANDOM = ("gaussian", "hybrid")  # the families that read m, n and a seed
+
+
+def _check_sizes(kind, m, n):
+    if kind in _RANDOM and not (m > 0 and n > 0):
+        raise ValueError(f"{kind} needs --m and --n positive")
+
+
 def _build(spec, m, n, seed):
     """The dictionary of family ``spec.dictionary``.
 
@@ -178,8 +210,7 @@ def _build(spec, m, n, seed):
     command line carries.
     """
     kind = spec.dictionary
-    if kind in ("gaussian", "hybrid") and not (m > 0 and n > 0):
-        raise ValueError(f"{kind} needs --m and --n positive")
+    _check_sizes(kind, m, n)
     if kind == "gaussian":
         return gaussian(m, n, seed)
     if kind == "hybrid":
@@ -191,3 +222,33 @@ def _build(spec, m, n, seed):
     if kind == "example1" and hasattr(spec, "theta1"):
         return example1(spec.theta1, spec.theta2)
     raise ValueError(f"unknown dictionary kind: {kind!r}")
+
+
+def _rows(spec, m, n):
+    """Row count of every ``_build(spec, m, n, seed)``, without building
+    one: ``m``, except for the convolutive family, whose rows follow
+    from the pulse."""
+    if spec.dictionary == "convolutive":
+        return _pulse_shape(n, spec.sigma, spec.downsample)[2]
+    return m
+
+
+def _stack(spec, m, n, seeds):
+    """``_build(spec, m, n, seed).matrix`` for each seed of ``seeds``, as
+    one ``(T, rows, n)`` array.
+
+    A random family draws each seed, in order, straight into its slice
+    (:func:`_draw`) and the whole stack is normalized in one pass, so
+    every slice has the bits of its single-matrix build.  A seedless
+    family is built once and repeated, as a read-only view.
+    """
+    kind = spec.dictionary
+    if kind not in _RANDOM:
+        a = _build(spec, m, n, None).matrix
+        return np.broadcast_to(a, (len(seeds),) + a.shape)
+    _check_sizes(kind, m, n)
+    t_max = _finite("t_max", spec.t_max) if kind == "hybrid" else None
+    stack = np.empty((len(seeds), m, n))
+    for a, seed in zip(stack, seeds):
+        _draw(a, seed, t_max)
+    return _normalize(stack)

@@ -11,8 +11,10 @@ Factor values come from the factor kernel alone
 (:func:`linalg.factor_chain`, one QR per trial); the SVD route that
 cross-checks it in the certificates' checked mode is not run here.
 A task is one trial, except in brc-map: there a task is a chunk of one
-grid cell, whose dictionaries are stacked and certified by one kernel
-call on the stack.
+grid cell, whose dictionaries are drawn in seed order straight into one
+stack, normalized in one pass and certified by one kernel call on the
+stack; its trials build no :class:`dictionaries.Dictionary` of their
+own.
 
 Tasks run in order in this process and are timed.  Once the tasks left,
 at the mean task time so far, would take longer than
@@ -37,7 +39,7 @@ import numpy as np
 import scipy
 
 from .certificates import _brc_rule, _chain_factors, _wrong_atoms, brc_omp
-from .dictionaries import _build, convolutive
+from .dictionaries import _build, _rows, _stack, convolutive
 from .linalg import _as_matrix, factor_chain
 
 __all__ = [
@@ -442,17 +444,17 @@ def f_vs_q_curve(config, workers=1):
 # -- unreachable-support maps and sweeps --------------------------------
 
 # A brc-map task stacks trials of one cell, at most this many bytes of
-# dictionaries (and their list as many again while it is stacked), so
-# memory stays bounded however many trials a cell has.
+# dictionaries, so memory stays bounded however many trials a cell has.
 _STACK_BYTES = 2**22
 
 
 def _brc_map_task(task):
     """Certified trials among one chunk of a brc-map cell: the chunk's
-    dictionaries, drawn one seed at a time in seed order, stacked and
-    certified by one :func:`linalg.factor_chain` call."""
+    dictionaries, drawn in seed order straight into one stack
+    (:func:`dictionaries._stack`) and certified by one
+    :func:`linalg.factor_chain` call."""
     config, m, n, seeds = task
-    stack = np.stack([_build(config, m, n, seed).matrix for seed in seeds])
+    stack = _stack(config, m, n, seeds)
     coef = factor_chain(stack, (0, 1), np.arange(2, stack.shape[2]))[0]
     return int(np.count_nonzero(_brc_rule(coef)[2]))
 
@@ -462,9 +464,10 @@ def brc_map(config, workers=1):
 
     Trial t of cell ci draws its dictionary from seed ``base_seed + ci *
     trials + t``.  A task is a chunk of consecutive trials of one cell
-    whose stack fits ``_STACK_BYTES``, sized from the cell's first
-    dictionary (a convolutive one has more rows than m); the chunks
-    depend on the config alone, never on the worker count.
+    whose stack fits ``_STACK_BYTES``, sized from the family's row count
+    (a convolutive dictionary has more rows than m) without building a
+    dictionary; the chunks depend on the config alone, never on the
+    worker count.
     """
     _require(config.k == 2, "the map is defined for two-atom supports")
     _require(config.m_grid and config.n_grid, "brc-map needs m and n grids")
@@ -475,7 +478,7 @@ def brc_map(config, workers=1):
     tasks, owners = [], []
     for ci, (m, n) in enumerate(cells):
         first = config.base_seed + ci * config.trials
-        size = max(1, _STACK_BYTES // _build(config, m, n, first).matrix.nbytes)
+        size = max(1, _STACK_BYTES // (8 * _rows(config, m, n) * n))
         for lo in range(0, config.trials, size):
             tasks.append((config, m, n, range(first + lo, first + min(lo + size, config.trials))))
             owners.append(ci)

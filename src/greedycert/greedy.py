@@ -24,7 +24,9 @@ selection and then forces a wrong atom (possible exactly when the
 corresponding exactness certificate fails).  The failure direction is
 read off one call of the factor kernel :func:`linalg.factor_chain`, the
 call the certificate itself makes.  Both inputs are verified by
-re-running the algorithm before being returned.
+re-running the algorithm before being returned; every rerun of one
+construction starts from the one projection state it checked, so the
+dictionary is scanned once per call.
 """
 
 from dataclasses import dataclass
@@ -108,6 +110,11 @@ def select_ols(state, r):
 _SELECT = {"omp": select_omp, "ols": select_ols}
 
 
+def _check_algorithm(algorithm):
+    if algorithm not in _SELECT:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
 @dataclass(frozen=True)
 class GreedyTrace:
     """Record of one greedy run.
@@ -160,12 +167,17 @@ def run_greedy(algorithm, atoms, y, max_iters, oracle=None):
     drops below ``TAU_SUCCESS_REL * |y|``.  ``y`` must be a finite vector
     of length m (``ValueError`` otherwise).
     """
-    if algorithm not in _SELECT:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    _check_algorithm(algorithm)
     if max_iters < 0:
         raise ValueError(f"max_iters must be non-negative, got {max_iters}")
+    return _run(algorithm, init_state(atoms), y, max_iters, oracle)  # matrix checked before y
+
+
+def _run(algorithm, state, y, max_iters, oracle=None):
+    """:func:`run_greedy` from ``state``, a checked state with nothing
+    selected: the constructions' verifying reruns all start from the one
+    state they checked, so the dictionary is scanned once per call."""
     select = _SELECT[algorithm]
-    state = init_state(atoms)  # checks the matrix before y
     m = state.atoms.shape[0]
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (m,) or not np.isfinite(y).all():
@@ -224,9 +236,10 @@ def _step_search(base, direction, verified):
     return None
 
 
-def _reaches_prefix(algorithm, a, y, prefix):
-    """True when the run selects exactly ``prefix``, strictly (no tie)."""
-    trace = run_greedy(algorithm, a, y, len(prefix))
+def _reaches_prefix(algorithm, start, y, prefix):
+    """True when the run from ``start`` selects exactly ``prefix``,
+    strictly (no tie)."""
+    trace = _run(algorithm, start, y, len(prefix))
     return trace.selections() == prefix and not any(rec.tie for rec in trace.records)
 
 
@@ -241,21 +254,27 @@ def construct_reaching_input(atoms, order, algorithm="ols"):
     Raises :class:`ConstructionFailedError` when no step size down to
     1e-14 verifies.
     """
-    a = init_state(atoms).atoms  # frozen once: the reruns share it uncopied
+    return _reaching_input(init_state(atoms), order, algorithm)
+
+
+def _reaching_input(start, order, algorithm):
+    """:func:`construct_reaching_input`, verified by reruns from ``start``."""
+    a = start.atoms
     order = [int(i) for i in order]
     if len(set(order)) != len(order) or not order:
         raise ValueError("order must be a non-empty sequence of distinct indices")
     if not all(0 <= i < a.shape[1] for i in order):
         raise ValueError(f"order {order} outside 0..{a.shape[1] - 1}")
+    _check_algorithm(algorithm)
     y = a[:, order[0]].copy()
-    if not _reaches_prefix(algorithm, a, y, order[:1]):
+    if not _reaches_prefix(algorithm, start, y, order[:1]):
         raise ConstructionFailedError(
             f"atom {order[0]} is not a strict first selection of its own direction"
         )
     for p in range(1, len(order)):
         prefix = order[: p + 1]
         y = _step_search(y, a[:, order[p]],
-                         lambda cand: _reaches_prefix(algorithm, a, cand, prefix))
+                         lambda cand: _reaches_prefix(algorithm, start, cand, prefix))
         if y is None:
             raise ConstructionFailedError(f"no step size reaches {prefix} with {algorithm}")
     return y
@@ -270,9 +289,9 @@ def build_failure_input(atoms, qstar, q, algorithm):
     wrong or adversarially tied; this is verified by re-running before
     returning.
     """
-    a = init_state(atoms).atoms  # frozen once: the reruns share it uncopied
-    if algorithm not in _SELECT:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    start = init_state(atoms)  # checked once: every rerun starts from it
+    a = start.atoms
+    _check_algorithm(algorithm)
     qstar, q = _check_support(a.shape[1], qstar, q)
     if len(q) >= len(qstar):
         raise ValueError("q must be a strict subset of the support")
@@ -300,7 +319,7 @@ def build_failure_input(atoms, qstar, q, algorithm):
     yhat = a[:, remaining] @ w
 
     def verified(y):
-        trace = run_greedy(algorithm, a, y, len(q) + 1, oracle=qstar)
+        trace = _run(algorithm, start, y, len(q) + 1, oracle=qstar)
         return (
             trace.selections()[: len(q)] == q
             and trace.status in ("wrong_atom", "tie_failure")
@@ -312,7 +331,7 @@ def build_failure_input(atoms, qstar, q, algorithm):
             raise ConstructionFailedError("failure input did not verify")
         return yhat
 
-    y = _step_search(construct_reaching_input(a, q, algorithm), yhat, verified)
+    y = _step_search(_reaching_input(start, q, algorithm), yhat, verified)
     if y is None:
         raise ConstructionFailedError(
             f"no step size yields a verified failure after {q} with {algorithm}"

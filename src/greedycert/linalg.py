@@ -20,9 +20,10 @@ The certificate values, the BRC-OMP tables of one support or a brc-map
 cell, the failure inputs and the recursion chains all read it.  It
 holds little scratch besides its outputs: at 200 x 600 with k = 40 a
 call peaks near 0.6 of the dictionary's size (gaussian, or hybrid with
-t_max = 10), so a phase-curve trial stays well below two dictionaries
-and reuses the pages the previous trial freed instead of faulting them
-in again.
+t_max = 10) and near 0.7 on hybrid with t_max >= 100, where the norm
+safeguard recomputes nearly every probe, in blocks of 64 columns.  So a
+phase-curve trial stays well below two dictionaries and reuses the
+pages the previous trial freed instead of faulting them in again.
 
 A :class:`ProjectionState` holds a frozen dictionary, an orthonormal
 basis ``U`` of the active span and the projected-atom norms ``|P a_i|``,
@@ -71,6 +72,11 @@ __all__ = [
 # A downdated squared projected norm below this fraction of the column's
 # last exactly computed squared norm is recomputed from the basis.
 RECOMPUTE_FRACTION = 1e-2
+
+# The kernel recomputes flagged probes this many columns at a time, so
+# its scratch stays two m x (at most 65) arrays however many probes are
+# flagged (on hybrid dictionaries with t_max >= 100, nearly all).
+_RECOMPUTE_BLOCK = 64
 
 
 def _as_matrix(a):
@@ -195,10 +201,10 @@ def factor_chain(atoms, order, probes):
     relative accuracy too.  The dictionary is read in place: the probes
     are never gathered into a copy, and no m x n array is formed.  The
     scratch is ``Q``, the k x n product ``Q.T A``, ``G`` and two
-    m x (recomputed columns) arrays: the squares of ``G`` go straight
-    into the buffer that becomes ``probe_norms``, the recomputation runs
-    before the solve, and on one matrix the solve writes ``coef`` over
-    ``G``.
+    m x (at most 65) arrays, as the recomputed columns go in blocks of
+    64: the squares of ``G`` go straight into the buffer that becomes
+    ``probe_norms``, the recomputation runs before the solve, and on one
+    matrix the solve writes ``coef`` over ``G``.
 
     Each check is made per trial, and its message names the atom and, in
     a stack, the trial: entries must be finite (``ValueError``), every
@@ -221,10 +227,15 @@ def factor_chain(atoms, order, probes):
     flagged = off < RECOMPUTE_FRACTION * sq
     trials = np.argwhere(flagged.any(axis=-1)) if flagged.any() else ()
     for t in map(tuple, trials):  # t == () for one matrix
-        cols = np.flatnonzero(flagged[t])
-        x = np.take(a[t], probes[cols], axis=1)  # C order like q @ g: -= needs no buffer
-        x -= q[t] @ g[t][:, cols]
-        off[t][cols] = np.einsum("ij,ij->j", x, x)
+        flat = np.flatnonzero(flagged[t])
+        # a lone last column joins the block before it: numpy would
+        # multiply it as a vector (gemv), which rounds differently
+        starts = list(range(0, max(flat.size - 1, 1), _RECOMPUTE_BLOCK)) + [flat.size]
+        for lo, hi in zip(starts, starts[1:]):
+            cols = flat[lo:hi]
+            x = np.take(a[t], probes[cols], axis=1)  # C order like q @ g: -= needs no buffer
+            x -= q[t] @ g[t][:, cols]
+            off[t][cols] = np.einsum("ij,ij->j", x, x)
     tails += off[..., None, :]
     probe_norms = np.sqrt(tails, out=tails)
     # scipy's triangular solve is the faster on one matrix, numpy's

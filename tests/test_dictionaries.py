@@ -1,11 +1,14 @@
 """Dictionary generators: determinism, normalization, structure."""
 
 from math import ceil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from greedycert.dictionaries import (
+    _normalize,
+    _stack,
     convolutive,
     example1,
     from_matrix,
@@ -195,3 +198,35 @@ class TestBitPins:
         x[:, -1] = 0.0
         with pytest.raises(EmptyAtomError, match=f"column {shape[1] - 1}"):
             from_matrix(x, normalize=True)
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("t_max", [None, 0.0, 0.5, 10.0, 1000.0])
+    def test_stack_slices(self, m, n, t_max):
+        # the seeds are drawn straight into one stack, normalized in one
+        # pass: each slice keeps the bits of its own generator call
+        if t_max is None:
+            seeds = [0, 1, 11, 2**31 - 1]
+            spec = SimpleNamespace(dictionary="gaussian")
+            want = [gaussian(m, n, seed).matrix for seed in seeds]
+        else:
+            seeds = [0, 7, 2**31 - 1]
+            spec = SimpleNamespace(dictionary="hybrid", t_max=t_max)
+            want = [hybrid(m, n, t_max, seed).matrix for seed in seeds]
+        stack = _stack(spec, m, n, seeds)
+        assert same_bits(stack, np.stack(want))
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_zero_column_in_a_stack_raises(self, n):
+        stack = np.ones((3, 4, n))
+        stack[2, :, n - 1] = 0.0
+        with pytest.raises(EmptyAtomError, match=f"column {n - 1} of trial 2 is identically"):
+            _normalize(stack)
+
+    def test_overflowing_column_in_a_stack_raises(self):
+        stack = np.ones((3, 4, 5))
+        stack[1, :, 3] = 1e300
+        with pytest.raises(ValueError, match="column 3 of trial 1 has a norm that overflows"):
+            _normalize(stack)
+        spec = SimpleNamespace(dictionary="hybrid", t_max=1e200)
+        with pytest.raises(ValueError, match="column 0 of trial 0 has a norm that overflows"):
+            _stack(spec, 5, 8, [4, 5])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy
 
-from greedycert import experiments as ex
+from greedycert import dictionaries, experiments as ex
 from greedycert.certificates import brc_omp, erc_oxx_subset
 from greedycert.dictionaries import convolutive, gaussian, hybrid
 from greedycert.greedy import select_ols, select_omp
@@ -253,6 +253,41 @@ class TestBrcMap:
         want = brc_omp(convolutive(40, 2.0), (0, 1), fast=True).verdict
         assert rows == ((3, 40, float(want)),)
 
+    @pytest.mark.parametrize("family", [dict(dictionary="gaussian"),
+                                        dict(dictionary="hybrid", t_max=10.0)],
+                             ids=["gaussian", "hybrid"])
+    def test_each_seed_is_drawn_once(self, family, monkeypatch):
+        # the chunks are sized without a throwaway dictionary: every
+        # trial seed is drawn once, in seed order, cell after cell
+        drawn = []
+        draw = dictionaries._draw
+
+        def recorded(out, seed, t_max=None):
+            drawn.append(seed)
+            return draw(out, seed, t_max)
+
+        monkeypatch.setattr(dictionaries, "_draw", recorded)
+        monkeypatch.setattr(ex, "_STACK_BYTES", 3 * 8 * 8 * 20)
+        cfg = ex.ExperimentConfig(kind="brc-map", m_grid=(8, 12), n_grid=(20, 30), k=2,
+                                  trials=10, base_seed=5, **family)
+        ex.brc_map(cfg)
+        assert drawn == list(range(5, 45))
+
+    def test_seedless_family_is_built_once_per_task(self, stacks, monkeypatch):
+        built = []
+        build = dictionaries.convolutive
+
+        def recorded(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(dictionaries, "convolutive", recorded)
+        monkeypatch.setattr(ex, "_STACK_BYTES", 3 * 8 * 51 * 40)
+        cfg = ex.ExperimentConfig(kind="brc-map", dictionary="convolutive", sigma=2.0,
+                                  m_grid=(3,), n_grid=(40,), k=2, trials=7)
+        ex.brc_map(cfg)
+        assert built == [(40, 2.0, 1)] * len(stacks) and len(stacks) == 3
+
 
 class TestBrcSigma:
     def test_threshold_at_narrow_widths(self):
@@ -363,13 +398,21 @@ def _failing_task(task):
     return task
 
 
+_NUMPY_BLAS_GETTER = "scipy_openblas_get_num_threads64_"
+
+
+def _openblas_libs(package):
+    """The OpenBLAS libraries a wheel bundles next to ``package``."""
+    libdir = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+    return sorted(libdir.glob("*openblas*"))
+
+
 def _blas_threads_task(task):
     """OpenBLAS thread count of each bundled copy whose getter exists."""
     counts = {}
-    for package, symbol in ((np, "scipy_openblas_get_num_threads64_"),
+    for package, symbol in ((np, _NUMPY_BLAS_GETTER),
                             (scipy, "scipy_openblas_get_num_threads")):
-        libdir = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
-        for lib in sorted(libdir.glob("*openblas*")):
+        for lib in _openblas_libs(package):
             getter = getattr(ctypes.CDLL(str(lib)), symbol, None)
             if getter is not None:
                 getter.argtypes, getter.restype = [], ctypes.c_int
@@ -510,7 +553,11 @@ class TestAdaptivePool:
             ex._map_ordered(_failing_task, list(range(8)), workers=4)
 
     def test_workers_run_one_blas_thread(self, forced):
+        if not _openblas_libs(np):
+            pytest.skip("numpy bundles no OpenBLAS")
         parent = _blas_threads_task(None)[1]
+        # without numpy's getter both sides would be empty and agree
+        assert _NUMPY_BLAS_GETTER in parent, "numpy's OpenBLAS has no getter the test knows"
         out = ex._map_ordered(_blas_threads_task, list(range(6)), workers=2)
         assert forced == [2]
         for pid, counts in out[1:]:

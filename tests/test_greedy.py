@@ -368,24 +368,32 @@ class TestReachingInput:
     lambda a: greedy.build_failure_input(a, range(12), (0, 1, 2), "ols"),
 ], ids=["reaching", "failure"])
 def test_constructions_freeze_the_dictionary_once(construct, monkeypatch):
-    # a writable caller array is copied and frozen once; every verifying
-    # rerun then reads that one array instead of copying it again
+    # a writable caller array is checked, copied and frozen once, in one
+    # projection state; every verifying rerun starts from that state
+    # instead of checking the matrix again
     d = gaussian(30, 60, 3)
     want = construct(d)
-    received = []
+    checked, reruns = [], []
+    real_run = greedy._run
 
     def recording(atoms):
-        received.append(atoms)
+        checked.append(atoms)
         return init_state(atoms)
 
+    def rerun(algorithm, state, *args, **kwargs):
+        reruns.append(state)
+        return real_run(algorithm, state, *args, **kwargs)
+
     monkeypatch.setattr(greedy, "init_state", recording)
+    monkeypatch.setattr(greedy, "_run", rerun)
     writable = np.array(d.matrix)
     got = construct(writable)
-    assert received[0] is writable
-    reruns = received[1:]
+    assert len(checked) == 1 and checked[0] is writable
     assert len(reruns) >= 3
-    assert all(not a.flags.writeable and a.flags.owndata for a in reruns)
-    assert all(a is reruns[0] for a in reruns)
+    assert all(state is reruns[0] for state in reruns)
+    assert not reruns[0].active
+    frozen = reruns[0].atoms
+    assert not frozen.flags.writeable and frozen.flags.owndata
     assert np.array_equal(got, want)
 
 
@@ -438,15 +446,15 @@ class TestFailureInput:
         # every verifying rerun (the ones given the support oracle) is
         # made to report success: the construction must give up, not
         # return an unverified input
-        run = greedy.run_greedy
+        run = greedy._run
 
-        def never_failing(algorithm, atoms, y, max_iters, oracle=None):
-            trace = run(algorithm, atoms, y, max_iters, oracle)
+        def never_failing(algorithm, state, y, max_iters, oracle=None):
+            trace = run(algorithm, state, y, max_iters, oracle)
             if oracle is None:
                 return trace
             return dataclasses.replace(trace, status="success", failure_iteration=None)
 
-        monkeypatch.setattr(greedy, "run_greedy", never_failing)
+        monkeypatch.setattr(greedy, "_run", never_failing)
         with pytest.raises(ConstructionFailedError, match=message):
             greedy.build_failure_input(d, qstar, q, "ols")
 

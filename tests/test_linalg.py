@@ -178,6 +178,26 @@ class TestFactorChain:
         assert np.abs(probe_norms[big] / want[big] - 1.0).max() <= 1e-12
         assert probe_norms[-1, inside].max() < TAU_ZERO
 
+    def test_blocked_recomputation_keeps_relative_accuracy(self):
+        # the safeguard flags 191 of the 194 probes: they are recomputed
+        # in three blocks
+        a, order, probes, inside = near_span_case(30, 190, 1000.0, 2, 6)
+        _, probe_norms, _, _ = linalg.factor_chain(a, order, probes)
+        want = two_pass_norms(a, order, probes)
+        assert np.count_nonzero(want[-1] ** 2 < linalg.RECOMPUTE_FRACTION) > 2 * 64
+        big = want >= 1e-3
+        assert np.abs(probe_norms[big] / want[big] - 1.0).max() <= 1e-12
+        assert probe_norms[-1, inside].max() < TAU_ZERO
+
+    @pytest.mark.parametrize("t_max", [100.0, 1000.0])
+    def test_norm_safeguard_allocates_less_than_a_dictionary(self, t_max):
+        # the safeguard flags 518 and 559 of the 560 probes here; gathered
+        # all at once, the recomputation peaked at 2.4-2.5 dictionaries
+        d = hybrid(200, 600, t_max, 0)
+        order = [int(i) for i in np.random.default_rng(0).permutation(600)[:40]]
+        probes = [j for j in range(600) if j not in order]
+        assert traced_peak(linalg.factor_chain, d, order, probes) < d.matrix.nbytes
+
     def test_kernel_allocates_less_than_half_a_dictionary(self):
         # the parent gathered the 596 probes, 0.99 of one m x n array
         m, n = 200, 600
