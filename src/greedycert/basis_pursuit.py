@@ -13,7 +13,10 @@ eps on Q* by the linear program (Fuchs 2004; Gribonval & Nielsen 2003)
 The 2^(k-1) patterns with a leading +1 (negating eps negates the
 witness) are the blocks of one block-diagonal HiGHS program over the
 null space: one solver call per check, for any null-space dimension.
-Values within ``TAU_STRICT`` of 1 are flagged as boundary cases.
+Values within ``TAU_STRICT`` of 1 are flagged as boundary cases.  The
+null-space basis comes from one numpy SVD of A (:func:`_null_space`);
+the solver, HiGHS through ``scipy.optimize.milp``, is imported with the
+first check, so the package loads scipy only here.
 
 Whether one vector x* is the unique l1 minimizer of its own measurements
 depends on its support S and signs alone (Fuchs 2004; Zhang, Yin & Cheng
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .certificates import _check_support
 from .exceptions import FormMismatchError, GreedycertError, TooLargeError
@@ -43,6 +45,16 @@ __all__ = [
 # work budget of one check, in array entries per sign pattern: its row of
 # the pattern table (k), its witness (n) and its LP block's nonzeros
 MAX_PATTERN_WORK = 2 * 10**6
+
+
+def _null_space(a):
+    """Orthonormal null-space basis of ``a``, one column per direction:
+    the right singular vectors past the numerical rank, which counts the
+    singular values above ``max(s) * max(m, n) * eps`` (the rule of
+    ``scipy.linalg.null_space``)."""
+    _, s, vt = np.linalg.svd(a)
+    tol = s.max(initial=0.0) * max(a.shape) * np.finfo(np.float64).eps
+    return vt[np.count_nonzero(s > tol):].T
 
 
 def _finite_or_none(value):
@@ -193,7 +205,7 @@ def nsp_check(a, qstar):
     Holds when v(eps) < 1 for every sign pattern eps on it."""
     a = _finite_matrix(a)
     support, _ = _check_support(a.shape[1], qstar)
-    basis = null_space(a, check_finite=False)
+    basis = _null_space(a)
     if not basis.shape[1]:  # a trivial null space needs no pattern table
         return _nsp_report(0, ())
     patterns = _sign_patterns(a, support, basis, _every_pattern(len(support), a.shape[1]))
@@ -249,7 +261,7 @@ def _l1_reports(a, qstar):
     pattern table: one null space and one LP for both reports."""
     a = _finite_matrix(a)
     support, _ = _check_support(a.shape[1], qstar)
-    basis = null_space(a, check_finite=False)
+    basis = _null_space(a)
     patterns = _sign_patterns(a, support, basis, _every_pattern(len(support), a.shape[1]))
     return _nsp_report(basis.shape[1], patterns), _brc_report(support, patterns)
 
@@ -278,7 +290,7 @@ def l1_recovers(a, xstar):
     xstar = np.asarray(xstar, dtype=np.float64)
     if xstar.shape != (n,) or not np.isfinite(xstar).all():
         raise ValueError(f"xstar must be a finite vector of length {n}")
-    basis = null_space(a, check_finite=False)
+    basis = _null_space(a)
     if _null_split(basis, xstar == 0)[1].shape[1]:
         return False
     support = tuple(np.flatnonzero(xstar).tolist())

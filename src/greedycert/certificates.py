@@ -48,7 +48,6 @@ from itertools import combinations, islice
 from math import comb
 
 import numpy as np
-from scipy.linalg import svd
 
 from .exceptions import FormMismatchError, TooLargeError
 from .linalg import _as_matrix, _check_rank, _tail_sums, factor_chain, state_for
@@ -226,7 +225,7 @@ def _pinv_table(a, qstar, js):
     ``V S^-1 (U.T A)[:, js]`` with one k x n product, rows in support
     order: the cross-check route of checked mode, sharing no
     factorization with the kernel's QR."""
-    u, s, vt = svd(a[:, qstar], full_matrices=False, check_finite=False)
+    u, s, vt = np.linalg.svd(a[:, qstar], full_matrices=False)
     return (vt.T / s) @ (u.T @ a)[:, js]
 
 

@@ -26,17 +26,14 @@ CPUs this process may use or the tasks left, and each worker runs its
 BLAS with one thread.
 """
 
-import ctypes
 import dataclasses
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
-import scipy
 
 from .certificates import _brc_rule, _chain_factors, _wrong_atoms, brc_omp
 from .dictionaries import _build, _rows, _stack, convolutive
@@ -265,20 +262,23 @@ _POOL_BREAK_EVEN_S = 0.06
 def _one_blas_thread():
     """Pool initializer: one OpenBLAS thread in this worker process.
 
-    numpy and scipy each bundle an OpenBLAS that starts one thread per
-    core, so every worker would compete for all cores.  A library or
-    symbol that is not there is skipped.
+    numpy bundles an OpenBLAS that starts one thread per core, so every
+    worker would compete for all cores.  It is the only BLAS a task
+    calls: scipy, whose wheel bundles another, is loaded only by the l1
+    checks, which no experiment runs, and opening its library here would
+    load it into every worker.  A library or symbol that is not there is
+    skipped.
     """
-    for package, symbol in ((np, "scipy_openblas_set_num_threads64_"),
-                            (scipy, "scipy_openblas_set_num_threads")):
-        libdir = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
-        for lib in libdir.glob("*openblas*"):
-            try:
-                setter = getattr(ctypes.CDLL(str(lib)), symbol)
-            except (OSError, AttributeError):
-                continue
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
+    import ctypes
+
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in libdir.glob("*openblas*"):
+        try:
+            setter = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
 
 
 def _map_ordered(fn, tasks, workers):
@@ -298,6 +298,8 @@ def _map_ordered(fn, tasks, workers):
         elapsed = perf_counter() - start
         if (count > 1 and elapsed >= _POOL_BREAK_EVEN_S / 4
                 and elapsed / done * left > _POOL_BREAK_EVEN_S):
+            from concurrent.futures import ProcessPoolExecutor  # loads with the first pool
+
             with ProcessPoolExecutor(max_workers=count, initializer=_one_blas_thread) as pool:
                 results.extend(pool.map(fn, tasks[done:], chunksize=max(1, left // (count * 4))))
             break

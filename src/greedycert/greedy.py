@@ -32,7 +32,6 @@ dictionary is scanned once per call.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .certificates import _chain_factors, _check_support, _wrong_atoms
 from .exceptions import ConstructionFailedError, DegenerateAtomError
@@ -280,6 +279,15 @@ def _reaching_input(start, order, algorithm):
     return y
 
 
+def _gram_solve(r, v):
+    """``w`` with ``r.T r w = v``, for an upper-triangular ``r``, by two
+    triangular solves.  ``r.T`` is lower triangular: with its rows and
+    columns reversed it is upper triangular, which LAPACK's LU factors
+    without pivoting, as it factors ``r``."""
+    z = np.linalg.solve(r.T[::-1, ::-1], v[::-1])[::-1]
+    return np.linalg.solve(r, z)
+
+
 def build_failure_input(atoms, qstar, q, algorithm):
     """A vector on support ``qstar`` that reaches ``q`` and then fails.
 
@@ -314,9 +322,7 @@ def build_failure_input(atoms, qstar, q, algorithm):
         # OLS correlates with the normalized projected atoms: the system
         # is diag(1 / |P_q a_i|) R22.T R22 w = v
         v = v * support_norms[t, t:]
-    r22 = r[t:, t:]
-    w = solve_triangular(r22, solve_triangular(r22, v, trans="T"))
-    yhat = a[:, remaining] @ w
+    yhat = a[:, remaining] @ _gram_solve(r[t:, t:], v)
 
     def verified(y):
         trace = _run(algorithm, start, y, len(q) + 1, oracle=qstar)

@@ -12,18 +12,23 @@ Conventions used throughout the package:
   projected norm exactly zero.
 
 :func:`factor_chain` is the factor kernel: one LAPACK QR of the support
-in growth order and one product ``Q.T A`` give the coefficient table of
-the probe atoms, every projected norm along the chain and the triangular
-factor itself, reading the dictionary in place and without ever forming
-a projected matrix; it also takes a ``(T, m, n)`` stack of dictionaries.
-The certificate values, the BRC-OMP tables of one support or a brc-map
-cell, the failure inputs and the recursion chains all read it.  It
-holds little scratch besides its outputs: at 200 x 600 with k = 40 a
-call peaks near 0.6 of the dictionary's size (gaussian, or hybrid with
-t_max = 10) and near 0.7 on hybrid with t_max >= 100, where the norm
-safeguard recomputes nearly every probe, in blocks of 64 columns.  So a
+in growth order, one product ``Q.T A`` and one solve with the triangular
+factor give the coefficient table of the probe atoms, every projected
+norm along the chain and the triangular factor itself, reading the
+dictionary in place and without ever forming a projected matrix; it
+also takes a ``(T, m, n)`` stack of dictionaries, through the same
+calls.  The certificate values, the BRC-OMP tables of one support or a
+brc-map cell, the failure inputs and the recursion chains all read it.
+It holds little scratch besides its outputs: at 200 x 600 with k = 40 a
+call peaks near 0.6 of the dictionary's size on gaussian dictionaries
+and near 0.7 on hybrid ones, where the norm safeguard recomputes some
+probes (nearly all at t_max >= 100), in blocks of 64 columns.  So a
 phase-curve trial stays well below two dictionaries and reuses the
 pages the previous trial freed instead of faulting them in again.
+
+Every factorization, solve and SVD of the package runs in numpy's
+bundled LAPACK (``numpy.linalg``), so ``import greedycert`` loads no
+part of scipy; only the l1 checks load it, for their LP solver.
 
 A :class:`ProjectionState` holds a frozen dictionary, an orthonormal
 basis ``U`` of the active span and the projected-atom norms ``|P a_i|``,
@@ -48,8 +53,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemm
 
 from .exceptions import (
     DegenerateAtomError,
@@ -157,15 +160,21 @@ def _tail_sums(x, term):
     """Row ``q`` of the result is ``term(x[..., q:, :]).sum(axis=-2)``, for
     ``q = 0 .. x.shape[-2]``, with ``term`` a ufunc such as ``np.square``;
     the last row is the empty sum.  The terms are written straight into
-    the result, which is then summed in place from the bottom row up,
-    one row at a time in ``np.cumsum``'s order (on a stack, ``cumsum``
-    runs its slow inner loop along the short summed axis)."""
-    k = x.shape[-2]
-    tails = np.empty(x.shape[:-2] + (k + 1, x.shape[-1]))
+    the result, which is then summed in place from the bottom row up in
+    ``np.cumsum``'s order: by one ``cumsum`` over the reversed rows when
+    they are at least as many as the columns (R's k x k support norms),
+    else one row at a time, since ``cumsum`` runs its slow inner loop
+    along the summed axis."""
+    k, p = x.shape[-2:]
+    tails = np.empty(x.shape[:-2] + (k + 1, p))
     term(x, out=tails[..., :k, :])
     tails[..., k, :] = 0.0
-    for q in range(k - 2, -1, -1):
-        np.add(tails[..., q, :], tails[..., q + 1, :], out=tails[..., q, :])
+    if k >= p:
+        terms = tails[..., :k, :][..., ::-1, :]
+        np.cumsum(terms, axis=-2, out=terms)
+    else:
+        for q in range(k - 2, -1, -1):
+            np.add(tails[..., q, :], tails[..., q + 1, :], out=tails[..., q, :])
     return tails
 
 
@@ -203,8 +212,8 @@ def factor_chain(atoms, order, probes):
     scratch is ``Q``, the k x n product ``Q.T A``, ``G`` and two
     m x (at most 65) arrays, as the recomputed columns go in blocks of
     64: the squares of ``G`` go straight into the buffer that becomes
-    ``probe_norms``, the recomputation runs before the solve, and on one
-    matrix the solve writes ``coef`` over ``G``.
+    ``probe_norms``, and the recomputation runs before the solve, which
+    takes the place of ``Q`` and writes ``coef`` over ``G``.
 
     Each check is made per trial, and its message names the atom and, in
     a stack, the trial: entries must be finite (``ValueError``), every
@@ -238,12 +247,13 @@ def factor_chain(atoms, order, probes):
             off[t][cols] = np.einsum("ij,ij->j", x, x)
     tails += off[..., None, :]
     probe_norms = np.sqrt(tails, out=tails)
-    # scipy's triangular solve is the faster on one matrix, numpy's
-    # batched solve on a stack, over which scipy loops in Python
-    coef = (solve_triangular(r, g, overwrite_b=True, check_finite=False) if a.ndim == 2
-            else np.linalg.solve(r, g))
     support_norms = np.sqrt(_tail_sums(r, np.square))  # R is upper triangular
-    return coef, probe_norms, support_norms, r
+    del q  # the solve's fresh table takes its place
+    # LAPACK's LU factors an upper-triangular R as L = I, U = R, so this
+    # is one sweep of R (and one of I).  The table goes back over G, in
+    # G's order, by which the products that read it round.
+    g[...] = np.linalg.solve(r, g)
+    return g, probe_norms, support_norms, r
 
 
 @dataclass(frozen=True)
@@ -274,18 +284,15 @@ def _freeze(*arrays):
 
 def _project(basis, x):
     """``x`` projected off ``span(basis)``; the second pass removes the
-    rounding left by the first."""
+    rounding left by the first.  A vector is left as it is; the columns
+    of a C-ordered matrix are projected in place."""
     if x.ndim == 1:
         x = x - basis @ (basis.T @ x)
         return x - basis @ (basis.T @ x)
-    if not x.size:  # BLAS rejects an empty output
-        return x.copy()
-    # the columns of x are the rows of xt, a Fortran-ordered copy that
-    # BLAS updates in place: xt -= (xt U) U.T
-    xt = np.array(x.T, order="F")
+    xt = x.T  # Fortran ordered: the columns of x are its rows
     for _ in range(2):
-        xt = dgemm(-1.0, xt @ basis, basis, beta=1.0, c=xt, trans_b=True, overwrite_c=True)
-    return xt.T
+        xt -= (xt @ basis) @ basis.T
+    return x
 
 
 def init_state(atoms):
@@ -358,7 +365,7 @@ def extend_state(state, index):
     # negative one included, are recomputed
     cols = np.flatnonzero(sq < RECOMPUTE_FRACTION * exact_sq)
     if cols.size:
-        p = _project(basis, state.atoms[:, cols])
+        p = _project(basis, np.take(state.atoms, cols, axis=1))  # a C-ordered copy
         sq[cols] = exact_sq[cols] = np.einsum("ij,ij->j", p, p)
     new_norms = np.sqrt(sq)
     _freeze(basis, new_norms, exact_sq)
@@ -374,7 +381,8 @@ def extend_state(state, index):
 def residual(state, y):
     """Project ``y`` (a vector, or columns side by side) on the
     orthogonal complement of the active span."""
-    return _project(state.basis, np.asarray(y, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
+    return _project(state.basis, y if y.ndim == 1 else np.array(y, order="C"))
 
 
 def compute_spark(a, max_size):

@@ -424,3 +424,28 @@ class TestOneSolverCall:
             check(np.eye(4), (0, 1))
         assert bp.l1_recovers(np.eye(4), np.array([1.0, 0.0, -2.0, 0.0])) is True
         assert not calls
+
+
+# the l1-search shapes of the benchmark, one null-space dimension 4 case
+# among them, and rank-deficient matrices: the numpy null space keeps
+# the bits of scipy.linalg.null_space
+NULL_SPACE_SHAPES = [(7, 8), (3, 4), (8, 10), (4, 6), (5, 8), (6, 9), (6, 10)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("m,n", NULL_SPACE_SHAPES)
+def test_null_space_keeps_scipy_bits(m, n, seed):
+    a = gaussian(m, n, seed).matrix
+    got, want = bp._null_space(a), null_space(a)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("a", [
+    np.vstack([gaussian(6, 10, 0).matrix[:4], gaussian(6, 10, 0).matrix[:2]]),
+    np.vstack([gaussian(6, 10, 0).matrix[:4], gaussian(6, 10, 0).matrix[:2]]).T,
+    np.zeros((3, 5)),
+], ids=["repeated-rows", "repeated-columns", "zero"])
+def test_rank_deficient_null_space_keeps_scipy_bits(a):
+    got, want = bp._null_space(a), null_space(a)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got.shape[1] == a.shape[1] - np.linalg.matrix_rank(a)

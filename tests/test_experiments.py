@@ -1,5 +1,6 @@
 """Monte Carlo harness vs the certificate API and format contracts."""
 
+import concurrent.futures
 import ctypes
 import json
 import os
@@ -9,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from greedycert import dictionaries, experiments as ex
 from greedycert.certificates import brc_omp, erc_oxx_subset
@@ -401,22 +401,20 @@ def _failing_task(task):
 _NUMPY_BLAS_GETTER = "scipy_openblas_get_num_threads64_"
 
 
-def _openblas_libs(package):
-    """The OpenBLAS libraries a wheel bundles next to ``package``."""
-    libdir = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
-    return sorted(libdir.glob("*openblas*"))
+def _numpy_openblas_libs():
+    """The OpenBLAS libraries the numpy wheel bundles."""
+    return sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"))
 
 
 def _blas_threads_task(task):
-    """OpenBLAS thread count of each bundled copy whose getter exists."""
+    """Thread count of numpy's bundled OpenBLAS, by library, where its
+    getter exists: the only BLAS that the pool's tasks call."""
     counts = {}
-    for package, symbol in ((np, _NUMPY_BLAS_GETTER),
-                            (scipy, "scipy_openblas_get_num_threads")):
-        for lib in _openblas_libs(package):
-            getter = getattr(ctypes.CDLL(str(lib)), symbol, None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                counts[symbol] = getter()
+    for lib in _numpy_openblas_libs():
+        getter = getattr(ctypes.CDLL(str(lib)), _NUMPY_BLAS_GETTER, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            counts[lib.name] = getter()
     return os.getpid(), counts
 
 
@@ -472,13 +470,14 @@ class TestAdaptivePool:
                             raising=False)
         monkeypatch.setattr(ex, "_POOL_BREAK_EVEN_S", 0.0)
         started = []
-        real = ex.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
 
         def counted(*args, **kwargs):
             started.append(kwargs["max_workers"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(ex, "ProcessPoolExecutor", counted)
+        # the pool class is imported where the first pool starts
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
         return started
 
     def test_tail_runs_in_pool_after_first_task(self, forced):
@@ -523,7 +522,7 @@ class TestAdaptivePool:
 
         monkeypatch.setattr(ex.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)
-        monkeypatch.setattr(ex, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
     def test_short_job_starts_no_pool(self, forbidden):
         cfg = ex.ExperimentConfig(kind="brc-map", m_grid=(8,), n_grid=(20,), k=2,
@@ -553,11 +552,11 @@ class TestAdaptivePool:
             ex._map_ordered(_failing_task, list(range(8)), workers=4)
 
     def test_workers_run_one_blas_thread(self, forced):
-        if not _openblas_libs(np):
+        if not _numpy_openblas_libs():
             pytest.skip("numpy bundles no OpenBLAS")
         parent = _blas_threads_task(None)[1]
         # without numpy's getter both sides would be empty and agree
-        assert _NUMPY_BLAS_GETTER in parent, "numpy's OpenBLAS has no getter the test knows"
+        assert parent, "numpy's OpenBLAS has no getter the test knows"
         out = ex._map_ordered(_blas_threads_task, list(range(6)), workers=2)
         assert forced == [2]
         for pid, counts in out[1:]:

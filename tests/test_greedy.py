@@ -12,7 +12,7 @@ from greedycert import greedy
 from greedycert.certificates import erc_oxx_subset
 from greedycert.dictionaries import example1, gaussian, hybrid
 from greedycert.exceptions import ConstructionFailedError, DegenerateAtomError
-from greedycert.linalg import extend_state, init_state, residual, state_for
+from greedycert.linalg import extend_state, factor_chain, init_state, residual, state_for
 from greedycert.tolerances import TAU_SUCCESS_REL, TAU_ZERO
 
 
@@ -398,6 +398,26 @@ def test_constructions_freeze_the_dictionary_once(construct, monkeypatch):
 
 
 class TestFailureInput:
+    def test_gram_solve_is_backward_stable(self):
+        # the failure direction w solves R22.T R22 w = v, with R22 the
+        # remaining atoms' block of the triangular factor, on hybrid
+        # supports of condition number up to about 1e4: its residual is
+        # within 1e-12 of |R22|^2 |w| + |v|.  Relative to |v| alone it
+        # grows with the condition number squared, on either route.
+        rng = np.random.default_rng(0)
+        worst_condition = 0.0
+        for t_max in (0.0, 10.0, 100.0, 1000.0, 3000.0):
+            for seed in range(4):
+                r = factor_chain(hybrid(30, 60, t_max, seed), range(8), [])[3]
+                for t in (0, 2, 5):
+                    r22 = r[t:, t:]
+                    worst_condition = max(worst_condition, np.linalg.cond(r22))
+                    v = rng.choice([-1.0, 1.0], size=8 - t) * rng.uniform(0.1, 1.0, size=8 - t)
+                    w = greedy._gram_solve(r22, v)
+                    scale = np.linalg.norm(r22, 2) ** 2 * np.linalg.norm(w) + np.linalg.norm(v)
+                    assert np.linalg.norm(r22.T @ (r22 @ w) - v) <= 1e-12 * scale
+        assert 5e3 < worst_condition < 2e4
+
     def test_first_selection_failure_both_algorithms(self):
         # certificate false at the start: a one-step counterexample
         # exists and verifies for both algorithms

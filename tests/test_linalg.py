@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import orth, qr
+from test_dictionaries import SHAPES
 
 from greedycert import basis_pursuit, certificates, experiments, greedy, linalg
 from greedycert.dictionaries import example1, from_matrix, gaussian, hybrid
@@ -249,6 +250,19 @@ class TestFactorChain:
             for got, want in zip(stacked, linalg.factor_chain(a, order, probes)):
                 assert got.shape[1:] == want.shape
                 assert np.all(np.abs(got[t] - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("t_max", [0.0, 1000.0], ids=["gaussian", "hybrid-1000"])
+    @pytest.mark.parametrize("m,n,k", [(m, n, k) for m, n in SHAPES for k in (1, 2, 4, 40)
+                                       if k <= min(m, n)])
+    def test_one_matrix_keeps_the_bits_of_a_one_trial_stack(self, m, n, k, t_max):
+        # one LAPACK route serves matrices and stacks; at t_max = 1000 the
+        # norm safeguard recomputes nearly every probe
+        a = hybrid(m, n, t_max, 3).matrix
+        order = [int(i) for i in np.random.default_rng(k).permutation(n)[:k]]
+        probes = [j for j in range(n) if j not in order]
+        for got, want in zip(linalg.factor_chain(a, order, probes),
+                             linalg.factor_chain(a[None], order, probes)):
+            assert got.shape == want.shape[1:] and got.tobytes() == want[0].tobytes()
 
     def test_stacked_kernel_allocates_less_than_half_its_stack(self):
         stack = np.stack([gaussian(100, 300, seed).matrix for seed in range(10)])

@@ -131,12 +131,13 @@ def test_benchmark_api_still_resolves():
 
 
 def test_import_leaves_the_lp_solver_unloaded():
-    # scipy.optimize and scipy.sparse load only when an l1 check runs,
-    # so that every other entry point starts without them
+    # scipy loads only when an l1 check runs (its LP solver); numpy's
+    # LAPACK serves everything else, so every other entry point starts
+    # without scipy.linalg or any other part of scipy
     src = str(Path(greedycert.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, greedycert; "
-            "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])")
+    code = ("import sys, greedycert; print([m for m in "
+            "('scipy', 'scipy.linalg', 'scipy.optimize', 'scipy.sparse') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
