@@ -1,46 +1,43 @@
 """Exact-recovery and bad-recovery certificates for OMP and OLS.
 
 The central quantity is the interference factor of a wrong atom ``a_j``
-against the not-yet-selected part of a true support Q* given a partial
-selection Q inside Q*:
-
-* OMP factor: the l1 mass of the rows of ``pinv(A_Qstar) a_j`` indexed
-  by Q* \\ Q;
-* OLS factor: the same rows weighted by the projected-atom norm ratios
-  ``|Pa_i| / |Pa_j|`` (zero when ``Pa_j`` vanishes).
+against the not-yet-selected part Q* \\ Q of a true support Q*, given a
+partial selection Q inside Q*.  Under OMP it is Tropp's ERC factor, the
+l1 mass of those rows of ``C = pinv(A_Qstar) a_j``; under OLS the same
+rows are weighted by the projected-norm ratios ``|P_q a_i| / |P_q a_j|``
+(0 when ``P_q a_j`` vanishes).
 
 The values come from the factor kernel :func:`linalg.factor_chain`: one
-QR of the support with Q first gives the coefficient table, every
-projected norm and the triangular factor.  The one-step recursion of
-:func:`recursion_chain` and the failure inputs of
-:func:`greedy.build_failure_input` read the same call.  Only the
-projected norms depend on the selection, and they live in the k
-dimensions of ``span(A_Qstar)``: :func:`erc_oxx_cardinality` makes one
-kernel call in support order and re-orders it for each subset with a
-k x k QR of the triangular factor, O(k^2 p) per subset for p wrong
-atoms instead of a QR of the m x k support.
+QR of the support with Q first gives C, every projected norm and the
+triangular factor.  Its two readers, :func:`_chain_factors` (the depths
+of one growth order) and :func:`_subset_factors` (each subset selected
+first, re-ordered by a k x k QR of the triangular factor: O(k^2 p) per
+subset for p wrong atoms), compute both rules alike: one contraction
+``weights . |C|``, with weights 1 on the rows still to be selected (OMP)
+or their projected norms (OLS), then :func:`_per_probe`, which divides
+by ``|P_q a_j|`` (OLS only) and zeroes probes with ``|P_q a_j| <=
+TAU_ZERO``.  The leave-one-out rows of :func:`brc_omp` are the rows of
+one table ``pinv(A_Qstar) A_off`` from the same kernel, which also takes
+the stacked dictionaries of a brc-map cell.
 
-The leave-one-out rows of :func:`brc_omp` are the rows of one
-coefficient table ``pinv(A_Qstar) A_off``, from the same kernel, which
-also takes the stacked dictionaries of a brc-map cell; :func:`_brc_rule`
-reads the verdict off the table in both.
+Every decision at 1 is made by one of two rules, which the experiments
+and :func:`greedy.build_failure_input` read too: :func:`_erc_rule` (the
+largest factor, 0 with no probe, holds below 1) and :func:`_brc_rule`
+(the smallest leave-one-out row maximum holds at 1 or above);
+:func:`_report` builds a report from a rule's aggregate and verdict.  An
+exactness certificate that holds means the next selection is a true
+atom for every reachable Q of its cardinality; the badness certificate
+means the full support is unreachable for any input supported on it.
 
 Checked mode compares the kernel with one second route that shares no
-factorization with it: the table ``pinv(A_Qstar) A_js`` from one SVD of
-``A_Qstar`` (:func:`_pinv_table`), one m x k SVD and one k x n product.
-Its rows Q* \\ Q give the OMP factors at Q, and weighted by the
-projected norms of a :class:`linalg.ProjectionState` for Q the OLS
-factors (:func:`_cross_check`); :func:`f_omp`, :func:`f_ols`,
-:func:`erc_oxx_subset` and, unless ``fast``, :func:`brc_omp` raise
-:class:`FormMismatchError` when the routes disagree.
-:func:`erc_oxx_cardinality` reads the kernel alone: the route would
-multiply an enumeration of up to 1e6 subsets.
-
-Exactness certificates say that every wrong factor stays below 1
-(selection-wise exact recovery for every reachable Q of the stated
-cardinality); the OMP badness certificate says that from every possible
-last step the worst wrong factor is at least 1, so the full support is
-unreachable for any input supported on it.
+factorization with it: ``pinv(A_Qstar) A_js`` from one m x k SVD and one
+k x n product (:func:`_pinv_table`), read with its own arithmetic by
+:func:`_cross_check` (OLS weights from a :class:`linalg.ProjectionState`
+for Q), so that a fault in the rules' shared step cannot pass it.
+:func:`f_omp`, :func:`f_ols`, :func:`erc_oxx_subset` and, unless
+``fast``, :func:`brc_omp` raise :class:`FormMismatchError` when the
+routes disagree; :func:`erc_oxx_cardinality` reads the kernel alone, as
+the route would multiply an enumeration of up to 1e6 subsets.
 """
 
 from dataclasses import dataclass, field
@@ -50,15 +47,8 @@ from math import comb
 import numpy as np
 
 from .exceptions import FormMismatchError, TooLargeError
-from .linalg import _as_matrix, _check_rank, _tail_sums, factor_chain, state_for
-from .tolerances import (
-    EPS,
-    FORM_ROUNDING,
-    TAU_FORM,
-    TAU_RECURSION,
-    TAU_STRICT,
-    TAU_ZERO,
-)
+from .linalg import _as_matrix, _check_rank, factor_chain, state_for
+from .tolerances import EPS, FORM_ROUNDING, TAU_FORM, TAU_RECURSION, TAU_STRICT, TAU_ZERO
 
 __all__ = [
     "CertificateReport",
@@ -74,6 +64,13 @@ __all__ = [
 # erc_oxx_cardinality evaluates its subsets in chunks whose batched
 # (k - card) x p arrays hold about this many entries (256 KiB of float64).
 _CHUNK_ENTRIES = 2**15
+
+_ALGORITHMS = ("omp", "ols")
+
+
+def _check_algorithm(algorithm):
+    if algorithm not in _ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def _check_support(n, qstar, q=(), j=None):
@@ -146,36 +143,39 @@ def _rows(depths):
     return depths
 
 
-def _chain_factors(chain, depths, algorithm):
-    """Factors of the probes after each prefix ``order[:q]``, q in ``depths``.
-
-    ``chain`` is the result of :func:`linalg.factor_chain` on the whole
-    support in growth order.  Returns an array of shape ``(len(depths),
-    len(probes))``: the OMP row at depth q is the tail row sum of
-    ``|C|``, the OLS row the same tail weighted by the support norms at
-    q and divided by the probe norms.  A probe inside the selected span
-    scores 0 under both rules.
-
-    The coefficient table of ``chain`` is replaced by its absolute
-    values, in place: a caller that needs the signs of ``C`` reads them
-    first.  With that, consecutive depths read as slices and the values
-    divided and zeroed in place, the scratch stays near one table.
-    """
-    coef, probe_norms, support_norms, _ = chain
-    c = np.abs(coef, out=coef)
-    rows = _rows(depths)
-    if algorithm == "omp":
-        vals = _tail_sums(c, np.positive)[rows]
-    else:
-        # support_norms[q, l] vanishes for l < q, so the product only
-        # weighs the rows still to be selected
-        vals = support_norms[rows] @ c
-    den = probe_norms[rows]
+def _per_probe(vals, den, algorithm):
+    """Both rules' step after their contraction ``vals``, in place: divide by
+    ``den = |P_q a_j|`` (OLS only), zero the probes with ``den <= TAU_ZERO``."""
     dead = den <= TAU_ZERO
     if algorithm == "ols":
         np.divide(vals, den, out=vals, where=~dead)
     np.copyto(vals, 0.0, where=dead)
     return vals
+
+
+def _chain_factors(chain, depths, algorithm):
+    """Factors of the probes after each prefix ``order[:q]``, q in ``depths``.
+
+    ``chain`` is the result of :func:`linalg.factor_chain` on the whole
+    support in growth order.  Returns an array of shape ``(len(depths),
+    len(probes))``: the product ``weights @ |C|`` with one row of weights
+    per depth q, 1 on the rows ``l >= q`` still to be selected (OMP) or
+    the support norms at q (OLS), then :func:`_per_probe`.
+
+    The coefficient table of ``chain`` is replaced by its absolute
+    values, in place (a caller that needs the signs of ``C`` reads them
+    first), and consecutive depths are read as slices.
+    """
+    coef, probe_norms, support_norms, _ = chain
+    c = np.abs(coef, out=coef)
+    rows = _rows(depths)
+    if algorithm == "omp":
+        weights = (np.arange(len(c)) >= np.arange(len(c) + 1)[rows][:, None]) * 1.0
+    else:
+        # support_norms[q, l] vanishes for l < q, so the product only
+        # weighs the rows still to be selected
+        weights = support_norms[rows]
+    return _per_probe(weights @ c, probe_norms[rows], algorithm)
 
 
 def _subset_factors(chain, subsets, algorithm):
@@ -192,10 +192,9 @@ def _subset_factors(chain, subsets, algorithm):
     non-negative sums: column sums of ``R'[card:, card:]**2`` for the
     support atoms, and of ``(R'[card:, card:] coef[rest])**2`` plus the
     probes' squared part off ``span(A_Qstar)`` for the probes.  The
-    factors follow the rules of :func:`_chain_factors` at that depth,
-    summed directly rather than through the tail sums of every depth.
-    Returns a b x p array; the cost is O(k^2 p) per subset instead of a
-    QR of the m x k support.
+    factors are the rules of :func:`_chain_factors` at that depth, whose
+    OMP weights are all 1 on the rest.  Returns a b x p array; the cost
+    is O(k^2 p) per subset instead of a QR of the m x k support.
     """
     coef, probe_norms, _, r = chain
     b, card = subsets.shape
@@ -210,14 +209,12 @@ def _subset_factors(chain, subsets, algorithm):
     c = coef[rest]
     g = tail @ c
     den = np.sqrt(np.einsum("bij,bij->bj", g, g) + probe_norms[-1] ** 2)
-    alive = den > TAU_ZERO
     np.abs(c, out=c)
     if algorithm == "omp":
-        vals = c.sum(axis=1)
+        weights = np.ones((b, k - card))
     else:
         weights = np.sqrt(np.einsum("bij,bij->bj", tail, tail))
-        vals = np.einsum("bi,bij->bj", weights, c) / np.where(alive, den, 1.0)
-    return np.where(alive, vals, 0.0)
+    return _per_probe(np.einsum("bi,bij->bj", weights, c), den, algorithm)
 
 
 def _pinv_table(a, qstar, js):
@@ -265,13 +262,38 @@ def _factors(a, qstar, q, js, algorithm):
     ``q + (qstar \\ q)``, once the SVD route has reproduced them
     (:func:`_cross_check`).
     """
-    if algorithm not in ("omp", "ols"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    _check_algorithm(algorithm)
     order = list(q) + [i for i in qstar if i not in q]
     chain = factor_chain(a, order, js)
     vals = _chain_factors(chain, [len(q)], algorithm)[0]
     _cross_check(a, qstar, q, js, algorithm, vals, chain[1][len(q)])
     return vals
+
+
+def _erc_rule(vals):
+    """The largest factor along the last axis of ``vals`` (0 with no
+    probe: factors are >= 0) and whether it is below 1, the ERC-OXX
+    decision, for one selection or for each row of a table of them."""
+    aggregate = vals.max(axis=-1, initial=0.0)
+    return aggregate, aggregate < 1.0
+
+
+def _brc_rule(coef):
+    """Row maxima of ``|C|``, their minimum (the aggregate) and whether it
+    is at least 1, for a table ``C = pinv(A_Qstar) A_off`` or a stack of
+    them: row i holds the worst wrong factor when ``qstar[i]`` is left last."""
+    rows = np.abs(coef).max(axis=-1)
+    aggregate = rows.min(axis=-1)
+    return rows, aggregate, aggregate >= 1.0
+
+
+def _report(kind, algorithm, per_atom, aggregate, verdict, details):
+    """The report of a rule's ``aggregate`` and ``verdict``, with the
+    aggregate's distance from 1 as its margin."""
+    aggregate = float(aggregate)
+    return CertificateReport(kind=kind, algorithm=algorithm, per_atom=per_atom,
+                             aggregate=aggregate, verdict=bool(verdict),
+                             margin=abs(aggregate - 1.0), details=details)
 
 
 def f_omp(a, qstar, q, j):
@@ -296,16 +318,8 @@ def erc_oxx_subset(a, qstar, q, algorithm):
     qstar, q = _check_support(a.shape[1], qstar, q)
     js = _wrong_atoms(a.shape[1], qstar)
     vals = _factors(a, qstar, q, js, algorithm)
-    aggregate = float(vals.max(initial=0.0))  # factors are >= 0
-    return CertificateReport(
-        kind="erc-oxx-subset",
-        algorithm=algorithm,
-        per_atom=tuple(zip(js.tolist(), vals.tolist())),
-        aggregate=aggregate,
-        verdict=aggregate < 1.0,
-        margin=abs(aggregate - 1.0),
-        details={"q": list(q)},
-    )
+    return _report("erc-oxx-subset", algorithm, tuple(zip(js.tolist(), vals.tolist())),
+                   *_erc_rule(vals), {"q": list(q)})
 
 
 def erc_oxx_cardinality(a, qstar, card, algorithm):
@@ -337,14 +351,13 @@ def erc_oxx_cardinality(a, qstar, card, algorithm):
         raise ValueError("cardinality must satisfy 0 <= card < |support|")
     if comb(k, card) > 10**6:
         raise TooLargeError(f"{comb(k, card)} subsets exceed the 1e6 budget")
-    if algorithm not in ("omp", "ols"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    _check_algorithm(algorithm)
     js = _wrong_atoms(a.shape[1], qstar)
     chain = factor_chain(a, qstar, js)
     worst = np.full(len(js), -np.inf)
-    aggregate = -np.inf
+    top = -np.inf
     # (largest factor, subset) of each subset above all earlier ones and
-    # within TAU_STRICT of the aggregate so far; the answer is among them
+    # within TAU_STRICT of the largest factor so far; the answer is among them
     records = []
     subsets = combinations(range(k), card)
     size = max(1, _CHUNK_ENTRIES // ((k - card) * max(1, len(js))))
@@ -352,30 +365,15 @@ def erc_oxx_cardinality(a, qstar, card, algorithm):
         positions = np.array(chunk, dtype=np.intp).reshape(len(chunk), card)
         vals = _subset_factors(chain, positions, algorithm)
         np.maximum(worst, vals.max(axis=0), out=worst)
-        tops = vals.max(axis=1, initial=0.0)  # factors are >= 0
-        highs = np.maximum.accumulate(np.concatenate([[aggregate], tops]))
+        tops = _erc_rule(vals)[0]
+        highs = np.maximum.accumulate(np.concatenate([[top], tops]))
         records += [(tops[i], chunk[i]) for i in np.flatnonzero(tops > highs[:-1])]
-        aggregate = float(highs[-1])
-        records = [rec for rec in records if rec[0] >= aggregate - TAU_STRICT]
-    worst_subset = tuple(qstar[i] for i in records[0][1])
-    return CertificateReport(
-        kind="erc-oxx-cardinality",
-        algorithm=algorithm,
-        per_atom=tuple(zip(js.tolist(), worst.tolist())),
-        aggregate=float(aggregate),
-        verdict=float(aggregate) < 1.0,
-        margin=abs(float(aggregate) - 1.0),
-        details={"cardinality": card, "worst_subset": list(worst_subset)},
-    )
-
-
-def _brc_rule(coef):
-    """Row maxima of ``|C|``, their minimum (the aggregate) and whether it
-    is at least 1, for a table ``C = pinv(A_Qstar) A_off`` or a stack of
-    them: row i holds the worst wrong factor when ``qstar[i]`` is left last."""
-    rows = np.abs(coef).max(axis=-1)
-    aggregate = rows.min(axis=-1)
-    return rows, aggregate, aggregate >= 1.0
+        top = float(highs[-1])
+        records = [rec for rec in records if rec[0] >= top - TAU_STRICT]
+    worst_subset = [qstar[i] for i in records[0][1]]
+    # the largest entry of `worst` is the largest factor of every subset
+    return _report("erc-oxx-cardinality", algorithm, tuple(zip(js.tolist(), worst.tolist())),
+                   *_erc_rule(worst), {"cardinality": card, "worst_subset": worst_subset})
 
 
 def brc_omp(a, qstar, fast=False):
@@ -413,17 +411,9 @@ def brc_omp(a, qstar, fast=False):
                 f"leave-one-out rows of the QR and SVD routes disagree by {gap:.3e}"
             )
 
-    aggregate = float(aggregate)
     easiest = min(i for i, v in zip(qstar, rowmax) if v - aggregate <= TAU_STRICT)
-    return CertificateReport(
-        kind="brc-omp",
-        algorithm="omp",
-        per_atom=tuple(zip(qstar, rowmax.tolist())),
-        aggregate=aggregate,
-        verdict=bool(verdict),
-        margin=abs(aggregate - 1.0),
-        details={"easiest_last_atom": easiest},
-    )
+    return _report("brc-omp", "omp", tuple(zip(qstar, rowmax.tolist())), aggregate, verdict,
+                   {"easiest_last_atom": easiest})
 
 
 def _f_omp_update(factor, coef_ell):
@@ -471,8 +461,7 @@ def recursion_chain(a, qstar, j, order, algorithm):
     a = _as_matrix(a)
     qstar, order = _check_support(a.shape[1], qstar, order, j)
     j = int(j)
-    if algorithm not in ("omp", "ols"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    _check_algorithm(algorithm)
     depth = len(order)
     chain = factor_chain(a, order + tuple(i for i in qstar if i not in order), [j])
     coef, probe_norms, support_norms, r = chain

@@ -18,12 +18,13 @@ from functools import partial
 import numpy as np
 
 from .basis_pursuit import _l1_reports
-from .certificates import brc_omp, erc_oxx_cardinality, erc_oxx_subset
+from .certificates import _ALGORITHMS, brc_omp, erc_oxx_cardinality, erc_oxx_subset
 from .dictionaries import _build
 from .exceptions import GreedycertError
 from .experiments import (
     KINDS,
     ExperimentConfig,
+    _require,
     default_filename,
     load_config,
     run_experiment,
@@ -35,11 +36,6 @@ from .linalg import compute_spark
 DEFAULT_SEED = 0
 
 _DICT_KINDS = ("gaussian", "hybrid", "convolutive", "example1")
-
-
-def _check(condition, message):
-    if not condition:
-        raise ValueError(message)
 
 
 def _parse_ints(text):
@@ -97,9 +93,9 @@ def _emit(obj, output):
 def _cmd_cert(args):
     d = _build(args, args.m, args.n, args.seed)
     qstar = _parse_ints(args.qstar)
-    _check(qstar, "--qstar must name at least one atom")
+    _require(qstar, "--qstar must name at least one atom")
     if args.brc:
-        _check(args.alg == "omp", "the unreachable-support certificate has no ols variant")
+        _require(args.alg == "omp", "the unreachable-support certificate has no ols variant")
         report = brc_omp(d, qstar)
         mode = {"mode": "brc"}
     elif args.card is not None:
@@ -114,10 +110,10 @@ def _cmd_cert(args):
 
 
 def _cmd_greedy(args):
-    _check(args.k >= 1, "--k must be at least 1")
+    _require(args.k >= 1, "--k must be at least 1")
     d = _build(args, args.m, args.n, args.seed)
     n = d.matrix.shape[1]
-    _check(args.k <= n, "--k cannot exceed the atom count")
+    _require(args.k <= n, "--k cannot exceed the atom count")
     # support and amplitudes come from a salted stream so they are
     # independent of the matrix draws under the same seed
     rng = np.random.default_rng((args.seed, 1))
@@ -136,7 +132,7 @@ def _cmd_greedy(args):
 def _cmd_construct(args):
     d = _build(args, args.m, args.n, args.seed)
     if args.goal == "reach":
-        _check(args.order, "--order is required for --goal reach")
+        _require(args.order, "--order is required for --goal reach")
         order = _parse_ints(args.order)
         alg = args.alg or "ols"
         # returned only once a rerun selected exactly `order`, with no tie
@@ -144,7 +140,7 @@ def _cmd_construct(args):
         echo = _echo("construct", d, goal="reach", order=list(order), alg=alg)
         out = {"config": echo, "input": [float(v) for v in y], "selections": list(order)}
         return _emit(out, args.output)
-    _check(args.qstar, "--qstar is required for --goal failure")
+    _require(args.qstar, "--qstar is required for --goal failure")
     qstar = _parse_ints(args.qstar)
     q = _parse_ints(args.q) if args.q is not None else ()
     alg = args.alg or "omp"
@@ -163,7 +159,7 @@ def _cmd_construct(args):
 def _cmd_bp_check(args):
     d = _build(args, args.m, args.n, args.seed)
     qstar = _parse_ints(args.qstar)
-    _check(qstar, "--qstar must name at least one atom")
+    _require(qstar, "--qstar must name at least one atom")
     nsp, brc = _l1_reports(d, qstar)
     echo = _echo("bp-check", d, qstar=list(qstar))
     return _emit({"config": echo, "nsp": nsp.to_json(), "brc_bp": brc.to_json()},
@@ -238,9 +234,9 @@ def _resolve_experiment_config(kind, args):
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     provided = {name: value for name, value in vars(args).items() if name in fields}
     if args.config is not None:
-        _check(not provided, "--config cannot be combined with other experiment settings")
+        _require(not provided, "--config cannot be combined with other experiment settings")
         cfg = load_config(args.config)
-        _check(cfg.kind == kind, f"config file describes {cfg.kind!r}, not {kind!r}")
+        _require(cfg.kind == kind, f"config file describes {cfg.kind!r}, not {kind!r}")
         return cfg
     data = {"kind": kind, "base_seed": DEFAULT_SEED}
     data.update(_EXP_DEFAULTS.get(kind, {}))
@@ -249,7 +245,7 @@ def _resolve_experiment_config(kind, args):
 
 
 def _cmd_experiment(kind, args):
-    _check(args.workers >= 1, "--workers must be at least 1")
+    _require(args.workers >= 1, "--workers must be at least 1")
     config = _resolve_experiment_config(kind, args)
     result = run_experiment(config, workers=args.workers)
     if not args.output:
@@ -279,7 +275,7 @@ def _build_parser():
                       help="evaluate every partial support of this size")
     mode.add_argument("--brc", action="store_true",
                       help="unreachable-support certificate instead")
-    p.add_argument("--alg", choices=("omp", "ols"), default="omp",
+    p.add_argument("--alg", choices=_ALGORITHMS, default="omp",
                    help="selection rule (default: omp)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"dictionary seed (default: {DEFAULT_SEED})")
@@ -288,7 +284,7 @@ def _build_parser():
 
     p = sub.add_parser("greedy", parents=[dict_parent],
                        help="run a greedy selection on a random on-support input")
-    p.add_argument("--alg", choices=("omp", "ols"), default="omp",
+    p.add_argument("--alg", choices=_ALGORITHMS, default="omp",
                    help="selection rule (default: omp)")
     p.add_argument("--k", type=int, required=True, help="support size")
     p.add_argument("--max-iters", type=int,
@@ -308,7 +304,7 @@ def _build_parser():
     p.add_argument("--qstar", help="comma list, support for --goal failure")
     p.add_argument("--q", help="comma list steered through first (default: empty)")
     p.add_argument("--order", help="comma list, selections for --goal reach")
-    p.add_argument("--alg", choices=("omp", "ols"),
+    p.add_argument("--alg", choices=_ALGORITHMS,
                    help="selection rule (default: omp for failure, ols for reach)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"dictionary seed (default: {DEFAULT_SEED})")

@@ -179,9 +179,12 @@ def example1(theta1, theta2):
 def from_matrix(matrix, kind="custom", params=None, normalize=False):
     """Wrap an explicit matrix, optionally normalizing its columns.
 
-    Raises ``ValueError`` when an entry is NaN or infinite.
+    Raises ``ValueError`` when the array is not 2-D or an entry is NaN
+    or infinite.
     """
     a = np.array(matrix, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-D array of column atoms")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     if normalize:

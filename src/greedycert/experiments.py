@@ -9,7 +9,8 @@ echoed as a ``#`` comment on the first line) and to JSON (config first).
 
 Factor values come from the factor kernel alone
 (:func:`linalg.factor_chain`, one QR per trial); the SVD route that
-cross-checks it in the certificates' checked mode is not run here.
+cross-checks it in the certificates' checked mode is not run here, and
+every verdict is read by their rules, ``_erc_rule`` or ``_brc_rule``.
 A task is one trial, except in brc-map: there a task is a chunk of one
 grid cell, whose dictionaries are drawn in seed order straight into one
 stack, normalized in one pass and certified by one kernel call on the
@@ -32,10 +33,11 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
+from typing import get_args
 
 import numpy as np
 
-from .certificates import _brc_rule, _chain_factors, _wrong_atoms, brc_omp
+from .certificates import _brc_rule, _chain_factors, _check_algorithm, _erc_rule, _wrong_atoms
 from .dictionaries import _build, _rows, _stack, convolutive
 from .linalg import _as_matrix, factor_chain
 
@@ -57,17 +59,23 @@ __all__ = [
 ]
 
 KINDS = ("scatter", "phase-curve", "phase-diagram", "f-vs-q", "brc-map", "brc-sigma")
-_ALGORITHMS = ("omp", "ols")
-_INT_TUPLES = ("q_values", "n_grid", "k_grid", "m_grid", "deltas")
+
+# the values each annotated field type takes: an int is no bool, and a
+# float may be given as an int
+_TYPES = {str: (str,), int: (int, np.integer), float: (int, np.integer, float, np.floating)}
+
+
+def _typed(value, kind):
+    return isinstance(value, _TYPES[kind]) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete description of one experiment run.
 
-    Only the fields an experiment kind consumes are validated by its
-    runner; the rest keep their defaults and ride along in the echo so
-    a config file always round-trips.
+    Every field must have its annotated type (``ValueError`` naming it).
+    A kind's runner checks the values it consumes; the rest keep their
+    defaults and ride along in the echo so a config always round-trips.
     """
 
     kind: str
@@ -77,30 +85,39 @@ class ExperimentConfig:
     k: int = 0
     trials: int = 1
     base_seed: int = 0
-    algorithms: tuple = ("omp", "ols")
+    algorithms: tuple[str, ...] = ("omp", "ols")
     placement: str = "random"
-    q_values: tuple = ()
-    n_grid: tuple = ()
-    k_grid: tuple = ()
-    m_grid: tuple = ()
-    sigmas: tuple = ()
-    deltas: tuple = ()
+    q_values: tuple[int, ...] = ()
+    n_grid: tuple[int, ...] = ()
+    k_grid: tuple[int, ...] = ()
+    m_grid: tuple[int, ...] = ()
+    sigmas: tuple[float, ...] = ()
+    deltas: tuple[int, ...] = ()
     t_max: float = 10.0
     sigma: float = 1.0
     downsample: int = 1
 
     def __post_init__(self):
+        # each field takes its annotated type; a tuple[T, ...] field takes
+        # a list or tuple of T
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            [kind] = get_args(field.type)[:1] or [field.type]
+            scalar = kind is field.type
+            items = [value] if scalar else value
+            if not isinstance(items, (list, tuple)) or not all(_typed(v, kind) for v in items):
+                want = kind.__name__ if scalar else f"a list of {kind.__name__}"
+                raise ValueError(f"config field {field.name!r} must be {want}, got {value!r}")
+            items = tuple(map(kind, items))
+            object.__setattr__(self, field.name, items[0] if scalar else items)
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trial count must be at least 1")
-        algs = tuple(str(a) for a in self.algorithms)
-        if not algs or any(a not in _ALGORITHMS for a in algs) or len(set(algs)) != len(algs):
-            raise ValueError(f"algorithms must be a subset of {_ALGORITHMS}: {algs}")
-        object.__setattr__(self, "algorithms", algs)
-        for name in _INT_TUPLES:
-            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
-        object.__setattr__(self, "sigmas", tuple(float(v) for v in self.sigmas))
+        if not self.algorithms or len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError(f"algorithms must be distinct, at least one: {self.algorithms}")
+        for alg in self.algorithms:
+            _check_algorithm(alg)
 
     def as_dict(self):
         out = {}
@@ -198,7 +215,9 @@ def _support(placement, n, k, delta, rng):
         return tuple(range(k))
     if placement == "spaced":
         last = (k - 1) * delta
-        if delta < 1 or last >= n:
+        if delta < 1:
+            raise ValueError(f"spacing {delta} is below 1")
+        if last >= n:
             raise ValueError(f"spacing {delta} puts atom {last} outside n = {n}")
         return tuple(range(0, last + 1, delta))
     raise ValueError(f"unknown placement policy: {placement!r}")
@@ -209,10 +228,9 @@ def _factor_curves(atoms, qstar, order, q_values, algorithms):
 
     One factor-kernel call (:func:`linalg.factor_chain`) in growth order
     gives the coefficient table and the projected norms at every depth;
-    the partial-selection values are its tail row sums, plain for OMP
-    and norm-weighted for OLS, and only one rule's table of values is
-    held at a time.  Returns
-    ``{algorithm: [aggregate at q for q in q_values]}``.
+    each rule's table of factors (:func:`certificates._chain_factors`) is
+    reduced by ``_erc_rule`` before the next one runs.  Returns
+    ``{algorithm: (aggregates, verdicts)}``, two lists over ``q_values``.
     """
     a = _as_matrix(atoms)
     qstar = tuple(qstar)
@@ -223,12 +241,10 @@ def _factor_curves(atoms, qstar, order, q_values, algorithms):
     if not q_values or any(not 0 <= q < len(qstar) for q in q_values):
         raise ValueError("partial supports must be proper subsets of the support")
     chain = factor_chain(a, order, _wrong_atoms(a.shape[1], qstar))
-    # each rule is reduced to its maxima before the next one runs; the
-    # factors are non-negative, so the empty probe set aggregates to 0
     curves = {}
     for alg in algorithms:
-        top = _chain_factors(chain, q_values, alg).max(axis=1, initial=0.0)
-        curves[alg] = [float(v) for v in top]
+        aggregates, verdicts = _erc_rule(_chain_factors(chain, q_values, alg))
+        curves[alg] = (aggregates.tolist(), verdicts.tolist())
     return curves
 
 
@@ -318,7 +334,7 @@ def _scatter_trial(task):
     d = _build(config, config.m, config.n, config.base_seed + t)
     qstar = tuple(range(config.k))
     curves = _factor_curves(d, qstar, qstar, (0, 1), ("omp", "ols"))
-    return (t, curves["omp"][0], curves["omp"][1], curves["ols"][1])
+    return (t, curves["omp"][0][0], curves["omp"][0][1], curves["ols"][0][1])
 
 
 def scatter_experiment(config, workers=1):
@@ -357,7 +373,7 @@ def _phase_trial(task):
     d, qstar, order = phase_trial_state(config, t)
     q_values = config.q_values or tuple(range(config.k))
     curves = _factor_curves(d, qstar, order, q_values, config.algorithms)
-    return tuple(tuple(v < 1.0 for v in curves[alg]) for alg in config.algorithms)
+    return tuple(tuple(curves[alg][1]) for alg in config.algorithms)
 
 
 def phase_curve(config, workers=1):
@@ -388,12 +404,9 @@ def _diagram_trial(task):
     qstar = _support(config.placement, n, k, 1, rng)
     order = tuple(int(i) for i in rng.permutation(list(qstar)))
     curves = _factor_curves(d, qstar, order, tuple(range(k)), config.algorithms)
-    first = []
-    for alg in config.algorithms:
-        hit = [q for q, v in enumerate(curves[alg]) if v < 1.0]
-        # never satisfied below k counts as k: the guarantee needs all atoms
-        first.append(hit[0] if hit else k)
-    return tuple(first)
+    # never satisfied below k counts as k: the guarantee needs all atoms
+    return tuple(curves[alg][1].index(True) if any(curves[alg][1]) else k
+                 for alg in config.algorithms)
 
 
 def phase_diagram(config, workers=1):
@@ -437,7 +450,7 @@ def f_vs_q_curve(config, workers=1):
     start = perf_counter()
     qstar = tuple(range(config.k))
     curves = _factor_curves(d, qstar, qstar, q_values, config.algorithms)
-    rows = tuple((q,) + tuple(curves[alg][qi] for alg in config.algorithms)
+    rows = tuple((q,) + tuple(curves[alg][0][qi] for alg in config.algorithms)
                  for qi, q in enumerate(q_values))
     columns = ("q",) + tuple(f"f_{alg}" for alg in config.algorithms)
     return ExperimentResult(config, columns, rows, perf_counter() - start)
@@ -492,11 +505,14 @@ def brc_map(config, workers=1):
 
 
 def _sigma_task(task):
+    """A brc-sigma row, read by ``_brc_rule`` off one kernel call as in
+    brc-map; ``_support`` keeps ``k = 2 < n``, so a wrong atom exists."""
     config, sigma, delta = task
     d = convolutive(config.n, sigma, config.downsample)
-    support = _support("spaced", d.matrix.shape[1], 2, delta, None)
-    report = brc_omp(d, support, fast=True)
-    return (sigma, delta, float(report.aggregate), report.verdict)
+    n = d.matrix.shape[1]
+    support = _support("spaced", n, 2, delta, None)
+    _, aggregate, verdict = _brc_rule(factor_chain(d, support, _wrong_atoms(n, support))[0])
+    return (sigma, delta, float(aggregate), bool(verdict))
 
 
 def brc_sigma_sweep(config, workers=1):
@@ -505,6 +521,7 @@ def brc_sigma_sweep(config, workers=1):
     One row per (spacing, width) pair on a two-atom support; spacing 1
     is the contiguous case.  No randomness is involved.
     """
+    _require(config.dictionary == "convolutive", "brc-sigma expects a convolutive dictionary")
     _require(config.sigmas, "brc-sigma needs a sigma grid")
     _require(config.k == 2, "the sweep is defined for two-atom supports")
     deltas = config.deltas or (1,)

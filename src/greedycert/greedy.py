@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import _chain_factors, _check_support, _wrong_atoms
+from .certificates import _chain_factors, _check_algorithm, _check_support, _erc_rule, _wrong_atoms
 from .exceptions import ConstructionFailedError, DegenerateAtomError
 from .linalg import extend_state, factor_chain, init_state, residual
 from .tolerances import TAU_SUCCESS_REL, TAU_TIE, TAU_ZERO
@@ -107,11 +107,6 @@ def select_ols(state, r):
 
 
 _SELECT = {"omp": select_omp, "ols": select_ols}
-
-
-def _check_algorithm(algorithm):
-    if algorithm not in _SELECT:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 @dataclass(frozen=True)
@@ -314,7 +309,7 @@ def build_failure_input(atoms, qstar, q, algorithm):
     coef, _, support_norms, r = chain
     signs = np.sign(coef[t:])  # read first: _chain_factors leaves |C| in coef
     factors = _chain_factors(chain, [t], algorithm)[0]
-    if factors.max(initial=0.0) < 1.0:
+    if _erc_rule(factors)[1]:
         return None
     v = signs[:, int(np.argmax(factors))]
     v[v == 0.0] = 1.0

@@ -156,18 +156,17 @@ def _unit_squares(a):
     return sq
 
 
-def _tail_sums(x, term):
-    """Row ``q`` of the result is ``term(x[..., q:, :]).sum(axis=-2)``, for
-    ``q = 0 .. x.shape[-2]``, with ``term`` a ufunc such as ``np.square``;
-    the last row is the empty sum.  The terms are written straight into
-    the result, which is then summed in place from the bottom row up in
-    ``np.cumsum``'s order: by one ``cumsum`` over the reversed rows when
-    they are at least as many as the columns (R's k x k support norms),
-    else one row at a time, since ``cumsum`` runs its slow inner loop
-    along the summed axis."""
+def _tail_sums(x):
+    """Row ``q`` of the result is ``(x[..., q:, :]**2).sum(axis=-2)``, for
+    ``q = 0 .. x.shape[-2]``; the last row is the empty sum.  The squares
+    are written straight into the result, which is then summed in place
+    from the bottom row up in ``np.cumsum``'s order: by one ``cumsum``
+    over the reversed rows when they are at least as many as the columns
+    (R's k x k support norms), else one row at a time, since ``cumsum``
+    runs its slow inner loop along the summed axis."""
     k, p = x.shape[-2:]
     tails = np.empty(x.shape[:-2] + (k + 1, p))
-    term(x, out=tails[..., :k, :])
+    np.square(x, out=tails[..., :k, :])
     tails[..., k, :] = 0.0
     if k >= p:
         terms = tails[..., :k, :][..., ::-1, :]
@@ -231,7 +230,7 @@ def factor_chain(atoms, order, probes):
     sq = _unit_squares(a)[..., probes]
     q, r = _qr(a[..., order], order)
     g = (q.swapaxes(-1, -2) @ a)[..., probes]
-    tails = _tail_sums(g, np.square)
+    tails = _tail_sums(g)
     off = sq - tails[..., 0, :]
     flagged = off < RECOMPUTE_FRACTION * sq
     trials = np.argwhere(flagged.any(axis=-1)) if flagged.any() else ()
@@ -247,7 +246,7 @@ def factor_chain(atoms, order, probes):
             off[t][cols] = np.einsum("ij,ij->j", x, x)
     tails += off[..., None, :]
     probe_norms = np.sqrt(tails, out=tails)
-    support_norms = np.sqrt(_tail_sums(r, np.square))  # R is upper triangular
+    support_norms = np.sqrt(_tail_sums(r))  # R is upper triangular
     del q  # the solve's fresh table takes its place
     # LAPACK's LU factors an upper-triangular R as L = I, U = R, so this
     # is one sweep of R (and one of I).  The table goes back over G, in

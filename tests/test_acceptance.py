@@ -254,7 +254,7 @@ def test_10_coherent_factor_means_grow_with_amplitude():
             rng = np.random.default_rng((trial, 3))
             qstar = _random_support(rng, 1000, 10)
             curves = ex._factor_curves(d, qstar, qstar, (0,), ("omp",))
-            total += curves["omp"][0]
+            total += curves["omp"][0][0]  # (aggregates, verdicts) over q
         means.append(total / 50)
     lo_hi = ((4.0, 11.0), (30.0, 85.0), (190.0, 500.0))
     ok = all(lo <= mean <= hi for mean, (lo, hi) in zip(means, lo_hi))

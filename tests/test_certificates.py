@@ -197,17 +197,16 @@ class TestKernelAgainstProjectedRoute:
 def dense_chain_factors(chain, depths, algorithm):
     """The factors as they were computed before the rules read ``|C|`` in
     place and consecutive depths as slices: the bit-for-bit oracle of
-    ``_chain_factors``."""
+    ``_chain_factors``.  Both rules weigh the rows of ``|C|``: OMP by 1
+    on the rows still to be selected, OLS by the support norms."""
     coef, probe_norms, support_norms, _ = chain
     c = np.abs(coef)
     depths = list(depths)
     den = probe_norms[depths]
     alive = den > TAU_ZERO
     if algorithm == "omp":
-        tails = np.zeros((len(c) + 1, c.shape[1]))
-        for q in range(len(c) - 1, -1, -1):
-            tails[q] = tails[q + 1] + c[q]
-        vals = tails[depths]
+        weights = (np.arange(len(c)) >= np.array(depths)[:, None]).astype(np.float64)
+        vals = weights @ c
     else:
         vals = (support_norms[depths] @ c) / np.where(alive, den, 1.0)
     return np.where(alive, vals, 0.0)
@@ -896,6 +895,16 @@ class TestRecursion:
             order = list(qstar)[: len(qstar) - 1]
             values = cert.recursion_chain(a, qstar, j, tuple(order), algorithm)
             assert len(values) == len(order) + 1
+
+    @pytest.mark.parametrize("algorithm, step", [("omp", "_f_omp_update"),
+                                                 ("ols", "_f_ols_recursive")])
+    def test_drifting_recursion_is_caught(self, monkeypatch, algorithm, step):
+        # a recursion step off by 1e-6, a hundred times TAU_RECURSION, must
+        # not pass the comparison with the direct values
+        exact = getattr(cert, step)
+        monkeypatch.setattr(cert, step, lambda *args: exact(*args) + 1e-6)
+        with pytest.raises(FormMismatchError, match="recursion and direct factors differ"):
+            cert.recursion_chain(gaussian(20, 30, 5), (0, 1, 2), 7, (0, 1), algorithm)
 
     def test_omp_update_is_coefficient_drop(self):
         assert cert._f_omp_update(2.5, -0.75) == pytest.approx(1.75)

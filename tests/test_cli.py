@@ -342,12 +342,19 @@ class TestExperiments:
         (["brc-sigma", "--n", "2", "--sigmas", "1"],
          "support size 2 must satisfy 1 <= k < n = 2"),
         (["brc-sigma", "--n", "10", "--sigmas", "1", "--deltas", "0"],
-         "spacing 0 puts atom 0 outside n = 10"),
+         "spacing 0 is below 1"),
         (["phase-curve", "--m", "20", "--n", "40", "--k", "4", "--trials", "1",
           "--placement", "spaced", "--deltas", "20"], "spacing 20 puts atom 60 outside n = 40"),
         (["phase-curve", {"placement": "first"}], "unknown placement policy: 'first'"),
+        (["brc-sigma", "--dict", "gaussian", "--m", "10", "--n", "20", "--sigmas", "1,2"],
+         "brc-sigma expects a convolutive dictionary"),
+        (["phase-curve", {"m": "10"}], "config field 'm' must be int, got '10'"),
+        (["phase-curve", {"trials": 2.5}], "config field 'trials' must be int, got 2.5"),
+        (["phase-curve", {"q_values": "01"}],
+         "config field 'q_values' must be a list of int, got '01'"),
     ], ids=["gaussian-sizes", "convolutive-size", "dictionary-kind", "support-size",
-            "spacing-below-one", "spacing-past-n", "placement"])
+            "spacing-below-one", "spacing-past-n", "placement", "sigma-dictionary",
+            "config-m-type", "config-trials-type", "config-q-values-type"])
     def test_refusals(self, tmp_path, capsys, argv, message):
         # a dict stands for a config file: the names it sets cannot be
         # given as flags, whose choices would refuse them first

@@ -113,6 +113,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="column 0 has a norm that overflows"):
             make()
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)], ids=["1-D", "3-D"])
+    def test_from_matrix_rejects_non_matrices(self, shape, normalize):
+        with pytest.raises(ValueError, match="expected a 2-D array of column atoms"):
+            from_matrix(np.ones(shape), normalize=normalize)
+
     def test_from_matrix_normalizes_on_request(self):
         a = np.array([[3.0, 0.0], [4.0, 2.0]])
         d = from_matrix(a, normalize=True)

@@ -1,6 +1,7 @@
 """The public surface: each module's ``__all__``, the keyword options
 left in the numerical layers, what the benchmark in ``bench/`` reaches
-of them, and what ``import greedycert`` loads."""
+of them, where the decisions at 1 are made, and what ``import
+greedycert`` loads."""
 
 import ast
 import inspect
@@ -128,6 +129,34 @@ def test_benchmark_api_still_resolves():
     refused = [f"{'.'.join(chain)}({name}=)" for chain, name in keywords
                if name not in inspect.signature(_resolve(chain)).parameters]
     assert not refused
+
+
+def _compares_with_one(path):
+    """The functions of the module at ``path`` that compare something
+    with the float constant 1.0, by name (``<module>`` outside them)."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Compare) and any(
+                    isinstance(x, ast.Constant) and type(x.value) is float and x.value == 1.0
+                    for x in [child.left, *child.comparators]):
+                found.add(owner)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_decisions_at_one_live_in_the_two_rules():
+    # every greedy verdict is decided by certificates._erc_rule or
+    # _brc_rule, so a band around 1 made there reaches every report,
+    # experiment and failure input, and no new site can bypass it
+    src = Path(greedycert.__file__).resolve().parent
+    assert _compares_with_one(src / "experiments.py") == set()
+    assert _compares_with_one(src / "greedy.py") == set()
+    assert _compares_with_one(src / "certificates.py") == {"_erc_rule", "_brc_rule"}
 
 
 def test_import_leaves_the_lp_solver_unloaded():
