@@ -27,11 +27,11 @@ CPUs this process may use or the tasks left, and each worker runs its
 BLAS with one thread.
 """
 
+import ctypes
 import dataclasses
 import json
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from time import perf_counter
 from typing import get_args
 
@@ -39,7 +39,7 @@ import numpy as np
 
 from .certificates import _brc_rule, _chain_factors, _check_algorithm, _erc_rule, _wrong_atoms
 from .dictionaries import _build, _rows, _stack, convolutive
-from .linalg import _as_matrix, factor_chain
+from .linalg import _as_matrix, _openblas, factor_chain
 
 __all__ = [
     "ExperimentConfig",
@@ -278,21 +278,15 @@ _POOL_BREAK_EVEN_S = 0.06
 def _one_blas_thread():
     """Pool initializer: one OpenBLAS thread in this worker process.
 
-    numpy bundles an OpenBLAS that starts one thread per core, so every
-    worker would compete for all cores.  It is the only BLAS a task
-    calls: scipy, whose wheel bundles another, is loaded only by the l1
-    checks, which no experiment runs, and opening its library here would
-    load it into every worker.  A library or symbol that is not there is
-    skipped.
+    numpy bundles an OpenBLAS (:func:`linalg._openblas`) that starts one
+    thread per core, so every worker would compete for all cores.  It is
+    the only BLAS a task calls: scipy, whose wheel bundles another, is
+    loaded only by the l1 checks, which no experiment runs, and opening
+    its library here would load it into every worker.  A library or
+    setter that is not there is skipped.
     """
-    import ctypes
-
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in libdir.glob("*openblas*"):
-        try:
-            setter = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
+    setter = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
         setter.argtypes, setter.restype = [ctypes.c_int], None
         setter(1)
 

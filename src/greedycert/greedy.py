@@ -35,7 +35,7 @@ import numpy as np
 
 from .certificates import _chain_factors, _check_algorithm, _check_support, _erc_rule, _wrong_atoms
 from .exceptions import ConstructionFailedError, DegenerateAtomError
-from .linalg import extend_state, factor_chain, init_state, residual
+from .linalg import _solve_upper, extend_state, factor_chain, init_state, residual
 from .tolerances import TAU_SUCCESS_REL, TAU_TIE, TAU_ZERO
 
 __all__ = [
@@ -276,11 +276,13 @@ def _reaching_input(start, order, algorithm):
 
 def _gram_solve(r, v):
     """``w`` with ``r.T r w = v``, for an upper-triangular ``r``, by two
-    triangular solves.  ``r.T`` is lower triangular: with its rows and
-    columns reversed it is upper triangular, which LAPACK's LU factors
-    without pivoting, as it factors ``r``."""
-    z = np.linalg.solve(r.T[::-1, ::-1], v[::-1])[::-1]
-    return np.linalg.solve(r, z)
+    upper-triangular solves (:func:`linalg._solve_upper`).  ``r.T`` is
+    lower triangular: with its rows and columns reversed it is upper
+    triangular.  Solving that form, not ``r.T`` itself, keeps the bits
+    of the failure inputs, which a transposed sweep would round
+    differently."""
+    z = _solve_upper(r.T[::-1, ::-1], v[::-1].copy())
+    return _solve_upper(r, z[::-1].copy())
 
 
 def build_failure_input(atoms, qstar, q, algorithm):

@@ -20,15 +20,19 @@ also takes a ``(T, m, n)`` stack of dictionaries, through the same
 calls.  The certificate values, the BRC-OMP tables of one support or a
 brc-map cell, the failure inputs and the recursion chains all read it.
 It holds little scratch besides its outputs: at 200 x 600 with k = 40 a
-call peaks near 0.6 of the dictionary's size on gaussian dictionaries
-and near 0.7 on hybrid ones, where the norm safeguard recomputes some
+call peaks near 0.54 of the dictionary's size on gaussian dictionaries
+and near 0.64 on hybrid ones, where the norm safeguard recomputes some
 probes (nearly all at t_max >= 100), in blocks of 64 columns.  So a
 phase-curve trial stays well below two dictionaries and reuses the
 pages the previous trial freed instead of faulting them in again.
 
-Every factorization, solve and SVD of the package runs in numpy's
-bundled LAPACK (``numpy.linalg``), so ``import greedycert`` loads no
-part of scipy; only the l1 checks load it, for their LP solver.
+Every factorization and SVD of the package runs in numpy's bundled
+LAPACK (``numpy.linalg``), and every upper-triangular solve in one
+sweep of the OpenBLAS bundled with it (:func:`_solve_upper`, which opens
+the library through ctypes at its first call and takes
+``np.linalg.solve`` where there is none), so ``import greedycert``
+loads no part of scipy; only the l1 checks load it, for their LP
+solver.
 
 A :class:`ProjectionState` holds a frozen dictionary, an orthonormal
 basis ``U`` of the active span and the projected-atom norms ``|P a_i|``,
@@ -48,9 +52,12 @@ only; they drive the greedy runs and give the projected norms of the
 OLS factors in the SVD route that checks the certificates.
 """
 
+import ctypes
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 
@@ -80,6 +87,9 @@ RECOMPUTE_FRACTION = 1e-2
 # its scratch stays two m x (at most 65) arrays however many probes are
 # flagged (on hybrid dictionaries with t_max >= 100, nearly all).
 _RECOMPUTE_BLOCK = 64
+
+# CBLAS enumerators (cblas.h) of the triangular solves
+_COL_MAJOR, _NO_TRANS, _UPPER, _NON_UNIT, _LEFT = 102, 111, 121, 131, 141
 
 
 def _as_matrix(a):
@@ -156,6 +166,69 @@ def _unit_squares(a):
     return sq
 
 
+@cache
+def _openblas():
+    """numpy's bundled OpenBLAS, opened through ctypes, or None where the
+    numpy build bundles none (one linked against a system BLAS).  The
+    library is the one numpy has loaded, so its solves round as numpy's
+    and its thread count is numpy's."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("*openblas*")):
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            continue
+    return None
+
+
+@cache
+def _triangular_blas():
+    """``cblas_dtrsm`` and ``cblas_dtrsv`` of :func:`_openblas` (64-bit
+    integers), typed for ctypes, or None when either is missing."""
+    lib = _openblas()
+    trsm = getattr(lib, "scipy_cblas_dtrsm64_", None)
+    trsv = getattr(lib, "scipy_cblas_dtrsv64_", None)
+    if trsm is None or trsv is None:
+        return None
+    enum, size, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
+    trsm.argtypes = [enum] * 5 + [size, size, ctypes.c_double, ptr, size, ptr, size]
+    trsv.argtypes = [enum] * 4 + [size, ptr, size, ptr, size]
+    trsm.restype = trsv.restype = None
+    return trsm, trsv
+
+
+def _solve_upper(r, b):
+    """``b`` overwritten with ``r^-1 b`` and returned, for a non-singular
+    upper-triangular ``r``.
+
+    A writable float64 vector or Fortran-ordered matrix ``b`` is solved
+    in place by one sweep of ``r`` in numpy's own OpenBLAS: ``dtrsv`` for
+    one column, ``dtrsm`` for more, on a Fortran copy of ``r``.  Those
+    are the calls LAPACK's ``getrs`` makes in ``np.linalg.solve`` after
+    its sweep of the exact factor L = I, on the same operands, so the
+    result has its bits.  Any other ``b`` (a stack among them), or a
+    numpy without that library, takes ``np.linalg.solve`` itself.
+    """
+    if b.size == 0:
+        return b  # BLAS refuses a leading dimension below 1
+    blas = _triangular_blas()
+    if (blas is None or b.ndim > 2 or b.dtype != np.float64
+            or not (b.flags.f_contiguous and b.flags.writeable)):
+        b[...] = np.linalg.solve(r, b)
+        return b
+    trsm, trsv = blas
+    k = b.shape[0]
+    rf = np.asfortranarray(r, dtype=np.float64)  # held until the call returns
+    if rf.shape != (k, k):
+        raise ValueError(f"expected a {k} x {k} triangular factor, got shape {rf.shape}")
+    if b.ndim == 1 or b.shape[1] == 1:
+        trsv(_COL_MAJOR, _UPPER, _NO_TRANS, _NON_UNIT, k, rf.ctypes.data, k, b.ctypes.data, 1)
+    else:
+        trsm(_COL_MAJOR, _LEFT, _UPPER, _NO_TRANS, _NON_UNIT, k, b.shape[1], 1.0,
+             rf.ctypes.data, k, b.ctypes.data, k)
+    return b
+
+
 def _tail_sums(x):
     """Row ``q`` of the result is ``(x[..., q:, :]**2).sum(axis=-2)``, for
     ``q = 0 .. x.shape[-2]``; the last row is the empty sum.  The squares
@@ -208,11 +281,12 @@ def factor_chain(atoms, order, probes):
     for those columns of that trial only, so small norms keep their
     relative accuracy too.  The dictionary is read in place: the probes
     are never gathered into a copy, and no m x n array is formed.  The
-    scratch is ``Q``, the k x n product ``Q.T A``, ``G`` and two
-    m x (at most 65) arrays, as the recomputed columns go in blocks of
-    64: the squares of ``G`` go straight into the buffer that becomes
-    ``probe_norms``, and the recomputation runs before the solve, which
-    takes the place of ``Q`` and writes ``coef`` over ``G``.
+    scratch is ``Q``, the k x n product ``Q.T A`` and two m x (at most
+    65) arrays, as the recomputed columns go in blocks of 64: the
+    squares of ``G`` go straight into the buffer that becomes
+    ``probe_norms``, and the solve (:func:`_solve_upper`) writes
+    ``coef`` over ``G`` in one sweep of a Fortran copy of ``R``, its
+    only scratch; a stack is solved by ``np.linalg.solve``.
 
     Each check is made per trial, and its message names the atom and, in
     a stack, the trial: entries must be finite (``ValueError``), every
@@ -247,12 +321,9 @@ def factor_chain(atoms, order, probes):
     tails += off[..., None, :]
     probe_norms = np.sqrt(tails, out=tails)
     support_norms = np.sqrt(_tail_sums(r))  # R is upper triangular
-    del q  # the solve's fresh table takes its place
-    # LAPACK's LU factors an upper-triangular R as L = I, U = R, so this
-    # is one sweep of R (and one of I).  The table goes back over G, in
-    # G's order, by which the products that read it round.
-    g[...] = np.linalg.solve(r, g)
-    return g, probe_norms, support_norms, r
+    # the table takes G's place and (Fortran) order, by which the
+    # products that read it round
+    return _solve_upper(r, g), probe_norms, support_norms, r
 
 
 @dataclass(frozen=True)
@@ -392,10 +463,13 @@ def compute_spark(a, max_size):
     columns in R^m are dependent, so sizes past min(n, m + 1) are never
     searched.  The budget is 10**7 singular-value decompositions, one
     per subset of size 2..min(max_size, m), counted before the search;
-    larger requests raise :class:`TooLargeError`.
+    larger requests raise :class:`TooLargeError`, and a negative
+    ``max_size`` raises ``ValueError``.
     """
     a = _finite_matrix(a)
     m, n = a.shape
+    if int(max_size) < 0:
+        raise ValueError(f"max_size must be at least 0, got {int(max_size)}")
     max_size = min(int(max_size), n, m + 1)
     total = sum(comb(n, s) for s in range(2, min(max_size, m) + 1))
     if total > 10**7:

@@ -352,9 +352,12 @@ class TestExperiments:
         (["phase-curve", {"trials": 2.5}], "config field 'trials' must be int, got 2.5"),
         (["phase-curve", {"q_values": "01"}],
          "config field 'q_values' must be a list of int, got '01'"),
+        (["spark", "--dict", "gaussian", "--m", "4", "--n", "8", "--max-size", "-3"],
+         "max_size must be at least 0, got -3"),
     ], ids=["gaussian-sizes", "convolutive-size", "dictionary-kind", "support-size",
             "spacing-below-one", "spacing-past-n", "placement", "sigma-dictionary",
-            "config-m-type", "config-trials-type", "config-q-values-type"])
+            "config-m-type", "config-trials-type", "config-q-values-type",
+            "spark-negative-max-size"])
     def test_refusals(self, tmp_path, capsys, argv, message):
         # a dict stands for a config file: the names it sets cannot be
         # given as flags, whose choices would refuse them first

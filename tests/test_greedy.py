@@ -404,6 +404,13 @@ class TestFailureInput:
         # supports of condition number up to about 1e4: its residual is
         # within 1e-12 of |R22|^2 |w| + |v|.  Relative to |v| alone it
         # grows with the condition number squared, on either route.
+        # The two one-sweep solves keep the bits of two np.linalg.solve
+        # calls, so failure inputs keep theirs; a transposed sweep of R22
+        # in place of the reversed R22.T rounds differently.
+        def numpy_formula(r, v):
+            z = np.linalg.solve(r.T[::-1, ::-1], v[::-1])[::-1]
+            return np.linalg.solve(r, z)
+
         rng = np.random.default_rng(0)
         worst_condition = 0.0
         for t_max in (0.0, 10.0, 100.0, 1000.0, 3000.0):
@@ -414,6 +421,7 @@ class TestFailureInput:
                     worst_condition = max(worst_condition, np.linalg.cond(r22))
                     v = rng.choice([-1.0, 1.0], size=8 - t) * rng.uniform(0.1, 1.0, size=8 - t)
                     w = greedy._gram_solve(r22, v)
+                    assert w.tobytes() == numpy_formula(r22, v).tobytes()
                     scale = np.linalg.norm(r22, 2) ** 2 * np.linalg.norm(w) + np.linalg.norm(v)
                     assert np.linalg.norm(r22.T @ (r22 @ w) - v) <= 1e-12 * scale
         assert 5e3 < worst_condition < 2e4

@@ -308,6 +308,110 @@ class TestFactorChain:
         assert np.all(support_norms[2] == 0.0)
 
 
+def triangular_cases():
+    """``(r, g)`` pairs of the kernel: R of a support of k atoms and G of
+    the other atoms, on gaussian and hybrid (t_max 1000) dictionaries."""
+    for t_max in (0.0, 1000.0):
+        a = hybrid(200, 600, t_max, 4).matrix
+        for k in (1, 2, 4, 9, 17, 40):
+            order = np.random.default_rng(k).permutation(600)[:k]
+            q, r = np.linalg.qr(a[:, order])
+            yield r, q.T @ a
+
+
+class TestTriangularSolve:
+    """Every upper-triangular solve goes through ``linalg._solve_upper``:
+    one sweep in numpy's own OpenBLAS, with the bits of
+    ``np.linalg.solve``, whose LU factors a triangular R as L = I, U = R
+    and then makes the same calls."""
+
+    @pytest.fixture
+    def blas_calls(self, monkeypatch):
+        """Names of the BLAS solves made while the test runs."""
+        if linalg._triangular_blas() is None:
+            pytest.skip("numpy bundles no OpenBLAS with CBLAS triangular solves")
+        calls = []
+
+        def counted(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+            return call
+
+        trsm, trsv = linalg._triangular_blas()
+        blas = counted("trsm", trsm), counted("trsv", trsv)
+        monkeypatch.setattr(linalg, "_triangular_blas", lambda: blas)
+        return calls
+
+    @pytest.mark.parametrize("t_max", [0.0, 1000.0], ids=["gaussian", "hybrid-1000"])
+    @pytest.mark.parametrize("m,n,k", [(m, n, k) for m, n in SHAPES for k in (1, 2, 4, 40)
+                                       if k <= min(m, n)])
+    def test_kernel_keeps_its_bits_without_the_library(self, monkeypatch, blas_calls,
+                                                       m, n, k, t_max):
+        a = hybrid(m, n, t_max, 3).matrix
+        order = [int(i) for i in np.random.default_rng(k).permutation(n)[:k]]
+        probes = [j for j in range(n) if j not in order]
+        stack = np.stack([a, hybrid(m, n, t_max, 4).matrix])
+        with_blas = linalg.factor_chain(a, order, probes), linalg.factor_chain(stack, order, probes)
+        assert blas_calls == ([] if not probes else ["trsv"] if len(probes) == 1 else ["trsm"])
+        monkeypatch.setattr(linalg, "_triangular_blas", lambda: None)
+        without = linalg.factor_chain(a, order, probes), linalg.factor_chain(stack, order, probes)
+        for got, want in zip(with_blas, without):
+            for x, y in zip(got, want):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    def test_tables_and_vectors_match_numpy_solve(self, blas_calls):
+        for r, g in triangular_cases():
+            for b in (g[:, 0].copy(), g[:, :1], g[:, :2], g):
+                b = np.asfortranarray(b)
+                want = np.linalg.solve(r, b)
+                assert linalg._solve_upper(r, b) is b and b.tobytes() == want.tobytes()
+        assert blas_calls == ["trsv", "trsv", "trsm", "trsm"] * 12
+
+    def test_stacks_and_strided_tables_take_numpy_solve(self, blas_calls):
+        r, g = list(triangular_cases())[-1]
+        c_ordered = np.ascontiguousarray(g[:, :5])
+        want = np.linalg.solve(r, c_ordered)
+        assert linalg._solve_upper(r, c_ordered).tobytes() == want.tobytes()
+        stack_r, stack_g = np.stack([r, r]), np.stack([g[:, :5], g[:, 5:10]])
+        want = np.linalg.solve(stack_r, stack_g)
+        assert linalg._solve_upper(stack_r, stack_g).tobytes() == want.tobytes()
+        assert blas_calls == []
+
+    def test_unfit_operands_are_refused(self, blas_calls):
+        # no pointer reaches BLAS for a read-only table or a factor of
+        # another size
+        b = np.ones((3, 2), order="F")
+        b.setflags(write=False)
+        with pytest.raises(ValueError, match="read-only"):
+            linalg._solve_upper(np.eye(3), b)
+        with pytest.raises(ValueError, match="expected a 4 x 4 triangular factor"):
+            linalg._solve_upper(np.eye(3), np.ones(4))
+        assert blas_calls == []
+
+    def test_missing_symbols_fall_back(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
+        assert linalg._triangular_blas.__wrapped__() is None
+        monkeypatch.setattr(linalg, "_openblas", lambda: object())
+        assert linalg._triangular_blas.__wrapped__() is None
+
+    def test_empty_tables_keep_their_shapes_and_print_nothing(self, capfd):
+        # BLAS refuses a leading dimension below 1, and OpenBLAS reports
+        # that on stderr ("parameter ... had an illegal value")
+        d = gaussian(6, 9, 2)
+        coef, _, _, r = linalg.factor_chain(d, [], range(9))
+        assert coef.shape == (0, 9) and r.shape == (0, 0)
+        coef, _, _, r = linalg.factor_chain(d, [4, 1], [])
+        assert coef.shape == (2, 0) and r.shape == (2, 2)
+        report = certificates.erc_oxx_subset(d, (), (), "omp")
+        assert report.aggregate == 0.0 and [j for j, _ in report.per_atom] == list(range(9))
+        for k, p in ((0, 0), (0, 3), (3, 0)):
+            b = np.empty((k, p), order="F")
+            assert linalg._solve_upper(np.eye(k), b) is b and b.shape == (k, p)
+        assert linalg._solve_upper(np.empty((0, 0)), np.empty(0)).shape == (0,)
+        assert capfd.readouterr() == ("", "")
+
+
 class TestTrialMemory:
     """A 200 x 600 phase-curve trial holds well under two dictionaries of
     memory.  Past about two, the allocator gives the trial's pages back
