@@ -10,7 +10,7 @@ from .certificates import (
     f_omp,
     recursion_chain,
 )
-from .dictionaries import convolutive, example1, from_matrix, gaussian, hybrid
+from .dictionaries import convolutive, example1, gaussian, hybrid
 from .exceptions import GreedycertError
 from .experiments import ExperimentConfig, ExperimentResult, run_experiment
 from .greedy import build_failure_input, construct_reaching_input, run_greedy
@@ -30,7 +30,6 @@ __all__ = [
     "hybrid",
     "convolutive",
     "example1",
-    "from_matrix",
     "run_greedy",
     "construct_reaching_input",
     "build_failure_input",

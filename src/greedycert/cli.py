@@ -53,7 +53,11 @@ def _parse_algs(text):
 
 
 def _dict_parent():
+    """The flags of the single-shot subcommands: dictionary, seed and output."""
     p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help=f"seed of the random draws (default: {DEFAULT_SEED})")
+    p.add_argument("--output", help="write JSON here instead of stdout")
     g = p.add_argument_group("dictionary")
     g.add_argument("--dict", dest="dictionary", default="gaussian",
                    choices=_DICT_KINDS, help="dictionary family (default: gaussian)")
@@ -92,20 +96,19 @@ def _emit(obj, output):
 
 def _cmd_cert(args):
     d = _build(args, args.m, args.n, args.seed)
-    qstar = _parse_ints(args.qstar)
-    _require(qstar, "--qstar must name at least one atom")
+    _require(args.qstar, "--qstar must name at least one atom")
     if args.brc:
         _require(args.alg == "omp", "the unreachable-support certificate has no ols variant")
-        report = brc_omp(d, qstar)
+        report = brc_omp(d, args.qstar)
         mode = {"mode": "brc"}
     elif args.card is not None:
-        report = erc_oxx_cardinality(d, qstar, args.card, args.alg)
+        report = erc_oxx_cardinality(d, args.qstar, args.card, args.alg)
         mode = {"mode": "cardinality", "card": args.card}
     else:
-        q = _parse_ints(args.q) if args.q is not None else ()
-        report = erc_oxx_subset(d, qstar, q, args.alg)
+        q = args.q or ()
+        report = erc_oxx_subset(d, args.qstar, q, args.alg)
         mode = {"mode": "subset", "q": list(q)}
-    echo = _echo("cert", d, qstar=list(qstar), alg=args.alg, **mode)
+    echo = _echo("cert", d, qstar=list(args.qstar), alg=args.alg, **mode)
     return _emit({"config": echo, "report": report.to_json()}, args.output)
 
 
@@ -133,16 +136,14 @@ def _cmd_construct(args):
     d = _build(args, args.m, args.n, args.seed)
     if args.goal == "reach":
         _require(args.order, "--order is required for --goal reach")
-        order = _parse_ints(args.order)
         alg = args.alg or "ols"
         # returned only once a rerun selected exactly `order`, with no tie
-        y = construct_reaching_input(d, order, alg)
-        echo = _echo("construct", d, goal="reach", order=list(order), alg=alg)
-        out = {"config": echo, "input": [float(v) for v in y], "selections": list(order)}
+        y = construct_reaching_input(d, args.order, alg)
+        echo = _echo("construct", d, goal="reach", order=list(args.order), alg=alg)
+        out = {"config": echo, "input": [float(v) for v in y], "selections": list(args.order)}
         return _emit(out, args.output)
     _require(args.qstar, "--qstar is required for --goal failure")
-    qstar = _parse_ints(args.qstar)
-    q = _parse_ints(args.q) if args.q is not None else ()
+    qstar, q = args.qstar, args.q
     alg = args.alg or "omp"
     echo = _echo("construct", d, goal="failure", qstar=list(qstar), q=list(q), alg=alg)
     y = build_failure_input(d, qstar, q, alg)
@@ -158,10 +159,9 @@ def _cmd_construct(args):
 
 def _cmd_bp_check(args):
     d = _build(args, args.m, args.n, args.seed)
-    qstar = _parse_ints(args.qstar)
-    _require(qstar, "--qstar must name at least one atom")
-    nsp, brc = _l1_reports(d, qstar)
-    echo = _echo("bp-check", d, qstar=list(qstar))
+    _require(args.qstar, "--qstar must name at least one atom")
+    nsp, brc = _l1_reports(d, args.qstar)
+    echo = _echo("bp-check", d, qstar=list(args.qstar))
     return _emit({"config": echo, "nsp": nsp.to_json(), "brc_bp": brc.to_json()},
                  args.output)
 
@@ -268,32 +268,29 @@ def _build_parser():
 
     p = sub.add_parser("cert", parents=[dict_parent],
                        help="recovery certificates for one support")
-    p.add_argument("--qstar", required=True, help="comma list of support atoms")
+    p.add_argument("--qstar", type=_parse_ints, required=True,
+                   help="comma list of support atoms")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--q", help="comma list of atoms already selected (default: empty)")
+    # no default: an empty --q "" must still clash with --card and --brc
+    mode.add_argument("--q", type=_parse_ints,
+                      help="comma list of atoms already selected (default: empty)")
     mode.add_argument("--card", type=int,
                       help="evaluate every partial support of this size")
     mode.add_argument("--brc", action="store_true",
                       help="unreachable-support certificate instead")
     p.add_argument("--alg", choices=_ALGORITHMS, default="omp",
                    help="selection rule (default: omp)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"dictionary seed (default: {DEFAULT_SEED})")
-    p.add_argument("--output", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_cert)
 
     p = sub.add_parser("greedy", parents=[dict_parent],
-                       help="run a greedy selection on a random on-support input")
+                       help="run a greedy selection on a random on-support input; "
+                            "--seed also draws the support and the amplitudes, "
+                            "uniform in +-[0.5, 1.5]")
     p.add_argument("--alg", choices=_ALGORITHMS, default="omp",
                    help="selection rule (default: omp)")
     p.add_argument("--k", type=int, required=True, help="support size")
     p.add_argument("--max-iters", type=int,
                    help="iteration budget (default: k)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"seed for dictionary, support and amplitudes "
-                        f"(default: {DEFAULT_SEED}); amplitudes are uniform "
-                        f"in +-[0.5, 1.5]")
-    p.add_argument("--output", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_greedy)
 
     p = sub.add_parser("construct", parents=[dict_parent],
@@ -301,31 +298,24 @@ def _build_parser():
     p.add_argument("--goal", choices=("failure", "reach"), default="failure",
                    help="failure: on-support input picking a wrong atom; "
                         "reach: input selecting --order exactly (default: failure)")
-    p.add_argument("--qstar", help="comma list, support for --goal failure")
-    p.add_argument("--q", help="comma list steered through first (default: empty)")
-    p.add_argument("--order", help="comma list, selections for --goal reach")
+    p.add_argument("--qstar", type=_parse_ints, help="comma list, support for --goal failure")
+    p.add_argument("--q", type=_parse_ints, default=(),
+                   help="comma list steered through first (default: empty)")
+    p.add_argument("--order", type=_parse_ints, help="comma list, selections for --goal reach")
     p.add_argument("--alg", choices=_ALGORITHMS,
                    help="selection rule (default: omp for failure, ols for reach)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"dictionary seed (default: {DEFAULT_SEED})")
-    p.add_argument("--output", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("bp-check", parents=[dict_parent],
                        help="null-space and sign-pattern failure certificates")
-    p.add_argument("--qstar", required=True, help="comma list of support atoms")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"dictionary seed (default: {DEFAULT_SEED})")
-    p.add_argument("--output", help="write JSON here instead of stdout")
+    p.add_argument("--qstar", type=_parse_ints, required=True,
+                   help="comma list of support atoms")
     p.set_defaults(func=_cmd_bp_check)
 
     p = sub.add_parser("spark", parents=[dict_parent],
                        help="smallest dependent column count")
     p.add_argument("--max-size", type=int,
                    help="search bound (default: atom count); null means above it")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"dictionary seed (default: {DEFAULT_SEED})")
-    p.add_argument("--output", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_spark)
 
     helps = {

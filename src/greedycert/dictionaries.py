@@ -1,8 +1,9 @@
 """Dictionary generators used by the certificates and experiments.
 
 All generators return a :class:`Dictionary` whose matrix has unit-norm
-columns.  Randomized generators take an explicit integer seed and are
-bit-reproducible (PCG64 generator).  Each generator builds its matrix
+columns and is frozen there, so projection states share it instead of
+copying it.  Randomized generators take an explicit integer seed and
+are bit-reproducible (PCG64 generator).  Each generator builds its matrix
 in one array and normalizes it in place (:func:`_normalize`), so
 generation holds about one matrix of memory: a larger peak would make
 the allocator hand the pages back after every trial of an experiment
@@ -32,7 +33,6 @@ __all__ = [
     "hybrid",
     "convolutive",
     "example1",
-    "from_matrix",
 ]
 
 
@@ -42,6 +42,9 @@ class Dictionary:
     kind: str
     params: dict = field(default_factory=dict)
     seed: int | None = None
+
+    def __post_init__(self):
+        self.matrix.setflags(write=False)
 
 
 def _finite(name, value):
@@ -93,7 +96,6 @@ def _draw(out, seed, t_max=None):
 def gaussian(m, n, seed):
     """Columns drawn i.i.d. N(0, I) and normalized."""
     a = _normalize(_draw(np.empty((m, n)), seed))
-    a.setflags(write=False)
     return Dictionary(a, "gaussian", {"m": m, "n": n}, seed)
 
 
@@ -107,7 +109,6 @@ def hybrid(m, n, t_max, seed):
     A non-finite ``t_max`` raises ``ValueError``.
     """
     a = _normalize(_draw(np.empty((m, n)), seed, _finite("t_max", t_max)))
-    a.setflags(write=False)
     return Dictionary(a, "hybrid", {"m": m, "n": n, "t_max": t_max}, seed)
 
 
@@ -146,7 +147,6 @@ def convolutive(n, sigma, downsample=1):
     o, j = np.nonzero((np.arange(length)[:, None] + np.arange(n)) % d == 0)
     a[(j + o) // d, j] = pulse[o]
     _normalize(a)
-    a.setflags(write=False)
     return Dictionary(
         a, "convolutive", {"n": n, "sigma": sigma, "downsample": d}, None
     )
@@ -172,25 +172,7 @@ def example1(theta1, theta2):
             [0.0, 0.0, s2, -s2],
         ]
     )
-    a.setflags(write=False)
     return Dictionary(a, "example1", {"theta1": theta1, "theta2": theta2}, None)
-
-
-def from_matrix(matrix, kind="custom", params=None, normalize=False):
-    """Wrap an explicit matrix, optionally normalizing its columns.
-
-    Raises ``ValueError`` when the array is not 2-D or an entry is NaN
-    or infinite.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D array of column atoms")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    if normalize:
-        _normalize(a)
-    a.setflags(write=False)
-    return Dictionary(a, kind, dict(params or {}), None)
 
 
 _RANDOM = ("gaussian", "hybrid")  # the families that read m, n and a seed

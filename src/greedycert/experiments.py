@@ -350,16 +350,20 @@ def scatter_experiment(config, workers=1):
 
 # -- phase transition over q --------------------------------------------
 
-def phase_trial_state(config, t):
-    """Dictionary, support and growth order for trial ``t``, replayable."""
-    seed = config.base_seed + t
-    d = _build(config, config.m, config.n, seed)
+def _trial(config, n, k, seed, delta):
+    """Dictionary, support and growth order of one trial of ``n`` atoms
+    and support size ``k``, drawn from ``seed``."""
+    d = _build(config, config.m, n, seed)
     # salted stream: keeps support draws independent of the matrix draws
     rng = np.random.default_rng((seed, 1))
+    qstar = _support(config.placement, n, k, delta, rng)
+    return d, qstar, tuple(int(i) for i in rng.permutation(list(qstar)))
+
+
+def phase_trial_state(config, t):
+    """Dictionary, support and growth order for trial ``t``, replayable."""
     delta = config.deltas[0] if config.deltas else 1
-    qstar = _support(config.placement, config.n, config.k, delta, rng)
-    order = tuple(int(i) for i in rng.permutation(list(qstar)))
-    return d, qstar, order
+    return _trial(config, config.n, config.k, config.base_seed + t, delta)
 
 
 def _phase_trial(task):
@@ -393,10 +397,7 @@ def phase_curve(config, workers=1):
 
 def _diagram_trial(task):
     config, n, k, seed = task
-    d = _build(config, config.m, n, seed)
-    rng = np.random.default_rng((seed, 1))
-    qstar = _support(config.placement, n, k, 1, rng)
-    order = tuple(int(i) for i in rng.permutation(list(qstar)))
+    d, qstar, order = _trial(config, n, k, seed, 1)
     curves = _factor_curves(d, qstar, order, tuple(range(k)), config.algorithms)
     # never satisfied below k counts as k: the guarantee needs all atoms
     return tuple(curves[alg][1].index(True) if any(curves[alg][1]) else k

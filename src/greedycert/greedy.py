@@ -237,7 +237,7 @@ def _reaches_prefix(algorithm, start, y, prefix):
     return trace.selections() == prefix and not any(rec.tie for rec in trace.records)
 
 
-def construct_reaching_input(atoms, order, algorithm="ols"):
+def construct_reaching_input(atoms, order, algorithm):
     """A vector making the algorithm select ``order``, in order.
 
     Stacks ``y_p = y_{p-1} + eps_p a_{q_p}`` with each step size halved

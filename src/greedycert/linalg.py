@@ -459,22 +459,23 @@ def compute_spark(a, max_size):
     """Smallest number of dependent columns, searched up to ``max_size``.
 
     Returns the spark if some dependent subset of size <= ``max_size``
-    exists, else ``None`` (meaning spark > ``max_size``).  Any m + 1
-    columns in R^m are dependent, so sizes past min(n, m + 1) are never
-    searched.  The budget is 10**7 singular-value decompositions, one
-    per subset of size 2..min(max_size, m), counted before the search;
-    larger requests raise :class:`TooLargeError`, and a negative
-    ``max_size`` raises ``ValueError``.
+    exists (a zero column alone is one: spark 1), else ``None`` (meaning
+    spark > ``max_size``).  Any m + 1 columns in R^m are dependent, so
+    sizes past min(n, m + 1) are never searched.  The budget is 10**7
+    singular-value decompositions, one per subset of size
+    1..min(max_size, m), counted before the search; larger requests
+    raise :class:`TooLargeError`, and a negative ``max_size`` raises
+    ``ValueError``.
     """
     a = _finite_matrix(a)
     m, n = a.shape
     if int(max_size) < 0:
         raise ValueError(f"max_size must be at least 0, got {int(max_size)}")
     max_size = min(int(max_size), n, m + 1)
-    total = sum(comb(n, s) for s in range(2, min(max_size, m) + 1))
+    total = sum(comb(n, s) for s in range(1, min(max_size, m) + 1))
     if total > 10**7:
         raise TooLargeError(f"{total} subsets exceed the 1e7 enumeration budget")
-    for size in range(2, max_size + 1):
+    for size in range(1, max_size + 1):
         if size > m:
             return size  # more columns than rows is always dependent
         for subset in combinations(range(n), size):

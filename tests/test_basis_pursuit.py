@@ -11,7 +11,7 @@ from l1_oracle import InfeasibleError, l1_min, recovers
 from scipy.linalg import null_space
 
 from greedycert import basis_pursuit as bp
-from greedycert.dictionaries import from_matrix, gaussian
+from greedycert.dictionaries import gaussian
 from greedycert.exceptions import FormMismatchError, TooLargeError
 from greedycert.tolerances import TAU_STRICT
 
@@ -227,7 +227,7 @@ def coherent_pair_dictionary():
     mid = (a1 + a2) / np.linalg.norm(a1 + a2)
     dif = (a1 - a2) / np.linalg.norm(a1 - a2)
     other = np.array([0.0, 0.0, 1.0])
-    return from_matrix(np.column_stack([a1, a2, mid, dif, other]))
+    return np.column_stack([a1, a2, mid, dif, other])
 
 
 class TestBrcBp:
@@ -245,7 +245,7 @@ class TestBrcBp:
         for eps, sup, feas, x in report.patterns:
             assert feas is True
             assert sup > 1.0 + TAU_STRICT
-            assert np.abs(d.matrix @ x).max() < 1e-10
+            assert np.abs(d @ x).max() < 1e-10
 
     def test_round_trip_with_l1_oracle(self):
         # certificate true -> every sign pattern fails the l1 oracle

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from greedycert import certificates as cert
 from greedycert import linalg
-from greedycert.dictionaries import convolutive, example1, from_matrix, gaussian, hybrid
+from greedycert.dictionaries import convolutive, example1, gaussian, hybrid
 from greedycert.exceptions import (
     FormMismatchError,
     NotNormalizedError,
@@ -809,10 +809,9 @@ class TestBrcTable:
             a[:, 1] = a[:, 0]
         else:
             a[:, 7] *= 3.0
-        faulty = from_matrix(a)
         with pytest.raises(error):
-            cert.brc_omp(faulty, (0, 1), fast=True)
-        stack[2] = faulty.matrix
+            cert.brc_omp(a, (0, 1), fast=True)
+        stack[2] = a
         with pytest.raises(error, match=message):
             factor_chain(stack, (0, 1), range(2, 10))
 

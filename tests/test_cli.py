@@ -100,6 +100,17 @@ class TestCert:
     def test_q_and_card_exclusive(self, capsys):
         assert main(["cert", "--dict", "example1", "--qstar", "0,1",
                      "--q", "0", "--card", "1"]) == 2
+        assert main(["cert", "--dict", "example1", "--qstar", "0,1",
+                     "--q", "", "--card", "1"]) == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["cert", "--dict", "example1", "--qstar", "0,a"], "--qstar"),
+        (["phase-curve", "--q-values", "0,a"], "--q-values"),
+    ])
+    def test_non_integer_list_rejected(self, capsys, argv, flag):
+        # argparse splits every comma list of integers, before any work
+        assert main(argv) == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
 
 
 class TestGreedy:
@@ -239,6 +250,33 @@ class TestBpAndSpark:
                                       "--n", "5", "--sigma", "0.01"])
         assert code == 0
         assert obj["spark"] is None
+
+
+SINGLE_SHOT = {
+    "cert": ["--m", "12", "--n", "20", "--qstar", "0,1,2", "--q", "1"],
+    "greedy": ["--m", "12", "--n", "20", "--k", "3"],
+    "construct": ["--m", "12", "--n", "20", "--qstar", "0,1,2"],
+    "bp-check": ["--m", "6", "--n", "9", "--qstar", "0,1"],
+    "spark": ["--m", "3", "--n", "6"],
+}
+
+
+@pytest.mark.parametrize("subcommand", SINGLE_SHOT)
+def test_single_shot_shares_seed_and_output(tmp_path, capsys, subcommand):
+    # the shared parent declares --seed and --output once for all five
+    [sub] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for flag in ("--seed", "--output"):
+        [action] = {a for name in SINGLE_SHOT for a in sub.choices[name]._actions
+                    if flag in a.option_strings}
+        assert action in sub.choices[subcommand]._actions
+    argv = [subcommand, "--dict", "gaussian", "--seed", "3"] + SINGLE_SHOT[subcommand]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["config"]["seed"] == 3
+    path = tmp_path / "out.json"
+    assert main(argv + ["--output", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == printed.encode()
 
 
 class TestExperiments:

@@ -11,7 +11,6 @@ from greedycert.dictionaries import (
     _stack,
     convolutive,
     example1,
-    from_matrix,
     gaussian,
     hybrid,
 )
@@ -96,33 +95,15 @@ class TestTwoPairDictionary:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_from_matrix_rejects_non_finite(self, bad):
-        a = np.eye(3)
-        a[0, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            from_matrix(a)
-
     @pytest.mark.parametrize("make", [
         lambda: hybrid(5, 8, 1e200, 0),
-        lambda: from_matrix(np.full((3, 2), 1e300), normalize=True),
-    ], ids=["hybrid", "from_matrix"])
+        lambda: _normalize(np.full((3, 2), 1e300)),
+    ], ids=["hybrid", "normalize"])
     def test_overflowing_norm_rejected(self, make):
         # the squares overflow, and dividing by an infinite norm would
         # return zero columns
         with pytest.raises(ValueError, match="column 0 has a norm that overflows"):
             make()
-
-    @pytest.mark.parametrize("normalize", [False, True])
-    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)], ids=["1-D", "3-D"])
-    def test_from_matrix_rejects_non_matrices(self, shape, normalize):
-        with pytest.raises(ValueError, match="expected a 2-D array of column atoms"):
-            from_matrix(np.ones(shape), normalize=normalize)
-
-    def test_from_matrix_normalizes_on_request(self):
-        a = np.array([[3.0, 0.0], [4.0, 2.0]])
-        d = from_matrix(a, normalize=True)
-        assert np.allclose(np.linalg.norm(d.matrix, axis=0), 1.0, atol=1e-15)
 
 
 def reference_gaussian(m, n, seed):
@@ -190,12 +171,12 @@ class TestBitPins:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("shape", [(5, 1), (5, 4)])
-    def test_from_matrix_keeps_its_input(self, order, shape):
+    def test_normalize_in_any_layout(self, order, shape):
+        # a C-ordered matrix of several columns takes the einsum sum, a
+        # single column or an F-ordered matrix numpy's norm
         x = np.asarray(np.random.default_rng(3).standard_normal(shape), order=order)
-        before = x.copy()
-        d = from_matrix(x, normalize=True)
-        assert same_bits(x, before) and x.flags.writeable
-        assert same_bits(d.matrix, before / np.linalg.norm(before, axis=0))
+        want = x / np.linalg.norm(x, axis=0)
+        assert _normalize(x) is x and same_bits(x, want)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("shape", [(4, 1), (4, 3)])
@@ -203,7 +184,7 @@ class TestBitPins:
         x = np.asarray(np.ones(shape), order=order)
         x[:, -1] = 0.0
         with pytest.raises(EmptyAtomError, match=f"column {shape[1] - 1}"):
-            from_matrix(x, normalize=True)
+            _normalize(x)
 
     @pytest.mark.parametrize("m,n", SHAPES)
     @pytest.mark.parametrize("t_max", [None, 0.0, 0.5, 10.0, 1000.0])

@@ -11,7 +11,7 @@ from scipy.linalg import orth, qr
 from test_dictionaries import SHAPES
 
 from greedycert import basis_pursuit, certificates, experiments, greedy, linalg
-from greedycert.dictionaries import example1, from_matrix, gaussian, hybrid
+from greedycert.dictionaries import example1, gaussian, hybrid
 from greedycert.experiments import ExperimentConfig, run_experiment
 from greedycert.exceptions import (
     DegenerateAtomError,
@@ -511,6 +511,11 @@ class TestFiniteInput:
 
 
 class TestProjectionState:
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)], ids=["1-D", "3-D"])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a 2-D array of column atoms"):
+            linalg.init_state(np.ones(shape))
+
     def test_empty_state_keeps_atoms(self):
         d = gaussian(10, 6, 0)
         state = linalg.init_state(d)
@@ -529,6 +534,10 @@ class TestProjectionState:
             tracemalloc.stop()
         assert peak < 8 * m * n
         assert np.shares_memory(state.atoms, d.matrix)
+        # so is a bare read-only array that owns its data
+        frozen = np.eye(4)
+        frozen.setflags(write=False)
+        assert linalg.init_state(frozen).atoms is frozen
 
     def test_writable_input_and_views_are_copied(self):
         d = gaussian(8, 12, 5)
@@ -609,7 +618,7 @@ class TestProjectionState:
     def test_extend_degenerate_raises(self):
         # third atom is a combination of the first two
         a = np.array([[1.0, 0.0, np.sqrt(0.5)], [0.0, 1.0, np.sqrt(0.5)], [0.0, 0.0, 0.0]])
-        state = linalg.init_state(from_matrix(a))
+        state = linalg.init_state(a)
         state = linalg.extend_state(state, 0)
         state = linalg.extend_state(state, 1)
         with pytest.raises(DegenerateAtomError):
@@ -719,6 +728,12 @@ class TestSpark:
     def test_orthonormal_reports_none(self):
         assert linalg.compute_spark(np.eye(5), 5) is None
 
+    def test_zero_column_alone(self):
+        # a zero column is a dependent subset of size 1
+        a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert linalg.compute_spark(a, 3) == 1
+        assert linalg.compute_spark(a, 1) == 1
+
     def test_dependent_triple(self):
         v = np.sqrt(0.5)
         a = np.array([[1.0, 0.0, v], [0.0, 1.0, v], [0.0, 0.0, 0.0]])
@@ -730,6 +745,6 @@ class TestSpark:
 
     def test_search_stops_at_m_plus_one(self):
         # sizes past m + 1 are dependent by dimension, so a request for
-        # 30 costs only the subsets of sizes 2 and 3
+        # 30 costs only the subsets of sizes 1 to 3
         assert linalg.compute_spark(gaussian(3, 60, 0), 30) == 4
         assert linalg.compute_spark(np.ones((2, 60)), 30) == 2

@@ -1,7 +1,8 @@
 """The public surface: each module's ``__all__``, the keyword options
-left in the numerical layers, what the benchmark in ``bench/`` reaches
-of them, where the decisions at 1 are made, and what ``import
-greedycert`` loads."""
+left in the numerical layers, that every public function has a caller
+outside the tests, what the benchmark in ``bench/`` reaches of them,
+where the decisions at 1 are made, and what ``import greedycert``
+loads."""
 
 import ast
 import inspect
@@ -18,7 +19,7 @@ from greedycert import basis_pursuit, certificates, dictionaries, experiments, g
 PUBLIC = {
     greedycert: [
         "basis_pursuit", "certificates", "dictionaries", "experiments", "greedy", "linalg",
-        "GreedycertError", "gaussian", "hybrid", "convolutive", "example1", "from_matrix",
+        "GreedycertError", "gaussian", "hybrid", "convolutive", "example1",
         "run_greedy", "construct_reaching_input", "build_failure_input",
         "f_omp", "f_ols", "erc_oxx_subset", "erc_oxx_cardinality", "brc_omp",
         "recursion_chain", "nsp_check", "brc_bp_check", "l1_recovers",
@@ -31,7 +32,7 @@ PUBLIC = {
         "CertificateReport", "f_omp", "f_ols", "erc_oxx_subset", "erc_oxx_cardinality",
         "brc_omp", "recursion_chain",
     ],
-    dictionaries: ["Dictionary", "gaussian", "hybrid", "convolutive", "example1", "from_matrix"],
+    dictionaries: ["Dictionary", "gaussian", "hybrid", "convolutive", "example1"],
     experiments: [
         "ExperimentConfig", "ExperimentResult", "scatter_experiment", "phase_curve",
         "phase_diagram", "f_vs_q_curve", "brc_map", "brc_sigma_sweep", "run_experiment",
@@ -59,8 +60,7 @@ def test_one_keyword_option_in_numerical_layers():
     # the options left, pinned so that no test-only knob returns unseen:
     # `cert --brc` runs brc_omp checked while the brc-map and brc-sigma
     # sweeps read the kernel alone; the greedy subcommand and the failure
-    # inputs give run_greedy a support oracle, the reaching inputs do not;
-    # construct_reaching_input defaults to the rule it always reaches with
+    # inputs give run_greedy a support oracle, the reaching inputs do not
     options = [
         f"{name}({param.name}=)"
         for module in (certificates, linalg, greedy, basis_pursuit)
@@ -69,11 +69,38 @@ def test_one_keyword_option_in_numerical_layers():
         for param in inspect.signature(getattr(module, name)).parameters.values()
         if param.default is not inspect.Parameter.empty
     ]
-    assert options == ["brc_omp(fast=)", "run_greedy(oracle=)",
-                       "construct_reaching_input(algorithm=)"]
+    assert options == ["brc_omp(fast=)", "run_greedy(oracle=)"]
 
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+
+def _loaded_names(paths):
+    """Every name the files at ``paths`` load, bare or as an attribute."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_function_has_a_caller_outside_tests():
+    # a call or a registry entry (such as _RUNNERS or _SELECT) in the
+    # package, a demo or the benchmark counts; an import or an __all__
+    # entry does not, so a function that only tests use fails here
+    src = Path(greedycert.__file__).resolve().parent
+    used = _loaded_names([*src.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+                          *BENCH.glob("*.py")])
+    unused = [f"{module.__name__}.{name}"
+              for module in (basis_pursuit, certificates, dictionaries, experiments,
+                             greedy, linalg)
+              for name in module.__all__
+              if inspect.isfunction(getattr(module, name)) and name not in used]
+    assert not unused
 
 
 def _api_chain(node):
