@@ -511,10 +511,16 @@ class TestFiniteInput:
 
 
 class TestProjectionState:
+    # init_state reads its matrix unscanned, compute_spark scans it for
+    # finite entries first; both refuse anything but a matrix
+    @pytest.mark.parametrize("call", [
+        linalg.init_state,
+        lambda a: linalg.compute_spark(a, 2),
+    ], ids=["init_state", "compute_spark"])
     @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)], ids=["1-D", "3-D"])
-    def test_non_matrix_rejected(self, shape):
+    def test_non_matrix_rejected(self, shape, call):
         with pytest.raises(ValueError, match="expected a 2-D array of column atoms"):
-            linalg.init_state(np.ones(shape))
+            call(np.ones(shape))
 
     def test_empty_state_keeps_atoms(self):
         d = gaussian(10, 6, 0)
