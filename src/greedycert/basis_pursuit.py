@@ -14,9 +14,11 @@ The 2^(k-1) patterns with a leading +1 (negating eps negates the
 witness) are the blocks of one block-diagonal HiGHS program over the
 null space: one solver call per check, for any null-space dimension.
 Values within ``TAU_STRICT`` of 1 are flagged as boundary cases.  The
-null-space basis comes from one numpy SVD of A (:func:`_null_space`);
-the solver, HiGHS through ``scipy.optimize.milp``, is imported with the
-first check, so the package loads scipy only here.
+null-space basis comes from one numpy SVD of A (:func:`_null_space`).
+The solver is HiGHS, handed the LP by :func:`_solve_lp` through scipy's
+own binding (``scipy.optimize.milp`` where that private module is
+missing), one solver object per check.  It is imported with the first
+check, so the package loads scipy only there.
 
 Whether one vector x* is the unique l1 minimizer of its own measurements
 depends on its support S and signs alone (Fuchs 2004; Zhang, Yin & Cheng
@@ -31,7 +33,7 @@ import numpy as np
 
 from .certificates import _check_support
 from .exceptions import FormMismatchError, GreedycertError, TooLargeError
-from .linalg import _finite_matrix
+from .linalg import _finite_matrix, _real
 from .tolerances import TAU_FORM, TAU_NUM, TAU_RANK, TAU_STRICT
 
 __all__ = [
@@ -84,6 +86,49 @@ def _null_split(basis, off):
     return basis @ vt[:r].T, basis @ vt[r:].T
 
 
+def _solve_lp(cost, data, indices, indptr, b_ub, lower):
+    """The optimal x of ``min cost^T x  s.t.  A x <= b_ub, x >= lower``,
+    with A given by its CSC arrays, solved by HiGHS.
+
+    The model goes straight to scipy's binding of HiGHS: one solver
+    object for this call, with its log off and every other option at
+    HiGHS's default, which is what ``scipy.optimize.milp`` hands it for
+    a pure LP, without milp's input checks, option manager and dual
+    bookkeeping.  The binding is private to scipy, so a scipy without it
+    gets the same LP through ``milp``.  Anything but an optimal solve
+    raises :class:`GreedycertError` naming HiGHS's model status.
+    """
+    try:
+        from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
+                                                   MatrixFormat, _Highs)
+    except ImportError:
+        from scipy.optimize import Bounds, LinearConstraint, milp
+        from scipy.sparse import csc_array
+
+        a_ub = csc_array((data, indices, indptr), shape=(b_ub.size, cost.size))
+        res = milp(cost, constraints=LinearConstraint(a_ub, -np.inf, b_ub),
+                   bounds=Bounds(lower, np.inf))
+        if res.status != 0:
+            raise GreedycertError(f"sign-pattern LP not solved: {res.message}")
+        return res.x
+
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = b_ub.size
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = indptr, indices, data
+    lp.col_cost_ = cost
+    lp.col_lower_, lp.col_upper_ = lower, np.full(cost.size, np.inf)
+    lp.row_lower_, lp.row_upper_ = np.full(b_ub.size, -np.inf), b_ub
+    highs = _Highs()
+    highs.setOptionValue("log_to_console", False)
+    if (highs.passModel(lp) == HighsStatus.kError or highs.run() == HighsStatus.kError
+            or highs.getModelStatus() != HighsModelStatus.kOptimal):
+        status = highs.modelStatusToString(highs.getModelStatus())
+        raise GreedycertError(f"sign-pattern LP not solved: model status is {status}")
+    return np.array(highs.getSolution().col_value)
+
+
 def _sign_patterns(a, support, basis, eps):
     """``(eps, v(eps), decision, witness)`` for each row of the pattern
     table ``eps``.
@@ -114,13 +159,8 @@ def _sign_patterns(a, support, basis, eps):
     witnesses[unbounded] = gain[unbounded] @ on_support.T / gain_norm[unbounded, None]
     live = np.flatnonzero(~unbounded)
     if live.size and r:
-        from scipy.optimize import Bounds, LinearConstraint, milp
-        from scipy.sparse import csc_array
-
         # block variables (u, t): x = B u, -t <= x_off <= t, sum t <= 1,
-        # repeated down the diagonal once per pattern; milp with no
-        # integrality hands HiGHS the pure LP with the least input
-        # handling of scipy's entry points
+        # repeated down the diagonal once per pattern
         b_off = moving[off]
         block = np.block([[b_off, -np.eye(p)], [-b_off, -np.eye(p)],
                           [np.zeros((1, r)), np.ones((1, p))]])
@@ -129,19 +169,14 @@ def _sign_patterns(a, support, basis, eps):
         (h, w), (cols, rows) = block.shape, np.nonzero(block.T)
         nnz, shift = rows.size, np.arange(live.size)[:, None]
         starts = np.searchsorted(cols, np.arange(w))
-        a_ub = csc_array((np.tile(block[rows, cols], live.size),
-                          (rows + h * shift).ravel(),
-                          np.append((starts + nnz * shift).ravel(), nnz * live.size)),
-                         shape=(h * live.size, w * live.size))
         objective = eps[live] @ moving[list(support)]
         cost = np.hstack([-objective, np.zeros((live.size, p))])
         lower = np.hstack([np.full(r, -np.inf), np.zeros(p)])
-        res = milp(cost.ravel(),
-                   constraints=LinearConstraint(a_ub, -np.inf, np.tile(np.eye(h)[-1], live.size)),
-                   bounds=Bounds(np.tile(lower, live.size), np.inf))
-        if res.status != 0:
-            raise GreedycertError(f"sign-pattern LP not solved: {res.message}")
-        sol = res.x.reshape(live.size, w)[:, :r]
+        sol = _solve_lp(cost.ravel(), np.tile(block[rows, cols], live.size),
+                        (rows + h * shift).ravel(),
+                        np.append((starts + nnz * shift).ravel(), nnz * live.size),
+                        np.tile(np.eye(h)[-1], live.size),
+                        np.tile(lower, live.size)).reshape(live.size, w)[:, :r]
         values[live] = np.einsum("ij,ij->i", objective, sol)
         witnesses[live] = sol @ moving.T
 
@@ -287,7 +322,7 @@ def l1_recovers(a, xstar):
     """
     a = _finite_matrix(a)
     n = a.shape[1]
-    xstar = np.asarray(xstar, dtype=np.float64)
+    xstar = _real(xstar, "xstar")
     if xstar.shape != (n,) or not np.isfinite(xstar).all():
         raise ValueError(f"xstar must be a finite vector of length {n}")
     basis = _null_space(a)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .certificates import _chain_factors, _check_algorithm, _check_support, _erc_rule, _wrong_atoms
 from .exceptions import ConstructionFailedError, DegenerateAtomError
-from .linalg import _solve_upper, extend_state, factor_chain, init_state, residual
+from .linalg import _real, _solve_upper, extend_state, factor_chain, init_state, residual
 from .tolerances import TAU_SUCCESS_REL, TAU_TIE, TAU_ZERO
 
 __all__ = [
@@ -158,8 +158,8 @@ def run_greedy(algorithm, atoms, y, max_iters, oracle=None):
 
     With ``oracle`` (the true support) the run stops at the first wrong
     or adversarially tied selection.  Stops early once the residual norm
-    drops below ``TAU_SUCCESS_REL * |y|``.  ``y`` must be a finite vector
-    of length m (``ValueError`` otherwise).
+    drops below ``TAU_SUCCESS_REL * |y|``.  ``y`` must be a real, finite
+    vector of length m (``ValueError`` otherwise).
     """
     _check_algorithm(algorithm)
     if max_iters < 0:
@@ -173,7 +173,7 @@ def _run(algorithm, state, y, max_iters, oracle=None):
     state they checked, so the dictionary is scanned once per call."""
     select = _SELECT[algorithm]
     m = state.atoms.shape[0]
-    y = np.asarray(y, dtype=np.float64)
+    y = _real(y, "y")
     if y.shape != (m,) or not np.isfinite(y).all():
         raise ValueError(f"y must be a finite vector of length {m}")
     truth = frozenset(int(i) for i in oracle) if oracle is not None else None

@@ -3,6 +3,7 @@
 Conventions used throughout the package:
 
 * matrices are 2-D ``numpy.float64`` arrays (C order), columns are atoms;
+  complex input is refused rather than cast to its real part (:func:`_real`);
 * the kernels check their matrix for finite entries where they form
   the column squares of the unit-norm check (:func:`_unit_squares`); a
   public call that reaches no kernel scans its matrix itself;
@@ -92,10 +93,18 @@ _RECOMPUTE_BLOCK = 64
 _COL_MAJOR, _NO_TRANS, _UPPER, _NON_UNIT, _LEFT = 102, 111, 121, 131, 141
 
 
+def _real(x, name):
+    """``x`` as a float64 array; a complex one raises ``ValueError``
+    naming it, where a cast would drop its imaginary part."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got {x.dtype}")
+    return np.asarray(x, dtype=np.float64)
+
+
 def _as_matrix(a):
     """Accept a plain array or anything with a ``matrix`` attribute."""
-    a = getattr(a, "matrix", a)
-    a = np.asarray(a, dtype=np.float64)
+    a = _real(getattr(a, "matrix", a), "matrix")
     if a.ndim != 2:
         raise ValueError("expected a 2-D array of column atoms")
     return a
@@ -296,7 +305,7 @@ def factor_chain(atoms, order, probes):
     projected norm ``|P_q a_order[i]| >= |R_ii| > TAU_RANK > TAU_ZERO``
     at every depth ``q <= i`` where it is still unselected.
     """
-    a = np.asarray(getattr(atoms, "matrix", atoms), dtype=np.float64)
+    a = _real(getattr(atoms, "matrix", atoms), "matrix")
     if a.ndim not in (2, 3):
         raise ValueError("expected a matrix or a stack of matrices of column atoms")
     order = np.asarray(order, dtype=np.intp)
@@ -368,8 +377,8 @@ def _project(basis, x):
 def init_state(atoms):
     """Start a projection state with an empty active set.
 
-    Entries must be finite and column norms 1 within ``TAU_NUM`` (selection
-    by projected residual correlations assumes unit atoms).  The state and every
+    Entries must be real and finite and column norms 1 within ``TAU_NUM``
+    (selection by projected residual correlations assumes unit atoms).  The state and every
     state extended from it share one frozen dictionary: a read-only
     array that owns its data, such as every :class:`Dictionary` matrix,
     is kept as it is; a writable array or a view is copied and the copy
@@ -451,7 +460,7 @@ def extend_state(state, index):
 def residual(state, y):
     """Project ``y`` (a vector, or columns side by side) on the
     orthogonal complement of the active span."""
-    y = np.asarray(y, dtype=np.float64)
+    y = _real(y, "y")
     return _project(state.basis, y if y.ndim == 1 else np.array(y, order="C"))
 
 

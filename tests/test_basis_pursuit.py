@@ -1,6 +1,8 @@
 """Null-space conditions and ``l1_recovers`` vs sampled-null-vector,
 closed-form, basic-solution and l1-LP oracles."""
 
+import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,8 +13,9 @@ from l1_oracle import InfeasibleError, l1_min, recovers
 from scipy.linalg import null_space
 
 from greedycert import basis_pursuit as bp
+from greedycert.cli import main
 from greedycert.dictionaries import gaussian
-from greedycert.exceptions import FormMismatchError, TooLargeError
+from greedycert.exceptions import FormMismatchError, GreedycertError, TooLargeError
 from greedycert.tolerances import TAU_STRICT
 
 
@@ -88,16 +91,12 @@ class TestPatternValues:
     def test_lp_value_checked_at_witness(self, monkeypatch):
         # a solver answer off the constraint |x_off|_1 = 1 by 1% moves the
         # LP value but not the witness ratio: the two routes disagree
-        import scipy.optimize
+        solve = bp._solve_lp
 
-        solve = scipy.optimize.milp
+        def scaled(*args):
+            return 1.01 * solve(*args)
 
-        def scaled(*args, **kwargs):
-            res = solve(*args, **kwargs)
-            res.x = 1.01 * res.x
-            return res
-
-        monkeypatch.setattr(scipy.optimize, "milp", scaled)
+        monkeypatch.setattr(bp, "_solve_lp", scaled)
         with pytest.raises(FormMismatchError):
             bp.brc_bp_check(gaussian(3, 5, 13), (0, 3))
 
@@ -165,12 +164,10 @@ class TestNsp:
         # of a support naming every atom (no off-support atom, so no LP
         # nonzeros): both far over budget, refused before the pattern
         # table or the LP exists
-        import scipy.optimize
-
-        def no_lp(*args, **kwargs):
+        def no_lp(*args):
             raise AssertionError("LP built over budget")
 
-        monkeypatch.setattr(scipy.optimize, "milp", no_lp)
+        monkeypatch.setattr(bp, "_solve_lp", no_lp)
         d = gaussian(20, n, 0)
         # the patched solver is the one a check in budget reaches
         with pytest.raises(AssertionError, match="LP built"):
@@ -336,7 +333,9 @@ class TestL1Recovers:
 
     @pytest.mark.parametrize("xstar", [np.zeros((5, 1)), np.zeros(4), np.zeros(6),
                                        [1.0, np.nan, 0.0, 0.0, 0.0],
-                                       [np.inf, 0.0, 0.0, 0.0, 0.0]])
+                                       [np.inf, 0.0, 0.0, 0.0, 0.0],
+                                       # its real part alone read as the zero vector
+                                       [1j, 0.0, 0.0, 0.0, 0.0]])
     def test_input_validated(self, xstar):
         with pytest.raises(ValueError, match="xstar"):
             bp.l1_recovers(gaussian(3, 5, 0), xstar)
@@ -388,42 +387,132 @@ def test_lp_and_l1_min_agree(m, null_dim, seed, data):
 
 
 class TestOneSolverCall:
-    """Each check solves its sign patterns in one HiGHS call, through
-    ``scipy.optimize.milp`` and never ``linprog``."""
+    """Each check solves its sign patterns in one call of ``_solve_lp``,
+    which makes one HiGHS object through scipy's binding and reaches
+    neither ``scipy.optimize.milp`` nor ``linprog``."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         import scipy.optimize
 
-        solve, count = scipy.optimize.milp, []
+        core = pytest.importorskip("scipy.optimize._highspy._core")
+        solve, highs, calls = bp._solve_lp, core._Highs, []
 
-        def counted(*args, **kwargs):
-            count.append(1)
-            return solve(*args, **kwargs)
+        def counted(*args):
+            calls.append("lp")
+            return solve(*args)
 
-        def no_linprog(*args, **kwargs):
-            raise AssertionError("linprog reached")
+        def counted_highs():
+            calls.append("highs")
+            return highs()
 
-        monkeypatch.setattr(scipy.optimize, "milp", counted)
-        monkeypatch.setattr(scipy.optimize, "linprog", no_linprog)
-        return count
+        def front_end(*args, **kwargs):
+            raise AssertionError("a scipy.optimize front end reached")
+
+        monkeypatch.setattr(bp, "_solve_lp", counted)
+        monkeypatch.setattr(core, "_Highs", counted_highs)
+        monkeypatch.setattr(scipy.optimize, "milp", front_end)
+        monkeypatch.setattr(scipy.optimize, "linprog", front_end)
+        return calls
 
     @pytest.mark.parametrize("check", [bp.nsp_check, bp.brc_bp_check, bp._l1_reports])
     def test_one_call_per_check(self, calls, check):
         check(gaussian(4, 7, 2), (0, 3, 5))
-        assert len(calls) == 1
+        assert calls == ["lp", "highs"]
 
     def test_one_call_for_l1_recovers(self, calls):
         x = np.zeros(7)
         x[[1, 4]] = (2.0, -0.5)
         assert bp.l1_recovers(gaussian(4, 7, 2), x) is not None
-        assert len(calls) == 1
+        assert calls == ["lp", "highs"]
 
     def test_no_call_for_trivial_null_space(self, calls):
         for check in (bp.nsp_check, bp.brc_bp_check, bp._l1_reports):
             check(np.eye(4), (0, 1))
         assert bp.l1_recovers(np.eye(4), np.array([1.0, 0.0, -2.0, 0.0])) is True
         assert not calls
+
+
+def hide_binding(monkeypatch):
+    """Hide scipy's HiGHS binding, so ``_solve_lp`` takes its ``milp``
+    route; returns the list that counts the ``milp`` calls."""
+    import scipy.optimize
+
+    solve, calls = scipy.optimize.milp, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", counted)
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    return calls
+
+
+# the l1-search shapes of the benchmark, and the bp-check inputs whose
+# JSON has been compared byte for byte against earlier versions
+L1_SEARCH_SHAPES = ((7, 8, 2), (3, 4, 3), (8, 10, 3), (4, 6, 3), (5, 8, 3), (6, 9, 2), (6, 9, 3))
+BP_CHECK_INPUTS = (["--m", "8", "--n", "6", "--qstar", "0,1"],
+                   ["--m", "4", "--n", "8", "--qstar", "0,1"],
+                   ["--m", "6", "--n", "10", "--qstar", "0,2,5", "--seed", "3"],
+                   ["--dict", "hybrid", "--m", "5", "--n", "9", "--qstar", "1,3", "--seed", "2"],
+                   ["--m", "3", "--n", "7", "--qstar", "0,1,2", "--seed", "1"],
+                   ["--dict", "example1", "--qstar", "0,1"])
+
+
+def route_outputs(capfd):
+    """The JSON reports and ``l1_recovers`` answers of the l1-search
+    shapes (seeds 1-10), an unbounded pattern, a tied pattern and a
+    trivial null space, then the output of ``bp-check`` on each input
+    of ``BP_CHECK_INPUTS``; nothing else may be printed."""
+    tied = np.array([[1.0, 1.0, 0.0, np.sqrt(0.5)], [0.0, 0.0, 1.0, np.sqrt(0.5)]])
+    cases = [(gaussian(3, 5, 13), (0, 1, 2, 3)), (tied, (0, 1)), (gaussian(8, 6, 0), (0, 1))]
+    for seed in range(1, 11):
+        rng = np.random.default_rng((seed, 3))
+        cases += [(gaussian(m, n, 1000 * seed + ci),
+                   tuple(sorted(rng.choice(n, size=k, replace=False).tolist())))
+                  for ci, (m, n, k) in enumerate(L1_SEARCH_SHAPES)]
+    rng = np.random.default_rng(56)
+    outputs = []
+    for d, support in cases:
+        a = getattr(d, "matrix", d)
+        x = np.zeros(a.shape[1])
+        x[list(support)] = rng.choice([-1.0, 1.0], len(support)) * rng.uniform(0.5, 1.5,
+                                                                               len(support))
+        outputs.append(json.dumps([bp.nsp_check(d, support).to_json(),
+                                   bp.brc_bp_check(d, support).to_json(),
+                                   bp.l1_recovers(d, x)]))
+    assert capfd.readouterr() == ("", "")
+    for argv in BP_CHECK_INPUTS:
+        code = main(["bp-check", *argv])
+        out, err = capfd.readouterr()
+        assert code == 0 and err == "" and set(json.loads(out)) == {"config", "nsp", "brc_bp"}
+        outputs.append(out)
+    return outputs
+
+
+class TestLpRoutes:
+    """``_solve_lp`` through scipy's HiGHS binding and, where the binding
+    is missing, through ``scipy.optimize.milp``: the same answers, bit
+    for bit, and the same refusal of a non-optimal LP."""
+
+    def test_routes_give_the_same_bytes(self, monkeypatch, capfd):
+        pytest.importorskip("scipy.optimize._highspy._core")
+        binding = route_outputs(capfd)
+        with monkeypatch.context() as patched:
+            calls = hide_binding(patched)
+            fallback = route_outputs(capfd)
+        assert calls
+        assert fallback == binding
+
+    @pytest.mark.parametrize("route", ["binding", "milp"])
+    def test_non_optimal_lp_raises(self, monkeypatch, route):
+        # min x subject to x <= 0, x free: HiGHS finds it unbounded
+        calls = hide_binding(monkeypatch) if route == "milp" else []
+        with pytest.raises(GreedycertError, match="Unbounded"):
+            bp._solve_lp(np.ones(1), np.ones(1), np.zeros(1, dtype=np.intp),
+                         np.array([0, 1]), np.zeros(1), np.full(1, -np.inf))
+        assert len(calls) == (route == "milp")
 
 
 # the l1-search shapes of the benchmark, one null-space dimension 4 case

@@ -126,6 +126,14 @@ class TestRunGreedy:
         with pytest.raises(ValueError, match="finite vector of length 6"):
             greedy.run_greedy(alg, gaussian(6, 10, 0), y, 3)
 
+    @pytest.mark.parametrize("alg", ["omp", "ols"])
+    def test_complex_input_vector_rejected(self, alg):
+        # its real part alone used to run: 1j * a_0 read as the zero
+        # input, a success with nothing selected
+        d = gaussian(6, 10, 1)
+        with pytest.raises(ValueError, match="y must be real"):
+            greedy.run_greedy(alg, d, 1j * d.matrix[:, 0], 2)
+
     def test_orthonormal_success(self):
         a = np.eye(6)
         y = a[:, [1, 3]] @ np.array([2.0, -1.0])

@@ -510,6 +510,20 @@ class TestFiniteInput:
             greedy.construct_reaching_input(a, (0, 1), "ols")
 
 
+class TestRealInput:
+    # a float cast keeps the real part alone: at 1j * A the calls read
+    # the zero matrix, or refused it as not normalized
+    @pytest.mark.parametrize("call", MATRIX_CALLS)
+    def test_complex_matrix_rejected(self, call):
+        with pytest.raises(ValueError, match="matrix must be real"):
+            MATRIX_CALLS[call](1j * gaussian(6, 12, 3).matrix)
+
+    def test_complex_vector_not_projected(self):
+        state = linalg.init_state(gaussian(6, 12, 3))
+        with pytest.raises(ValueError, match="y must be real"):
+            linalg.residual(state, 1j * np.ones(6))
+
+
 class TestProjectionState:
     # init_state reads its matrix unscanned, compute_spark scans it for
     # finite entries first; both refuse anything but a matrix

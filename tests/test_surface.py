@@ -1,8 +1,8 @@
 """The public surface: each module's ``__all__``, the keyword options
 left in the numerical layers, that every public function has a caller
 outside the tests, what the benchmark in ``bench/`` reaches of them,
-where the decisions at 1 are made, and what ``import greedycert``
-loads."""
+where the decisions at 1 are made, which function reaches scipy, and
+what ``import greedycert`` loads."""
 
 import ast
 import inspect
@@ -158,16 +158,14 @@ def test_benchmark_api_still_resolves():
     assert not refused
 
 
-def _compares_with_one(path):
-    """The functions of the module at ``path`` that compare something
-    with the float constant 1.0, by name (``<module>`` outside them)."""
+def _owners(path, hit):
+    """The functions of the module at ``path`` holding a node for which
+    ``hit`` is true, by name (``<module>`` outside them)."""
     found = set()
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Compare) and any(
-                    isinstance(x, ast.Constant) and type(x.value) is float and x.value == 1.0
-                    for x in [child.left, *child.comparators]):
+            if hit(child):
                 found.add(owner)
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else owner)
@@ -176,14 +174,42 @@ def _compares_with_one(path):
     return found
 
 
+def _compares_with_one(node):
+    """A comparison with the float constant 1.0."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(x, ast.Constant) and type(x.value) is float and x.value == 1.0
+        for x in [node.left, *node.comparators])
+
+
+def _imports_scipy(node):
+    """``import scipy...`` or ``from scipy... import ...``."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        names = [node.module]
+    else:
+        return False
+    return any(name == "scipy" or name.startswith("scipy.") for name in names)
+
+
 def test_decisions_at_one_live_in_the_two_rules():
     # every greedy verdict is decided by certificates._erc_rule or
     # _brc_rule, so a band around 1 made there reaches every report,
     # experiment and failure input, and no new site can bypass it
     src = Path(greedycert.__file__).resolve().parent
-    assert _compares_with_one(src / "experiments.py") == set()
-    assert _compares_with_one(src / "greedy.py") == set()
-    assert _compares_with_one(src / "certificates.py") == {"_erc_rule", "_brc_rule"}
+    assert _owners(src / "experiments.py", _compares_with_one) == set()
+    assert _owners(src / "greedy.py", _compares_with_one) == set()
+    assert _owners(src / "certificates.py", _compares_with_one) == {"_erc_rule", "_brc_rule"}
+
+
+def test_one_function_imports_scipy():
+    # the LP helper is the package's one way into scipy: its binding
+    # route and its milp fallback sit side by side, and numpy serves
+    # every other layer
+    src = Path(greedycert.__file__).resolve().parent
+    importers = {f"{path.stem}.{owner}" for path in sorted(src.glob("*.py"))
+                 for owner in _owners(path, _imports_scipy)}
+    assert importers == {"basis_pursuit._solve_lp"}
 
 
 def test_import_leaves_the_lp_solver_unloaded():
