@@ -15,10 +15,13 @@ witness) are the blocks of one block-diagonal HiGHS program over the
 null space: one solver call per check, for any null-space dimension.
 Values within ``TAU_STRICT`` of 1 are flagged as boundary cases.  The
 null-space basis comes from one numpy SVD of A (:func:`_null_space`).
-The solver is HiGHS, handed the LP by :func:`_solve_lp` through scipy's
-own binding (``scipy.optimize.milp`` where that private module is
-missing), one solver object per check.  It is imported with the first
-check, so the package loads scipy only there.
+The program's CSC arrays are assembled in place from the block of the
+null basis off the support (:func:`_block_csc`), and :func:`_solve_lp`
+hands them as plain arrays to HiGHS through scipy's own binding
+(``scipy.optimize.milp`` where that private module or its array entry
+is missing), one solver object per check.  It is imported with the
+first check, so the package loads scipy only there.  The patterns are
+decided together, on arrays.
 
 Whether one vector x* is the unique l1 minimizer of its own measurements
 depends on its support S and signs alone (Fuchs 2004; Zhang, Yin & Cheng
@@ -88,45 +91,84 @@ def _null_split(basis, off):
 
 def _solve_lp(cost, data, indices, indptr, b_ub, lower):
     """The optimal x of ``min cost^T x  s.t.  A x <= b_ub, x >= lower``,
-    with A given by its CSC arrays, solved by HiGHS.
+    with A given by its CSC arrays (int32 ``indices`` and ``indptr``),
+    solved by HiGHS.
 
-    The model goes straight to scipy's binding of HiGHS: one solver
-    object for this call, with its log off and every other option at
-    HiGHS's default, which is what ``scipy.optimize.milp`` hands it for
-    a pure LP, without milp's input checks, option manager and dual
-    bookkeeping.  The binding is private to scipy, so a scipy without it
+    The arrays go straight to the array form of ``passModel`` in scipy's
+    binding of HiGHS: one solver object for this call, with every option
+    at HiGHS's default as ``scipy.optimize.milp`` hands it a pure LP,
+    but ``output_flag`` off, so no log text is formatted (milp turns
+    only the console off), and without milp's input checks, option
+    manager, ``HighsLp`` object and dual bookkeeping.  The binding is
+    private to scipy, so a scipy without it, or without that overload,
     gets the same LP through ``milp``.  Anything but an optimal solve
     raises :class:`GreedycertError` naming HiGHS's model status.
     """
+    n = cost.size
     try:
-        from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
-                                                   MatrixFormat, _Highs)
-    except ImportError:
+        from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus, MatrixFormat,
+                                                   ObjSense, _Highs)
+    except ImportError:  # a scipy without the binding
+        highs = None
+    else:
+        highs = _Highs()
+        highs.setOptionValue("output_flag", False)
+        try:
+            passed = highs.passModel(n, b_ub.size, data.size, MatrixFormat.kColwise,
+                                     ObjSense.kMinimize, 0.0, cost, lower, np.full(n, np.inf),
+                                     np.full(b_ub.size, -np.inf), b_ub, indptr, indices, data,
+                                     np.zeros(n, dtype=np.int32))  # every column continuous
+        except TypeError:  # a binding whose passModel takes a HighsLp object only
+            highs = None
+    if highs is None:
         from scipy.optimize import Bounds, LinearConstraint, milp
         from scipy.sparse import csc_array
 
-        a_ub = csc_array((data, indices, indptr), shape=(b_ub.size, cost.size))
+        a_ub = csc_array((data, indices, indptr), shape=(b_ub.size, n))
         res = milp(cost, constraints=LinearConstraint(a_ub, -np.inf, b_ub),
                    bounds=Bounds(lower, np.inf))
         if res.status != 0:
             raise GreedycertError(f"sign-pattern LP not solved: {res.message}")
         return res.x
 
-    lp = HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
-    lp.num_row_ = lp.a_matrix_.num_row_ = b_ub.size
-    lp.a_matrix_.format_ = MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = indptr, indices, data
-    lp.col_cost_ = cost
-    lp.col_lower_, lp.col_upper_ = lower, np.full(cost.size, np.inf)
-    lp.row_lower_, lp.row_upper_ = np.full(b_ub.size, -np.inf), b_ub
-    highs = _Highs()
-    highs.setOptionValue("log_to_console", False)
-    if (highs.passModel(lp) == HighsStatus.kError or highs.run() == HighsStatus.kError
+    if (passed == HighsStatus.kError or highs.run() == HighsStatus.kError
             or highs.getModelStatus() != HighsModelStatus.kOptimal):
         status = highs.modelStatusToString(highs.getModelStatus())
         raise GreedycertError(f"sign-pattern LP not solved: model status is {status}")
     return np.array(highs.getSolution().col_value)
+
+
+def _block_csc(b_off, count):
+    """``(data, indices, indptr)``: the CSC arrays of ``count`` copies of
+    the LP block ``[[B, -I], [-B, -I], [0, 1^T]]`` (B = ``b_off``, p x r)
+    down the diagonal, indices and starts as int32.
+
+    Column j < r of the block holds the nonzeros of column j of
+    ``[B; -B]``, rows ascending (a signed zero is no entry); column r + i
+    holds -1, -1, +1 in rows i, p + i and 2p.  Copy c shifts the rows by
+    c (2p + 1) and the column starts by c times the block's nonzeros.
+    """
+    p, r = b_off.shape
+    halves = np.concatenate((b_off.T, -b_off.T), axis=1)  # row j: column j of [B; -B]
+    held, rows = np.nonzero(halves)
+    u = rows.size
+    nnz = u + 3 * p
+
+    data = np.empty((count, nnz))
+    data[:, :u] = halves[held, rows]
+    data[:, u:] = -1.0
+    data[:, u + 2::3] = 1.0
+    indices = np.empty((count, nnz), dtype=np.int32)
+    indices[:, :u] = rows
+    indices[:, u::3] = np.arange(p)
+    indices[:, u + 1::3] = np.arange(p, 2 * p)
+    indices[:, u + 2::3] = 2 * p
+    indices += np.arange(0, count * (2 * p + 1), 2 * p + 1, dtype=np.int32)[:, None]
+    sizes = np.full((count, r + p), 3, dtype=np.int32)  # entries per column
+    sizes[:, :r] = np.bincount(held, minlength=r)
+    indptr = np.zeros(count * (r + p) + 1, dtype=np.int32)
+    sizes.cumsum(out=indptr[1:])
+    return data.ravel(), indices.ravel(), indptr
 
 
 def _sign_patterns(a, support, basis, eps):
@@ -144,64 +186,51 @@ def _sign_patterns(a, support, basis, eps):
     False when both are below ``1 - TAU_STRICT``, None otherwise.
     """
     n, k = a.shape[1], len(support)
-    off = [j for j in range(n) if j not in support]
-    p = len(off)
+    on = np.array(support, dtype=np.intp)  # an index array and a mask: no list to convert per use
+    off = np.ones(n, dtype=bool)
+    off[on] = False
+    p = n - k
     moving, on_support = _null_split(basis, off)
     r = moving.shape[1]
     count = len(eps)
     _within_budget(count, k + n + 2 * p * r + 3 * p)
 
-    gain = eps @ on_support[list(support)]
+    gain = eps @ on_support[on]
     gain_norm = np.linalg.norm(gain, axis=1)
     unbounded = gain_norm > TAU_RANK
     values = np.where(unbounded, np.inf, 0.0)
     witnesses = np.zeros((count, n))
-    witnesses[unbounded] = gain[unbounded] @ on_support.T / gain_norm[unbounded, None]
+    if unbounded.any():
+        witnesses[unbounded] = gain[unbounded] @ on_support.T / gain_norm[unbounded, None]
     live = np.flatnonzero(~unbounded)
     if live.size and r:
         # block variables (u, t): x = B u, -t <= x_off <= t, sum t <= 1,
         # repeated down the diagonal once per pattern
-        b_off = moving[off]
-        block = np.block([[b_off, -np.eye(p)], [-b_off, -np.eye(p)],
-                          [np.zeros((1, r)), np.ones((1, p))]])
-        # the block's nonzeros column by column, rows ascending, repeated
-        # down the diagonal: the CSC arrays themselves, with no COO step
-        (h, w), (cols, rows) = block.shape, np.nonzero(block.T)
-        nnz, shift = rows.size, np.arange(live.size)[:, None]
-        starts = np.searchsorted(cols, np.arange(w))
-        objective = eps[live] @ moving[list(support)]
-        cost = np.hstack([-objective, np.zeros((live.size, p))])
-        lower = np.hstack([np.full(r, -np.inf), np.zeros(p)])
-        sol = _solve_lp(cost.ravel(), np.tile(block[rows, cols], live.size),
-                        (rows + h * shift).ravel(),
-                        np.append((starts + nnz * shift).ravel(), nnz * live.size),
-                        np.tile(np.eye(h)[-1], live.size),
-                        np.tile(lower, live.size)).reshape(live.size, w)[:, :r]
+        objective = eps[live] @ moving[on]
+        cost, lower = np.zeros((live.size, r + p)), np.zeros((live.size, r + p))
+        np.negative(objective, out=cost[:, :r])
+        lower[:, :r] = -np.inf
+        b_ub = np.zeros((live.size, 2 * p + 1))
+        b_ub[:, -1] = 1.0
+        sol = _solve_lp(cost.ravel(), *_block_csc(moving[off], live.size), b_ub.ravel(),
+                        lower.ravel()).reshape(live.size, r + p)[:, :r]
         values[live] = np.einsum("ij,ij->i", objective, sol)
         witnesses[live] = sol @ moving.T
 
-    gained = np.einsum("ij,ij->i", eps, witnesses[:, list(support)])
+    gained = np.einsum("ij,ij->i", eps, witnesses[:, on])
     mass = np.abs(witnesses[:, off]).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(mass > 0, gained / mass, np.where(gained > 0, np.inf, 0.0))
+    ratio = np.where(gained > 0, np.inf, 0.0)  # the ratio where no mass is off the support
+    np.divide(gained, mass, out=ratio, where=mass > 0)
     finite = np.isfinite(values)
     gap = np.abs(values[finite] - ratio[finite])
     if np.any(gap > TAU_FORM * np.maximum(1.0, np.abs(values[finite]))):
         raise FormMismatchError(f"LP value and witness ratio differ by {gap.max():.3e}")
-    residual = np.linalg.norm(witnesses @ a.T, axis=1)
     tied = on_support.shape[1] > 0
-
-    patterns = []
-    for i in range(count):
-        if min(values[i], ratio[i]) > 1.0 + TAU_STRICT and residual[i] <= TAU_NUM:
-            decision = True
-        elif max(values[i], ratio[i]) < 1.0 - TAU_STRICT and not tied:
-            decision = False
-        else:
-            decision = None
-        patterns.append((tuple(int(e) for e in eps[i]), float(values[i]), decision,
-                         witnesses[i]))
-    return patterns
+    above = ((values > 1.0 + TAU_STRICT) & (ratio > 1.0 + TAU_STRICT)
+             & (np.linalg.norm(witnesses @ a.T, axis=1) <= TAU_NUM))
+    below = (values < 1.0 - TAU_STRICT) & (ratio < 1.0 - TAU_STRICT) & (not tied)
+    decisions = [(None, False, True)[c] for c in (2 * above + below).tolist()]
+    return list(zip(map(tuple, eps.astype(int).tolist()), values.tolist(), decisions, witnesses))
 
 
 @dataclass(frozen=True)

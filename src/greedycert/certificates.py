@@ -73,9 +73,18 @@ def _check_algorithm(algorithm):
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
+def _index(value, what):
+    """``value`` as a Python int.  Only Python and numpy integers pass:
+    ``int`` would truncate a float, count a bool and parse a string."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_support(n, qstar, q=(), j=None):
-    qstar = tuple(int(i) for i in qstar)
-    q = tuple(int(i) for i in q)
+    qstar = tuple(_index(i, "support index") for i in qstar)
+    q = tuple(_index(i, "partial selection index") for i in q)
+    j = None if j is None else _index(j, "probe atom")
     if len(set(qstar)) != len(qstar):
         raise ValueError("duplicate indices in the support")
     if len(set(q)) != len(q):
@@ -86,9 +95,9 @@ def _check_support(n, qstar, q=(), j=None):
         raise ValueError("partial selection must lie inside the support")
     if qstar and len(q) >= len(qstar):
         raise ValueError("partial selection must be a strict subset")
-    if j is not None and not 0 <= int(j) < n:
-        raise ValueError(f"probe atom {int(j)} outside 0..{n - 1}")
-    if j is not None and int(j) in set(qstar):
+    if j is not None and not 0 <= j < n:
+        raise ValueError(f"probe atom {j} outside 0..{n - 1}")
+    if j is not None and j in set(qstar):
         raise ValueError("the probe atom must lie outside the support")
     return qstar, q
 
@@ -345,7 +354,7 @@ def erc_oxx_cardinality(a, qstar, card, algorithm):
     """
     a = _as_matrix(a)
     qstar, _ = _check_support(a.shape[1], qstar)
-    card = int(card)
+    card = _index(card, "cardinality")
     k = len(qstar)
     if not 0 <= card < k:
         raise ValueError("cardinality must satisfy 0 <= card < |support|")

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import _chain_factors, _check_algorithm, _check_support, _erc_rule, _wrong_atoms
+from .certificates import (_chain_factors, _check_algorithm, _check_support, _erc_rule, _index,
+                           _wrong_atoms)
 from .exceptions import ConstructionFailedError, DegenerateAtomError
 from .linalg import _real, _solve_upper, extend_state, factor_chain, init_state, residual
 from .tolerances import TAU_SUCCESS_REL, TAU_TIE, TAU_ZERO
@@ -159,12 +160,17 @@ def run_greedy(algorithm, atoms, y, max_iters, oracle=None):
     With ``oracle`` (the true support) the run stops at the first wrong
     or adversarially tied selection.  Stops early once the residual norm
     drops below ``TAU_SUCCESS_REL * |y|``.  ``y`` must be a real, finite
-    vector of length m (``ValueError`` otherwise).
+    vector of length m, ``max_iters`` an integer >= 0 and ``oracle``
+    distinct integers in 0..n-1 (``ValueError`` otherwise).
     """
     _check_algorithm(algorithm)
+    max_iters = _index(max_iters, "max_iters")
     if max_iters < 0:
         raise ValueError(f"max_iters must be non-negative, got {max_iters}")
-    return _run(algorithm, init_state(atoms), y, max_iters, oracle)  # matrix checked before y
+    state = init_state(atoms)  # matrix checked before the oracle and y
+    if oracle is not None:
+        oracle, _ = _check_support(state.n, oracle)
+    return _run(algorithm, state, y, max_iters, oracle)
 
 
 def _run(algorithm, state, y, max_iters, oracle=None):
@@ -176,7 +182,7 @@ def _run(algorithm, state, y, max_iters, oracle=None):
     y = _real(y, "y")
     if y.shape != (m,) or not np.isfinite(y).all():
         raise ValueError(f"y must be a finite vector of length {m}")
-    truth = frozenset(int(i) for i in oracle) if oracle is not None else None
+    truth = frozenset(oracle) if oracle is not None else None  # checked by the callers
     ynorm = np.linalg.norm(y)
     records = []
     status, fail_it, wrong = None, None, None
@@ -254,7 +260,7 @@ def construct_reaching_input(atoms, order, algorithm):
 def _reaching_input(start, order, algorithm):
     """:func:`construct_reaching_input`, verified by reruns from ``start``."""
     a = start.atoms
-    order = [int(i) for i in order]
+    order = [_index(i, "order index") for i in order]
     if len(set(order)) != len(order) or not order:
         raise ValueError("order must be a non-empty sequence of distinct indices")
     if not all(0 <= i < a.shape[1] for i in order):

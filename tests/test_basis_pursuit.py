@@ -188,6 +188,12 @@ class TestNsp:
             with pytest.raises(ValueError, match="outside"):
                 check(gaussian(3, 5, 0), support)
 
+    @pytest.mark.parametrize("support", [(0.5, 2), (1, 2.0), ("1", "2"), (True, 2)])
+    def test_support_indices_are_integers(self, support):
+        for check in (bp.nsp_check, bp.brc_bp_check):
+            with pytest.raises(ValueError, match="must be an integer"):
+                check(gaussian(4, 8, 1), support)
+
     def test_duplicate_support_rejected(self):
         # the same validator as the greedy certificates: a repeated
         # index is an error, not silently merged
@@ -386,6 +392,45 @@ def test_lp_and_l1_min_agree(m, null_dim, seed, data):
     round_trip(d, support, nsp, brc, np.random.default_rng(seed), draws=2)
 
 
+def dense_block_csc(b_off, count):
+    """The CSC arrays of ``count`` copies of the LP block down the
+    diagonal, read off the dense block with ``np.block`` and
+    ``np.nonzero``, with none of ``_block_csc``'s index arithmetic."""
+    p, r = b_off.shape
+    block = np.block([[b_off, -np.eye(p)], [-b_off, -np.eye(p)],
+                      [np.zeros((1, r)), np.ones((1, p))]])
+    (h, w), (cols, rows) = block.shape, np.nonzero(block.T)
+    nnz, shift = rows.size, np.arange(count)[:, None]
+    starts = np.searchsorted(cols, np.arange(w))
+    return (np.tile(block[rows, cols], count), (rows + h * shift).ravel(),
+            np.append((starts + nnz * shift).ravel(), nnz * count))
+
+
+@st.composite
+def planted_blocks(draw):
+    """A p x r block B_off with +0.0 and -0.0 planted among its entries,
+    and a count of live patterns."""
+    p, r = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b_off = rng.standard_normal((p, r))
+    kind = rng.choice(3, size=(p, r), p=draw(st.sampled_from([(1, 0, 0), (0.6, 0.2, 0.2),
+                                                             (0, 0.5, 0.5)])))
+    b_off[kind == 1], b_off[kind == 2] = 0.0, -0.0
+    return b_off, draw(st.integers(1, 8))
+
+
+@settings(max_examples=200)
+@given(case=planted_blocks())
+def test_block_csc_matches_dense_construction(case):
+    # signed zeros are dropped exactly as np.nonzero drops them
+    b_off, count = case
+    got, want = bp._block_csc(b_off, count), dense_block_csc(b_off, count)
+    assert got[1].dtype == got[2].dtype == np.int32
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].astype(np.int32).tobytes()
+    assert got[2].tobytes() == want[2].astype(np.int32).tobytes()
+
+
 class TestOneSolverCall:
     """Each check solves its sign patterns in one call of ``_solve_lp``,
     which makes one HiGHS object through scipy's binding and reaches
@@ -433,9 +478,8 @@ class TestOneSolverCall:
         assert not calls
 
 
-def hide_binding(monkeypatch):
-    """Hide scipy's HiGHS binding, so ``_solve_lp`` takes its ``milp``
-    route; returns the list that counts the ``milp`` calls."""
+def count_milp(monkeypatch):
+    """The list that counts the calls of ``scipy.optimize.milp``."""
     import scipy.optimize
 
     solve, calls = scipy.optimize.milp, []
@@ -445,6 +489,13 @@ def hide_binding(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "milp", counted)
+    return calls
+
+
+def hide_binding(monkeypatch):
+    """Hide scipy's HiGHS binding, so ``_solve_lp`` takes its ``milp``
+    route; returns the list that counts the ``milp`` calls."""
+    calls = count_milp(monkeypatch)
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
     return calls
 
@@ -505,13 +556,49 @@ class TestLpRoutes:
         assert calls
         assert fallback == binding
 
+    def test_without_array_overload_milp_answers(self, monkeypatch):
+        # a binding whose passModel takes a HighsLp object only
+        core = pytest.importorskip("scipy.optimize._highspy._core")
+
+        class LpOnly(core._Highs):
+            def passModel(self, *args):
+                if len(args) != 1:
+                    raise TypeError("passModel(): incompatible function arguments")
+                return super().passModel(*args)
+
+        cases = [(gaussian(m, n, 1000 + ci), tuple(range(k)))
+                 for ci, (m, n, k) in enumerate(L1_SEARCH_SHAPES)]
+        want = [json.dumps([r.to_json() for r in bp._l1_reports(d, s)]) for d, s in cases]
+        calls = count_milp(monkeypatch)
+        monkeypatch.setattr(core, "_Highs", LpOnly)
+        got = [json.dumps([r.to_json() for r in bp._l1_reports(d, s)]) for d, s in cases]
+        assert len(calls) == len(cases)
+        assert got == want
+
+    def test_binding_prints_nothing(self, capfd):
+        # HiGHS writes to the process's own stdout, past sys.stdout: capfd
+        # sees it with the output on, and nothing with output_flag off
+        core = pytest.importorskip("scipy.optimize._highspy._core")
+        loud = core._Highs()
+        loud.passModel(1, 1, 1, core.MatrixFormat.kColwise, core.ObjSense.kMinimize, 0.0,
+                       np.ones(1), np.zeros(1), np.ones(1), np.full(1, -np.inf), np.ones(1),
+                       np.array([0, 1], dtype=np.int32), np.zeros(1, dtype=np.int32),
+                       np.ones(1), np.zeros(1, dtype=np.int32))
+        loud.run()
+        assert "HiGHS" in capfd.readouterr().out
+        bp._l1_reports(gaussian(7, 8, 2), (0, 3))
+        with pytest.raises(GreedycertError, match="Unbounded"):
+            bp._solve_lp(np.ones(1), np.ones(1), np.zeros(1, dtype=np.int32),
+                         np.array([0, 1], dtype=np.int32), np.zeros(1), np.full(1, -np.inf))
+        assert capfd.readouterr() == ("", "")
+
     @pytest.mark.parametrize("route", ["binding", "milp"])
     def test_non_optimal_lp_raises(self, monkeypatch, route):
         # min x subject to x <= 0, x free: HiGHS finds it unbounded
         calls = hide_binding(monkeypatch) if route == "milp" else []
         with pytest.raises(GreedycertError, match="Unbounded"):
-            bp._solve_lp(np.ones(1), np.ones(1), np.zeros(1, dtype=np.intp),
-                         np.array([0, 1]), np.zeros(1), np.full(1, -np.inf))
+            bp._solve_lp(np.ones(1), np.ones(1), np.zeros(1, dtype=np.int32),
+                         np.array([0, 1], dtype=np.int32), np.zeros(1), np.full(1, -np.inf))
         assert len(calls) == (route == "milp")
 
 

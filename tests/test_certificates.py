@@ -26,7 +26,7 @@ from greedycert.exceptions import (
     RankDeficientError,
     TooLargeError,
 )
-from greedycert.greedy import build_failure_input, run_greedy
+from greedycert.greedy import build_failure_input, construct_reaching_input, run_greedy
 from greedycert.linalg import factor_chain, residual, state_for
 from greedycert.tolerances import TAU_STRICT, TAU_ZERO
 
@@ -111,6 +111,41 @@ class TestErcFactor:
                 "recursion_chain": lambda: cert.recursion_chain(d, (1, 5, 9), 0, q, "omp")}[entry]
         with pytest.raises(ValueError, match="duplicate indices in the partial selection"):
             call()
+
+
+# every index the certificates and constructions take, given as a float,
+# a bool or a string: int() would truncate, count or parse it
+NON_INTEGER_INDICES = {
+    "subset-support": lambda d: cert.erc_oxx_subset(d, (0.5, 2.9), (), "omp"),
+    "subset-selection": lambda d: cert.erc_oxx_subset(d, (0, 2), (0.0,), "omp"),
+    "brc-float": lambda d: cert.brc_omp(d, (1.7, 2)),
+    "brc-string": lambda d: cert.brc_omp(d, ("1", "2")),
+    "brc-bool": lambda d: cert.brc_omp(d, (True, 2)),
+    "brc-numpy-float": lambda d: cert.brc_omp(d, np.array([1.0, 2.0])),
+    "f_omp-probe": lambda d: cert.f_omp(d, (0, 1), (), 3.9),
+    "f_ols-probe": lambda d: cert.f_ols(d, (0, 1), (), np.float64(3.0)),
+    "chain-probe": lambda d: cert.recursion_chain(d, (0, 1), 5.5, (0,), "omp"),
+    "cardinality": lambda d: cert.erc_oxx_cardinality(d, (0, 1, 2), 1.9, "omp"),
+    "cardinality-bool": lambda d: cert.erc_oxx_cardinality(d, (0, 1, 2), True, "omp"),
+    "construct-order": lambda d: construct_reaching_input(d, (1.5, 3), "ols"),
+    "failure-input": lambda d: build_failure_input(d, (0, 1, 2), (0.2,), "omp"),
+}
+
+
+class TestIntegerIndices:
+    @pytest.mark.parametrize("entry", NON_INTEGER_INDICES)
+    def test_non_integer_refused_by_name(self, entry):
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            NON_INTEGER_INDICES[entry](gaussian(20, 40, 1))
+
+    def test_python_and_numpy_integers_agree(self):
+        d = gaussian(20, 40, 1)
+        for qstar, card, j in [((1, 2), 1, 3), ((np.int64(1), np.int32(2)), np.int64(1), np.intp(3)),
+                               (np.array([1, 2]), np.uint8(1), np.int16(3))]:
+            assert cert.brc_omp(d, qstar).per_atom == cert.brc_omp(d, (1, 2)).per_atom
+            assert (cert.erc_oxx_cardinality(d, qstar, card, "ols").aggregate
+                    == cert.erc_oxx_cardinality(d, (1, 2), 1, "ols").aggregate)
+            assert cert.f_omp(d, qstar, (), j) == cert.f_omp(d, (1, 2), (), 3)
 
 
 class TestFactorClosedForms:

@@ -109,6 +109,27 @@ class TestRunGreedy:
         with pytest.raises(ValueError, match="max_iters"):
             greedy.run_greedy("omp", np.eye(3), np.ones(3), -2)
 
+    @pytest.mark.parametrize("max_iters", [2.5, 2.0, True, "2", None])
+    def test_non_integer_iteration_count_rejected(self, max_iters):
+        # 2.5 would reach range(), True would run one step
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            greedy.run_greedy("omp", gaussian(4, 8, 1), np.ones(4), max_iters)
+
+    @pytest.mark.parametrize("oracle,message", [
+        ([0, 99], "outside"), ([-1], "outside"), ([2, 2], "duplicate"),
+        ([0.0, 1.0], "must be an integer"), ([False], "must be an integer"),
+    ], ids=["beyond-n", "negative", "repeated", "floats", "bool"])
+    def test_oracle_validated(self, oracle, message):
+        # an oracle atom outside 0..n-1 used to end the run as wrong_atom
+        with pytest.raises(ValueError, match=message):
+            greedy.run_greedy("omp", gaussian(4, 8, 1), np.ones(4), 2, oracle=oracle)
+
+    def test_numpy_integers_accepted(self):
+        d, y = gaussian(4, 8, 1), gaussian(4, 8, 1).matrix[:, [2, 5]] @ (1.0, -0.7)
+        want = greedy.run_greedy("omp", d, y, 2, oracle=(2, 5))
+        got = greedy.run_greedy("omp", d, y, np.int64(2), oracle=np.array([2, 5]))
+        assert got.to_json() == want.to_json()
+
     @pytest.mark.parametrize("alg", ["omp", "ols"])
     @pytest.mark.parametrize(
         "y",
